@@ -39,7 +39,6 @@ from .keys import (
     can_decrypt,
     decrypt,
     encrypt,
-    export_material,
     group_sizes_for,
     provision,
     rekey_group,
@@ -58,7 +57,6 @@ from .protocol import (
     bs_step,
     gd_step,
     os_step,
-    validate_report,
 )
 from .sim import (
     PlacementModel,

@@ -132,10 +132,6 @@ def points_to_rows(
     ]
 
 
-def rows_to_points(rows: Iterable[CsvRow]) -> list[CurvePoint]:
-    return [CurvePoint(r.n, r.experiment, r.value) for r in rows]
-
-
 def _format_value(v: float) -> str:
     if isinstance(v, float) and v.is_integer():
         return str(int(v))

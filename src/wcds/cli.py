@@ -3,8 +3,9 @@
 Subcommands: ``gen`` writes a unit-disk graph file, ``sim`` runs one
 configured deployment to an outcome JSON (plus an optional event trace),
 ``compare`` sweeps our dominator counts against the greedy baselines into
-CSV, ``curves`` emits the closed-form curve families, ``storage`` prints the
-key-storage figures, and ``trace`` pretty-prints an event log.
+CSV and prints the per-n means, ``curves`` emits the closed-form curve
+families, ``storage`` prints the key-storage figures, and ``trace``
+pretty-prints an event log.
 
 Every command takes --seed; when absent, the WCDS_SEED environment variable
 and then zero fill in. Exit codes: 0 success, 1 usage, 2 runtime failure.
@@ -16,11 +17,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import (
+    METHOD_ALG1,
+    METHOD_ALG2,
     METHOD_ER_DEGREE,
     METHOD_GD_BITS,
+    METHOD_IDEAL,
     METHOD_KEYS,
+    METHOD_OURS,
     compare_ds_sizes,
     distinct_key_curve,
     er_degree_curve,
@@ -138,44 +144,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _config_from_json(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    data = dict(raw)
-    placement = data.pop("placement", None) or {}
-    if not isinstance(placement, dict):
-        raise ValueError("placement must be a JSON object")
-    adversaries = data.pop("adversaries", None)
-    flat = dict(data)
-    for key in ("mode", "sigma", "width", "height", "radius", "target_degree"):
-        if key in placement:
-            flat[key] = placement[key]
-    extra = set(placement) - {"mode", "sigma", "width", "height", "radius", "target_degree"}
-    if extra:
-        raise ValueError(f"unknown placement keys: {sorted(extra)}")
-    if adversaries:
-        if isinstance(adversaries, int):
-            flat["adversary_count"] = adversaries
-        elif isinstance(adversaries, dict):
-            unknown = set(adversaries) - {"count", "behavior"}
-            if unknown:
-                raise ValueError(f"unknown adversary keys: {sorted(unknown)}")
-            flat["adversary_count"] = adversaries.get("count", 1)
-            if "behavior" in adversaries:
-                flat["adversary_behavior"] = adversaries["behavior"]
-        else:
-            raise ValueError("adversaries must be a count or an object")
-    return RunConfig.from_dict(flat)
-
-
 def _cmd_sim(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    config = _config_from_json(raw)
-    explicit = raw.get("seed") if isinstance(raw, dict) else None
-    seed = _resolve_seed(args.seed, explicit=explicit)
-    if seed != config.seed:
-        config = RunConfig.from_dict({**config.__dict__, "seed": seed})
+    config = RunConfig.from_dict(raw)
+    config = replace(config, seed=_resolve_seed(args.seed, explicit=raw.get("seed")))
     world, outcome, report = simulate(config)
     doc = {
         "config": dict(sorted(config.__dict__.items())),
@@ -223,6 +196,11 @@ def _cmd_compare(args) -> int:
     )
     write_csv(args.out, report.rows)
     print(f"wrote {args.out}: {len(report.rows)} rows, {report.retries} retries")
+    methods = (METHOD_IDEAL, METHOD_OURS, METHOD_ALG1, METHOD_ALG2)
+    print(f"{'n':>5}" + "".join(f" {m:>9}" for m in methods))
+    for n in ns:
+        means = [report.mean(m, n) for m in methods]
+        print(f"{n:>5}" + "".join(f" {'-' if v is None else f'{v:.2f}':>9}" for v in means))
     if report.missing:
         print(f"error: {len(report.missing)} points exhausted the retry budget", file=sys.stderr)
         return 2

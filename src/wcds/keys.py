@@ -173,7 +173,6 @@ class KeyMaterial:
     reserve: frozenset[int]
     individual_keys: dict[int, Key]
     group_keys: dict[int, Key]
-    home_gd: dict[int, int]
     fountain: KeyFountain
     group_key_history: dict[int, dict[int, Key]] = field(default_factory=dict)
 
@@ -184,16 +183,6 @@ class KeyMaterial:
         and the base station keep every key the group has ever used.
         """
         return self.group_key_history.get(gd, {}).get(key_id)
-
-    @property
-    def bs_table(self) -> dict[int, tuple[Key, ...]]:
-        """Literal node-to-keys master table."""
-        table: dict[int, tuple[Key, ...]] = {}
-        for gd, members in self.groups:
-            table[gd] = (self.group_keys[gd],)
-            for m in members:
-                table[m] = (self.individual_keys[m], self.group_keys[gd])
-        return table
 
     def fresh_key(self) -> Key:
         return self.fountain.next_key()
@@ -254,7 +243,6 @@ def provision(
     individual_keys: dict[int, Key] = {}
     group_keys: dict[int, Key] = {}
     history: dict[int, dict[int, Key]] = {}
-    home_gd: dict[int, int] = {}
     reserve: set[int] = set()
 
     node = 0
@@ -267,14 +255,12 @@ def provision(
         group_keys[gd] = gkey
         history[gd] = {gkey.id: gkey}
         ranks[gd] = Rank.GD
-        home_gd[gd] = gd
         sub_keys: dict[int, Key] = {}
         for m in members:
             ikey = fountain.next_key()
             individual_keys[m] = ikey
             sub_keys[m] = ikey
             ranks[m] = Rank.OS
-            home_gd[m] = gd
             rings[m] = KeyRing(individual=ikey, group=gkey)
         rings[gd] = KeyRing(
             individual=None,
@@ -294,7 +280,6 @@ def provision(
         reserve=frozenset(reserve),
         individual_keys=individual_keys,
         group_keys=group_keys,
-        home_gd=home_gd,
         fountain=fountain,
         group_key_history=history,
     )
@@ -379,19 +364,3 @@ def rekey_group(
     material.rings[gd].group = new
     material.group_key_history.setdefault(gd, {})[new.id] = new
     return new, messages
-
-
-def export_material(material: KeyMaterial) -> dict:
-    """Public description of the provisioning: structure only, never key bytes."""
-    return {
-        "key_bits": material.key_bits,
-        "groups": [
-            {
-                "gd": gd,
-                "members": list(members),
-                "group_key_id": material.group_keys[gd].id,
-            }
-            for gd, members in material.groups
-        ],
-        "reserve": sorted(material.reserve),
-    }

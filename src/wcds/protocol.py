@@ -93,7 +93,6 @@ class NodeState:
     id: int
     rank: Rank
     ring: KeyRing
-    tau: int = 1
     phase: Phase = Phase.IDLE
     dominator: int | None = None
     neighbor_dominators: set[int] = field(default_factory=set)
@@ -105,7 +104,6 @@ class NodeState:
     pending_leave: bool = False
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
     reported_orphans: set[int] = field(default_factory=set)
-    report_inbox: list[tuple[int, bytes]] = field(default_factory=list)
     seq: int = 0
 
 
@@ -333,8 +331,6 @@ def gd_step(
             _gd_adopt(state, env, round_no, material, out, events)
         elif env.kind is MessageKind.LEAVE:
             _gd_leave(state, env, round_no, material, out, events)
-        elif env.kind is MessageKind.REPORT:
-            _gd_report(state, env, events)
     return state, out
 
 
@@ -430,37 +426,6 @@ def _gd_leave(state, env, round_no, material, out, events) -> None:
     _, msgs = rekey_group(material, state.id, members=sorted(state.subordinates))
     for m in msgs:
         out.append(Envelope(state.id, MessageKind.REKEY, m.ciphertext, _next_seq(state), state.id))
-
-
-def _gd_report(state, env, events) -> None:
-    key = state.ring.subordinate_keys.get(env.sender)
-    if key is None or env.ciphertext.key_id != key.id:
-        return
-    try:
-        kind, body = decrypt(key, env.ciphertext)
-    except (AuthenticationFailure, MalformedCiphertext):
-        return
-    if kind is MessageKind.REPORT:
-        state.report_inbox.append((env.sender, body))
-
-
-def validate_report(
-    state: NodeState,
-    reports: Iterable[tuple[int, bytes]],
-    tau: int | None = None,
-) -> bool:
-    """Accept iff at least tau distinct current subordinates sent byte-identical bodies.
-
-    Reports attributed to anyone outside the current subordinate set are
-    dropped before counting.
-    """
-    tau = state.tau if tau is None else tau
-    tallies: dict[bytes, set[int]] = {}
-    for os_id, body in reports:
-        if os_id not in state.subordinates:
-            continue
-        tallies.setdefault(bytes(body), set()).add(os_id)
-    return any(len(senders) >= tau for senders in tallies.values())
 
 
 # ---------------------------------------------------------------- base station

@@ -18,7 +18,15 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .graph import radius_for_expected_degree, unit_disk_graph, is_connected, is_dominating, is_wcds
+from .graph import (
+    Graph,
+    induced_subgraph,
+    is_connected,
+    is_dominating,
+    is_wcds,
+    radius_for_expected_degree,
+    unit_disk_graph,
+)
 from .keys import Ciphertext, KeyMaterial, Rank, group_sizes_for, provision
 from .protocol import (
     BS_ID,
@@ -35,6 +43,13 @@ from .wire import MessageKind
 
 PLACEMENT_MODES = ("uniform", "group_clustered")
 ADVERSARY_BEHAVIORS = ("forge_join", "forge_approve", "replay")
+
+#: The nested config objects RunConfig.from_dict accepts, each mapping its
+#: keys to the flat fields they set.
+_NESTED_FIELDS = {
+    "placement": {k: k for k in ("mode", "width", "height", "radius", "target_degree", "sigma")},
+    "adversaries": {"count": "adversary_count", "behavior": "adversary_behavior"},
+}
 
 
 @dataclass(frozen=True)
@@ -92,43 +107,36 @@ class World:
     events: list[dict] = field(default_factory=list)
     archive: list[tuple[int, Envelope]] = field(default_factory=list)
     formation_complete: bool = False
+    _radio: Graph | None = None
     _neighbors: dict[int, list[int]] | None = None
+
+    def radio_graph(self) -> Graph:
+        """The unit-disk graph over every radio on the field: sensors, the
+        base station and adversaries. Node i is the i-th smallest entity id.
+
+        Built once and cached; anything that moves a radio on or off the
+        field clears ``_neighbors`` to force a rebuild.
+        """
+        if self._neighbors is None:
+            ids = sorted(self.positions)
+            self._radio = unit_disk_graph([self.positions[v] for v in ids], self.radius)
+            self._neighbors = {v: [ids[j] for j in sorted(self._radio.adj[i])] for i, v in enumerate(ids)}
+        return self._radio
 
     def neighbors_of(self, entity: int) -> list[int]:
         if self._neighbors is None:
-            self._rebuild_neighbors()
+            self.radio_graph()
         return self._neighbors[entity]
 
-    def _rebuild_neighbors(self) -> None:
-        ids = sorted(self.positions)
-        r2 = self.radius * self.radius
-        table: dict[int, list[int]] = {i: [] for i in ids}
-        for a in range(len(ids)):
-            xa, ya = self.positions[ids[a]]
-            for b in range(a + 1, len(ids)):
-                xb, yb = self.positions[ids[b]]
-                dx = xa - xb
-                dy = ya - yb
-                if dx * dx + dy * dy <= r2:
-                    table[ids[a]].append(ids[b])
-                    table[ids[b]].append(ids[a])
-        self._neighbors = table
 
-
-def _fresh_state(material: KeyMaterial, node: int, tau: int) -> NodeState:
-    return NodeState(
-        id=node,
-        rank=material.ranks[node],
-        ring=material.rings[node],
-        tau=tau,
-    )
+def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
+    return NodeState(id=node, rank=material.ranks[node], ring=material.rings[node])
 
 
 def deploy(
     material: KeyMaterial,
     placement: PlacementModel,
     seed: int = 0,
-    tau: int = 1,
 ) -> World:
     """Scatter the provisioned nodes and stand up a world, reserves held back.
 
@@ -154,7 +162,7 @@ def deploy(
 
     positions = {n: planned[n] for n in material.deployed_nodes()}
     positions[BS_ID] = (w / 2.0, h / 2.0)
-    states = {n: _fresh_state(material, n, tau) for n in material.deployed_nodes()}
+    states = {n: _fresh_state(material, n) for n in material.deployed_nodes()}
     return World(
         material=material,
         radius=placement.radius,
@@ -172,7 +180,6 @@ def make_world(
     material: KeyMaterial,
     positions: dict[int, tuple[float, float]],
     radius: float,
-    tau: int = 1,
     seed: int = 0,
 ) -> World:
     """World with explicit positions; ``positions`` must place the base station."""
@@ -180,11 +187,7 @@ def make_world(
         raise ValueError("positions must include the base station id")
     width = max(x for x, _ in positions.values()) + radius
     height = max(y for _, y in positions.values()) + radius
-    states = {
-        n: _fresh_state(material, n, tau)
-        for n in positions
-        if n != BS_ID
-    }
+    states = {n: _fresh_state(material, n) for n in positions if n != BS_ID}
     return World(
         material=material,
         radius=radius,
@@ -353,7 +356,7 @@ def late_join(world: World, node: int, position: tuple[float, float] | None = No
         return
     if node not in world.material.reserve:
         raise ValueError(f"{node} is neither departed nor held in reserve")
-    world.states[node] = _fresh_state(world.material, node, tau=1)
+    world.states[node] = _fresh_state(world.material, node)
     world.states[node].post_formation = world.formation_complete
     world.positions[node] = position if position is not None else world.planned[node]
     world._neighbors = None
@@ -425,17 +428,20 @@ class VerifyReport:
 def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> VerifyReport:
     """Check the formed structure against the actual radio graph.
 
-    The graph is the unit-disk graph over sensors still on the field; the
-    base station and adversaries are not part of the dominating structure.
+    The graph is the world's radio graph restricted to sensors still on the
+    field; the base station and adversaries are not part of the dominating
+    structure.
     """
     if outcome is None:
         outcome = assemble_outcome(world)
-    active = sorted(n for n, st in world.states.items() if st.phase is not Phase.LEFT)
-    index = {n: i for i, n in enumerate(active)}
-    g = unit_disk_graph([world.positions[n] for n in active], world.radius)
+    states = world.states
+    ids = sorted(world.positions)
+    on_field = [i for i, v in enumerate(ids) if v in states and states[v].phase is not Phase.LEFT]
+    g, kept = induced_subgraph(world.radio_graph(), on_field)
+    index = {ids[i]: k for k, i in enumerate(kept)}
     chosen = {index[d] for d in outcome.dominator_set if d in index}
     return VerifyReport(
-        node_count=len(active),
+        node_count=g.n,
         dominator_count=len(chosen),
         dominating=is_dominating(g, chosen),
         weakly_connected=is_wcds(g, chosen),
@@ -460,17 +466,44 @@ class RunConfig:
     reserve_fraction: float = 0.0
     adversary_count: int = 0
     adversary_behavior: str = "forge_join"
-    tau: int = 1
     seed: int = 0
     max_rounds: int = 64
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(raw) - allowed
+        """Parse a sim config, the one schema every caller goes through.
+
+        Keys are the field names. The placement fields may instead sit in a
+        nested ``placement`` object, and ``adversaries`` may give a count or
+        an object ``{count, behavior}`` whose count defaults to 1. Unknown
+        keys, and a field given both flat and nested, are errors.
+        """
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        flat = dict(raw)
+        nested = {name: flat.pop(name, None) for name in _NESTED_FIELDS}
+        adversaries = nested["adversaries"]
+        if isinstance(adversaries, int):
+            nested["adversaries"] = {"count": adversaries}
+        elif isinstance(adversaries, dict):
+            nested["adversaries"] = {"count": 1, **adversaries}
+        elif adversaries is not None:
+            raise ValueError("adversaries must be a count or an object")
+        for name, fields in _NESTED_FIELDS.items():
+            sub = nested[name] or {}
+            if not isinstance(sub, dict):
+                raise ValueError(f"{name} must be a JSON object")
+            unknown = set(sub) - set(fields)
+            if unknown:
+                raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+            for key, value in sub.items():
+                if fields[key] in flat:
+                    raise ValueError(f"{fields[key]} given both flat and in {name}")
+                flat[fields[key]] = value
+        unknown = set(flat) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return cls(**flat)
 
     def node_count(self) -> int:
         return self.groups * (self.eta + 1)
@@ -494,14 +527,13 @@ def form_deployment(
     seed: int = 0,
     mode: str = "group_clustered",
     sigma: float | None = None,
-    tau: int = 1,
     max_rounds: int = 64,
 ) -> World:
     """Provision exactly n sensors into groups of up to eta members, deploy,
     and run cluster formation to quiescence."""
     material = provision(group_sizes_for(n, eta), seed=seed)
     placement = PlacementModel(mode=mode, width=width, height=height, radius=radius, sigma=sigma)
-    world = deploy(material, placement, seed=seed + 1_000_000_007, tau=tau)
+    world = deploy(material, placement, seed=seed + 1_000_000_007)
     run(world, max_rounds=max_rounds)
     return world
 
@@ -521,7 +553,7 @@ def simulate(config: RunConfig) -> tuple[World, ClusterOutcome, VerifyReport]:
         radius=config.resolve_radius(),
         sigma=config.sigma,
     )
-    world = deploy(material, placement, seed=config.seed + 1, tau=config.tau)
+    world = deploy(material, placement, seed=config.seed + 1)
     if config.adversary_count:
         inject_adversary(world, config.adversary_count, config.adversary_behavior)
     run(world, max_rounds=config.max_rounds)

@@ -21,7 +21,6 @@ class MessageKind(IntEnum):
     GD_ERR = 5
     ORP_ERR = 6
     LEAVE = 7
-    REPORT = 8
 
 
 #: Kinds every legitimate node re-broadcasts once per (origin, seq), readable

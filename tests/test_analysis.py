@@ -22,7 +22,6 @@ from wcds.analysis import (
     ideal_ds_size,
     points_to_rows,
     read_csv,
-    rows_to_points,
     write_csv,
 )
 
@@ -110,11 +109,6 @@ class TestRowLayout:
     def test_eta_from_x_mirrors_abscissa(self):
         rows = points_to_rows(gd_storage_curve([4, 9], [128]), "gd_bits", eta_from_x=True)
         assert [(r.n, r.eta) for r in rows] == [(4, 4), (9, 9)]
-
-    def test_rows_to_points_inverts(self):
-        pts = er_degree_curve([20, 50], [0.9, 0.99])
-        back = rows_to_points(points_to_rows(pts, "er_degree"))
-        assert back == pts
 
 
 class TestCsv:

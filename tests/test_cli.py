@@ -1,6 +1,7 @@
 """Drives the installed entry point through subprocess, the way users run it."""
 
 import json
+import statistics
 import subprocess
 import sys
 
@@ -177,6 +178,14 @@ class TestCompare:
         ideal = [r for r in rows if r.method == "ideal_eq2"]
         assert [(r.n, r.seed) for r in ideal] == [(20, -1), (40, -1), (60, -1)]
         assert {r.experiment for r in rows} == {"compare_deg12"}
+        methods = ["ideal_eq2", "ours", "cds_alg1", "cds_alg2"]
+
+        def mean(n, m):
+            return statistics.mean(r.value for r in rows if (r.n, r.method) == (n, m))
+
+        assert [line.split() for line in proc.stdout.splitlines()[1:]] == [["n", *methods]] + [
+            [str(n)] + [f"{mean(n, m):.2f}" for m in methods] for n in (20, 40, 60)
+        ]
 
     def test_seed_flag_offsets_sweep(self, tmp_path):
         proc = self.sweep(tmp_path, "cmp.csv", "--seed", "10")

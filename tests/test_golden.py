@@ -1,0 +1,128 @@
+"""Golden digests: fixed runs whose output bytes must not drift.
+
+Every case runs in process and hashes the bytes a user gets: the ``wcds sim``
+outcome document and event trace, a ``wcds compare`` CSV, and a library-level
+churn run. A change that alters any of them on purpose re-pins the digest
+here and says why in CHANGES.md.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+
+import pytest
+
+from wcds.cli import main
+from wcds.keys import Rank, provision
+from wcds.protocol import Phase
+from wcds.sim import PlacementModel, assemble_outcome, deploy, late_join, leave, run, verify_outcome
+
+FIELD = {"groups": 4, "eta": 9, "radius": 30.0, "mode": "group_clustered", "seed": 3}
+
+SIM_CASES = {
+    "clean": FIELD,
+    "forge_join": {**FIELD, "adversaries": {"count": 2, "behavior": "forge_join"}},
+    "forge_approve": {**FIELD, "adversaries": {"count": 2, "behavior": "forge_approve"}},
+    "replay": {**FIELD, "adversaries": {"count": 2, "behavior": "replay"}},
+    "nested_placement": {
+        "groups": 5,
+        "eta": 7,
+        "seed": 11,
+        "placement": {"mode": "uniform", "target_degree": 8, "width": 80.0, "height": 80.0},
+    },
+}
+
+# sha256 of (outcome JSON, event trace) per case.
+SIM_DIGESTS = {
+    "clean": (
+        "1612890a36d1f1abad3c70cc4ca03b9820e05ecf2b3b98f50d6c3b74f1fb0631",
+        "908ec34c47268fdc472644c19b317a7312b58f02d181c6f9cb6d510d1bf508d7",
+    ),
+    "forge_join": (
+        "7a1c97884ad42e4b6f35bc505cbb103fa62f85d11ef8ad3d725995f78ab51848",
+        "4472b7a1c2324c24a86504ec4444e624c419b8a02ac1daae93a4c099041c843c",
+    ),
+    "forge_approve": (
+        "d783fcf4faea4000625d4016c862aca43106c67018ec0aa08d664e1ed42f4b6b",
+        "158aaa26314c45fdfd2e69314f46f2671b9ea25cafcc0d6f3a9940067f24ac90",
+    ),
+    "replay": (
+        "12621f0fa6ba9f926da0fdc020b4d44b84be2481800ed62ecc9560b6785f0a64",
+        "908ec34c47268fdc472644c19b317a7312b58f02d181c6f9cb6d510d1bf508d7",
+    ),
+    "nested_placement": (
+        "e0edeac4278a3feb79b8985dd366fde08005f4093cdc96d706edb1fba8a10472",
+        "ec917ceb50e10d2a7d1a074303c7f9ff926776902e2de34b000ccb69326de623",
+    ),
+}
+
+COMPARE_ARGS = ["--nmin", "20", "--nmax", "40", "--step", "20", "--degree", "6", "--seeds", "2"]
+COMPARE_DIGEST = "4b786a92dfa22455a50d8de4021da4c187e5ae74ac87e5915c39da623b00720d"
+
+CHURN_DIGEST = "391713cb02b77b52608f297bf3d2d4e32df336d4d2c37814e703db4615d08fc2"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def run_sim(tmp_path, name) -> tuple[bytes, bytes]:
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(SIM_CASES[name]))
+    out, trace = tmp_path / f"{name}.out.json", tmp_path / f"{name}.jsonl"
+    assert quiet_main(["sim", "--config", str(cfg), "--out", str(out), "--trace", str(trace)]) == 0
+    return out.read_bytes(), trace.read_bytes()
+
+
+def run_compare(tmp_path) -> bytes:
+    out = tmp_path / "compare.csv"
+    assert quiet_main(["compare", *COMPARE_ARGS, "--seed", "0", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def run_churn() -> bytes:
+    """Form a field with reserves held back, then two leaves and three late joins;
+    the outcome, its verification against the radio graph, and every event."""
+    material = provision([9] * 4, reserve_fraction=0.2, seed=5)
+    world = deploy(material, PlacementModel("group_clustered", 70.0, 70.0, 25.0), seed=6)
+    run(world)
+    joined = sorted(
+        v for v, st in world.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED
+    )
+    for v in joined[:2]:
+        leave(world, v)
+    for v in sorted(material.reserve)[:3]:
+        late_join(world, v)
+    run(world)
+    outcome = assemble_outcome(world)
+    doc = json.dumps(outcome.to_dict(), sort_keys=True) + "\n"
+    doc += json.dumps(dataclasses.asdict(verify_outcome(world, outcome)), sort_keys=True) + "\n"
+    return (doc + "".join(json.dumps(e, sort_keys=True) + "\n" for e in world.events)).encode()
+
+
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    monkeypatch.delenv("WCDS_SEED", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CASES))
+def test_sim_digests(tmp_path, name):
+    outcome, trace = run_sim(tmp_path, name)
+    counts = json.loads(outcome)["outcome"]["message_count"]
+    assert any(k.startswith("ADV_") for k in counts) == ("adversaries" in SIM_CASES[name])
+    assert (sha256(outcome), sha256(trace)) == SIM_DIGESTS[name]
+
+
+def test_compare_csv_digest(tmp_path):
+    assert sha256(run_compare(tmp_path)) == COMPARE_DIGEST
+
+
+def test_churn_digest():
+    assert sha256(run_churn()) == CHURN_DIGEST

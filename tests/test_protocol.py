@@ -19,7 +19,6 @@ from wcds.protocol import (
     bs_step,
     gd_step,
     os_step,
-    validate_report,
 )
 from wcds.sim import assemble_outcome, make_world, run, verify_outcome
 from wcds.wire import MessageKind, pack_id, pack_id_key, pack_ids, unpack_ids
@@ -325,7 +324,7 @@ class TestGdLeave:
         assert [e.kind for e in out] == [MessageKind.REKEY]
         assert out[0].ciphertext.key_id == m.individual_keys[2].id
         # the departed sensor's stored keys open nothing sent afterwards
-        later = encrypt(m.group_keys[0], MessageKind.REPORT, b"after")
+        later = encrypt(m.group_keys[0], MessageKind.JOIN_APRV, b"after")
         assert not can_decrypt(old_ring_key, later)
         assert not can_decrypt(m.individual_keys[1], later)
 
@@ -344,46 +343,6 @@ class TestGdLeave:
         st, out = gd_step(st, [self.leave_env(m, 1, transmitter=-2)], 8, m)
         assert st.subordinates == {1, 2}
         assert out == []
-
-
-class TestReports:
-    def test_authenticated_report_collected(self):
-        m = provision([2])
-        st = gd_state(m, 0)
-        ct = encrypt(m.individual_keys[1], MessageKind.REPORT, b"reading=4")
-        st, _ = gd_step(st, [env(1, MessageKind.REPORT, ct)], 3, m)
-        assert st.report_inbox == [(1, b"reading=4")]
-
-    def test_junk_report_dropped(self):
-        m = provision([2])
-        st = gd_state(m, 0)
-        ct = Ciphertext(m.individual_keys[1].id, b"\x01" * 10, b"\x02" * 8)
-        st, _ = gd_step(st, [env(1, MessageKind.REPORT, ct)], 3, m)
-        assert st.report_inbox == []
-
-    def test_threshold_counts_distinct_current_members(self):
-        m = provision([3])
-        st = gd_state(m, 0)
-        st.subordinates.update({1, 2, 3})
-        reports = [(1, b"x"), (2, b"x"), (3, b"y")]
-        assert validate_report(st, reports, tau=2)
-        assert not validate_report(st, reports, tau=3)
-        assert validate_report(st, [(1, b"x"), (1, b"x"), (1, b"x")], tau=1)
-        assert not validate_report(st, [(1, b"x"), (1, b"x"), (1, b"x")], tau=2)
-
-    def test_outsiders_do_not_count(self):
-        m = provision([3])
-        st = gd_state(m, 0)
-        st.subordinates.update({1, 2})
-        assert not validate_report(st, [(3, b"x"), (9, b"x")], tau=1)
-
-    def test_default_threshold_comes_from_state(self):
-        m = provision([2])
-        st = gd_state(m, 0)
-        st.tau = 2
-        st.subordinates.update({1, 2})
-        assert not validate_report(st, [(1, b"x")])
-        assert validate_report(st, [(1, b"x"), (2, b"x")])
 
 
 class TestBaseStation:

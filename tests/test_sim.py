@@ -93,6 +93,38 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"groups": 2, "eta": 4, "radius": 10.0})
         assert cfg.groups == 2
 
+    def test_nested_placement_matches_flat_keys(self):
+        placement = {
+            "mode": "group_clustered", "width": 80.0, "height": 60.0, "target_degree": 8.0, "sigma": 3.0,
+        }
+        nested = RunConfig.from_dict({"groups": 2, "eta": 4, "placement": placement})
+        assert nested == RunConfig.from_dict({"groups": 2, "eta": 4, **placement})
+        assert nested.mode == "group_clustered" and nested.target_degree == 8.0
+
+    def test_adversaries_as_count_or_object(self):
+        base = {"groups": 2, "eta": 4, "radius": 10.0}
+        flat = RunConfig.from_dict({**base, "adversary_count": 3})
+        assert RunConfig.from_dict({**base, "adversaries": 3}) == flat
+        assert RunConfig.from_dict({**base, "adversaries": {"count": 3}}) == flat
+        cfg = RunConfig.from_dict({**base, "adversaries": {"behavior": "replay"}})
+        assert (cfg.adversary_count, cfg.adversary_behavior) == (1, "replay")
+
+    def test_nested_unknown_keys_rejected(self):
+        base = {"groups": 2, "eta": 4, "radius": 10.0}
+        with pytest.raises(ValueError, match="unknown placement keys"):
+            RunConfig.from_dict({**base, "placement": {"radios": 3}})
+        with pytest.raises(ValueError, match="unknown adversaries keys"):
+            RunConfig.from_dict({**base, "adversaries": {"count": 1, "kind": "replay"}})
+
+    def test_key_given_flat_and_nested_rejected(self):
+        with pytest.raises(ValueError, match="radius given both"):
+            RunConfig.from_dict({"groups": 2, "eta": 4, "radius": 10.0, "placement": {"radius": 20.0}})
+        with pytest.raises(ValueError, match="adversary_behavior given both"):
+            RunConfig.from_dict(
+                {"groups": 2, "eta": 4, "radius": 10.0, "adversary_behavior": "replay",
+                 "adversaries": {"behavior": "forge_join"}}
+            )
+
 
 class TestRunControl:
     def material(self):
@@ -125,6 +157,34 @@ class TestRunControl:
             step(b)
         assert a.round == b.round
         assert assemble_outcome(a) == assemble_outcome(b)
+
+
+class TestRadioIndex:
+    @staticmethod
+    def pair_loop(world):
+        """Reference adjacency: every pair of radios, squared distance against r^2."""
+        ids = sorted(world.positions)
+        r2 = world.radius * world.radius
+        table = {v: [] for v in ids}
+        for a, va in enumerate(ids):
+            xa, ya = world.positions[va]
+            for vb in ids[a + 1 :]:
+                xb, yb = world.positions[vb]
+                if (xa - xb) * (xa - xb) + (ya - yb) * (ya - yb) <= r2:
+                    table[va].append(vb)
+                    table[vb].append(va)
+        return table
+
+    def test_neighbors_match_pair_loop_through_churn(self):
+        m = provision([9] * 6, reserve_fraction=0.3, seed=2)
+        w = deploy(m, PlacementModel("group_clustered", 90.0, 90.0, 18.0), seed=4)
+        inject_adversary(w, 3, "forge_join")
+        assert {v: w.neighbors_of(v) for v in w.positions} == self.pair_loop(w)
+        run(w)
+        leave(w, 1)
+        late_join(w, min(m.reserve), position=(45.0, 45.0))
+        assert {v: w.neighbors_of(v) for v in w.positions} == self.pair_loop(w)
+        assert w.radio_graph().n == len(w.positions)
 
 
 class TestChurn:
