@@ -22,9 +22,9 @@ envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .keys import (
     AuthenticationFailure,
@@ -70,8 +70,7 @@ class Phase(str, Enum):
     LEFT = "left"
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One radio transmission.
 
     ``sender`` is the claimed origin and ``seq`` its per-origin sequence
@@ -187,7 +186,7 @@ def _relay(state, env: Envelope, out: list[Envelope]) -> bool:
     if fkey in state.seen_floods:
         return False
     state.seen_floods.add(fkey)
-    out.append(replace(env, transmitter=state.id))
+    out.append(Envelope(env.sender, env.kind, env.ciphertext, env.seq, state.id))
     return True
 
 
@@ -198,6 +197,17 @@ def _flood_origin(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
 
 
 # ---------------------------------------------------------------- ordinary sensor
+
+
+def os_idle(state: NodeState, round_no: int) -> bool:
+    """True when ``os_step`` on an empty inbox would change nothing and send
+    nothing: the sensor has left, or it is not due to announce, to time out
+    an approval wait, or to leave."""
+    if state.phase is Phase.LEFT:
+        return True
+    if state.join_round is None or state.pending_leave:
+        return False
+    return state.phase is not Phase.AWAITING or round_no < state.join_round + APPROVAL_TIMEOUT
 
 
 def os_step(

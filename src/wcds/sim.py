@@ -1,10 +1,21 @@
 """Field simulation: placement, lockstep radio transport, adversaries.
 
-The world owns all state. Each round it delivers every transmission from the
-previous round to the entities within radio range of its transmitter, steps
-the base station, every sensor, and every adversary in a fixed order, and
-collects their outboxes for the next round. With the same provisioning and
-seed, runs are byte-for-byte reproducible.
+The world owns all state. Each round it delivers the transmissions of the
+previous round to the entities within radio range of their transmitters,
+steps the base station, the sensors and the adversaries in a fixed order,
+and collects their outboxes for the next round. With the same provisioning
+and seed, runs are byte-for-byte reproducible.
+
+Delivery hands each sensor, and the base station, at most one copy of each
+flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD) per round, and none of a
+flood it has already seen. Of the copies in range, the one with the smallest
+transmitter id wins, ties going to the earlier transmission: that is the
+copy the step's sorted inbox would have processed first, and every other
+copy is one it would have dropped as a duplicate. Other kinds arrive in
+every copy. Adversaries overhear every copy in transmission order, floods
+included. A sensor with an empty inbox that has nothing due (a dominator, or
+an ordinary sensor not due to announce, time out its approval wait or leave)
+is not stepped.
 
 The envelope's ``transmitter`` field is physical-layer truth: the transport
 stamps it with the emitting entity, so an adversary can forge every claimed
@@ -15,7 +26,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graph import (
@@ -37,12 +49,19 @@ from .protocol import (
     Phase,
     bs_step,
     gd_step,
+    os_idle,
     os_step,
 )
-from .wire import MessageKind
+from .wire import FLOOD_KINDS, MessageKind
 
 PLACEMENT_MODES = ("uniform", "group_clustered")
 ADVERSARY_BEHAVIORS = ("forge_join", "forge_approve", "replay")
+
+#: Transmission counter names per kind, for legitimate and adversary senders.
+_LEGIT_COUNTERS = {k: k.name for k in MessageKind}
+_ADV_COUNTERS = {k: "ADV_" + k.name for k in MessageKind}
+
+_TRANSMITTER = attrgetter("transmitter")
 
 #: The nested config objects RunConfig.from_dict accepts, each mapping its
 #: keys to the flat fields they set.
@@ -108,25 +127,35 @@ class World:
     archive: list[tuple[int, Envelope]] = field(default_factory=list)
     formation_complete: bool = False
     _radio: Graph | None = None
-    _neighbors: dict[int, list[int]] | None = None
+    #: Per radio, the protocol radios (sensors and base station) and the
+    #: adversaries in its range; derived from ``_radio`` and cleared with it.
+    _neighbors: dict[int, tuple[frozenset[int], tuple[int, ...]]] | None = None
 
     def radio_graph(self) -> Graph:
         """The unit-disk graph over every radio on the field: sensors, the
         base station and adversaries. Node i is the i-th smallest entity id.
 
-        Built once and cached; anything that moves a radio on or off the
-        field clears ``_neighbors`` to force a rebuild.
+        Built once and cached with the neighbour sets derived from it;
+        anything that moves a radio on or off the field clears
+        ``_neighbors`` to force a rebuild of both.
         """
         if self._neighbors is None:
             ids = sorted(self.positions)
             self._radio = unit_disk_graph([self.positions[v] for v in ids], self.radius)
-            self._neighbors = {v: [ids[j] for j in sorted(self._radio.adj[i])] for i, v in enumerate(ids)}
+            self._neighbors = {}
+            for i, v in enumerate(ids):
+                near = sorted(ids[j] for j in self._radio.adj[i])
+                self._neighbors[v] = (
+                    frozenset(u for u in near if u >= BS_ID),
+                    tuple(u for u in near if u < BS_ID),
+                )
         return self._radio
 
     def neighbors_of(self, entity: int) -> list[int]:
-        if self._neighbors is None:
-            self.radio_graph()
-        return self._neighbors[entity]
+        """Every radio in range of ``entity``, in id order."""
+        self.radio_graph()
+        listeners, adversaries = self._neighbors[entity]
+        return sorted((*listeners, *adversaries))
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -204,19 +233,40 @@ def make_world(
 def _transmit(world: World, env: Envelope, legit: bool) -> None:
     world.inflight.append(env)
     world.archive.append((world.round, env))
-    name = env.kind.name if legit else "ADV_" + env.kind.name
+    name = (_LEGIT_COUNTERS if legit else _ADV_COUNTERS)[env.kind]
     world.counters[name] = world.counters.get(name, 0) + 1
 
 
 def _deliver(world: World) -> dict[int, list[Envelope]]:
+    """Empty the air into per-receiver inboxes, by the rule in the module
+    docstring. Departed sensors receive nothing."""
+    world.radio_graph()
+    neighbors = world._neighbors
+    # Every protocol radio that still listens, with the floods it has seen.
+    listening = {v: st.seen_floods for v, st in world.states.items() if st.phase is not Phase.LEFT}
+    listening[BS_ID] = world.bs.seen_floods
     inboxes: dict[int, list[Envelope]] = {}
-    states = world.states
+    floods: dict[tuple, list[Envelope]] = {}
     for env in world.inflight:
-        for rcv in world.neighbors_of(env.transmitter):
-            st = states.get(rcv)
-            if st is not None and st.phase is Phase.LEFT:
-                continue
-            inboxes.setdefault(rcv, []).append(env)
+        listeners, adversaries = neighbors[env.transmitter]
+        for adv in adversaries:
+            inboxes.setdefault(adv, []).append(env)
+        if env.kind in FLOOD_KINDS:
+            floods.setdefault((env.sender, env.seq, int(env.kind)), []).append(env)
+            continue
+        for rcv in listeners:
+            if rcv in listening:
+                inboxes.setdefault(rcv, []).append(env)
+    for key, copies in floods.items():
+        copies.sort(key=_TRANSMITTER)
+        heard: set[int] = set()
+        for env in copies:
+            fresh = neighbors[env.transmitter][0] - heard
+            heard |= fresh
+            for rcv in fresh:
+                seen = listening.get(rcv)
+                if seen is not None and key not in seen:
+                    inboxes.setdefault(rcv, []).append(env)
     world.inflight = []
     return inboxes
 
@@ -249,7 +299,7 @@ def _adversary_step(world: World, adv: Adversary, inbox: list[Envelope]) -> list
     elif adv.behavior == "replay":
         for _ in range(min(4, len(adv.captured))):
             env = adv.captured.popleft()
-            out.append(replace(env, transmitter=adv.id))
+            out.append(env._replace(transmitter=adv.id))
     return out
 
 
@@ -258,17 +308,21 @@ def step(world: World) -> None:
     inboxes = _deliver(world)
     material = world.material
     events = world.events
+    round_no = world.round
 
-    _, out = bs_step(world.bs, inboxes.get(BS_ID, []), world.round, material, events)
+    _, out = bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)
     for env in out:
         _transmit(world, env, legit=True)
 
     for node in sorted(world.states):
         st = world.states[node]
+        inbox = inboxes.get(node)
+        if inbox is None and (st.rank is not Rank.OS or os_idle(st, round_no)):
+            continue  # nothing heard and nothing due: the step would be a no-op
         if st.rank is Rank.OS:
-            _, out = os_step(st, inboxes.get(node, []), world.round, events)
+            _, out = os_step(st, inbox or [], round_no, events)
         else:
-            _, out = gd_step(st, inboxes.get(node, []), world.round, material, events)
+            _, out = gd_step(st, inbox, round_no, material, events)
         for env in out:
             _transmit(world, env, legit=True)
 
@@ -450,9 +504,21 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     )
 
 
+#: RunConfig's numeric fields: counts must be ints (not bools), the rest any
+#: real number, and the optional ones may also be None.
+_COUNT_FIELDS = ("groups", "eta", "key_bits", "adversary_count", "seed", "max_rounds")
+_REAL_FIELDS = ("width", "height", "radius", "target_degree", "sigma", "reserve_fraction")
+_OPTIONAL_FIELDS = ("radius", "target_degree", "sigma")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One simulated deployment, end to end."""
+    """One simulated deployment, end to end.
+
+    Construction checks the numeric fields' types, that ``max_rounds`` is at
+    least 1 and that ``adversary_count`` is not negative, and raises
+    ``ValueError`` naming the field.
+    """
 
     groups: int
     eta: int
@@ -468,6 +534,22 @@ class RunConfig:
     adversary_behavior: str = "forge_join"
     seed: int = 0
     max_rounds: int = 64
+
+    def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        if self.adversary_count < 0:
+            raise ValueError(f"adversary_count must not be negative, got {self.adversary_count}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

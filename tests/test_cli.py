@@ -146,6 +146,13 @@ class TestSim:
         assert proc.returncode == 2
         assert "radios" in proc.stderr
 
+    def test_bad_config_value_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, adversaries=True)
+        proc = run_cli("sim", "--config", str(cfg), "--out", "out.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "adversary_count" in proc.stderr
+        assert not (tmp_path / "out.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         for tag in ("a", "b"):

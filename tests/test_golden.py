@@ -32,6 +32,15 @@ SIM_CASES = {
         "seed": 11,
         "placement": {"mode": "uniform", "target_degree": 8, "width": 80.0, "height": 80.0},
     },
+    # Flood-heavy: 200 sensors, 19 orphans, and replayed flood copies whose
+    # adversary transmitter ids (-2, -3) sort ahead of the legitimate copies.
+    "flood_replay": {
+        "groups": 20,
+        "eta": 9,
+        "seed": 2,
+        "placement": {"mode": "group_clustered", "target_degree": 12, "width": 141.4, "height": 141.4},
+        "adversaries": {"count": 2, "behavior": "replay"},
+    },
 }
 
 # sha256 of (outcome JSON, event trace) per case.
@@ -55,6 +64,10 @@ SIM_DIGESTS = {
     "nested_placement": (
         "e0edeac4278a3feb79b8985dd366fde08005f4093cdc96d706edb1fba8a10472",
         "ec917ceb50e10d2a7d1a074303c7f9ff926776902e2de34b000ccb69326de623",
+    ),
+    "flood_replay": (
+        "0bb8c20178167b9095e131f8f7f5d48678831cd8abad1124b91bff2eb2ff3132",
+        "cced9193b9cb7fd38fedb8b2dcfa547f49ea78910e839768f1ecde3d81ef8d1c",
     ),
 }
 

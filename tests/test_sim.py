@@ -1,9 +1,14 @@
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies
+
+import wcds.sim as sim_module
 from wcds.graph import radius_for_expected_degree
-from wcds.keys import provision
-from wcds.protocol import BS_ID, Phase
+from wcds.keys import Rank, provision
+from wcds.protocol import APPROVAL_TIMEOUT, BS_ID, Phase, _inbox_key, _relay
 from wcds.sim import (
+    ADVERSARY_BEHAVIORS,
     PlacementModel,
     RunConfig,
     assemble_outcome,
@@ -18,6 +23,7 @@ from wcds.sim import (
     step,
     verify_outcome,
 )
+from wcds.wire import FLOOD_KINDS
 
 
 def line_world(material, spots, radius=12.0):
@@ -125,6 +131,51 @@ class TestRunConfig:
                  "adversaries": {"behavior": "forge_join"}}
             )
 
+    BASE = {"groups": 2, "eta": 4, "radius": 10.0}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("groups", "2"),
+            ("groups", 2.0),
+            ("eta", True),
+            ("key_bits", 128.0),
+            ("seed", "7"),
+            ("max_rounds", None),
+            ("adversary_count", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig.from_dict({**self.BASE, field: value})
+
+    def test_adversaries_true_is_not_a_count(self):
+        with pytest.raises(ValueError, match="adversary_count must be an integer"):
+            RunConfig.from_dict({**self.BASE, "adversaries": True})
+        with pytest.raises(ValueError, match="adversary_count must be an integer"):
+            RunConfig.from_dict({**self.BASE, "adversaries": {"count": False}})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", "100"), ("height", None), ("radius", True), ("target_degree", [6]),
+         ("sigma", "3"), ("reserve_fraction", None)],
+    )
+    def test_reals_must_be_numbers(self, field, value):
+        raw = {**self.BASE, field: value}
+        if field == "target_degree":
+            del raw["radius"]
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            RunConfig.from_dict(raw)
+
+    def test_ranges(self):
+        for rounds in (0, -5):
+            with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+                RunConfig.from_dict({**self.BASE, "max_rounds": rounds})
+        with pytest.raises(ValueError, match="adversary_count must not be negative"):
+            RunConfig.from_dict({**self.BASE, "adversaries": -1})
+        cfg = RunConfig.from_dict({**self.BASE, "max_rounds": 1, "adversary_count": 0, "width": 50, "sigma": 2})
+        assert (cfg.max_rounds, cfg.adversary_count, cfg.width, cfg.sigma) == (1, 0, 50, 2)
+
 
 class TestRunControl:
     def material(self):
@@ -185,6 +236,183 @@ class TestRadioIndex:
         late_join(w, min(m.reserve), position=(45.0, 45.0))
         assert {v: w.neighbors_of(v) for v in w.positions} == self.pair_loop(w)
         assert w.radio_graph().n == len(w.positions)
+
+
+def fan_out(world):
+    """Reference delivery: every in-flight copy, in transmission order, to every
+    radio in range of its transmitter except departed sensors. Duplicate and
+    already-seen flood copies are left for the steps to drop."""
+    inboxes = {}
+    for env in world.inflight:
+        for rcv in world.neighbors_of(env.transmitter):
+            st = world.states.get(rcv)
+            if st is not None and st.phase is Phase.LEFT:
+                continue
+            inboxes.setdefault(rcv, []).append(env)
+    return inboxes
+
+
+def fan_out_deliver(world):
+    inboxes = fan_out(world)
+    world.inflight = []
+    return inboxes
+
+
+def processed(world, rcv, inbox):
+    """The copies a step acts on: its sorted inbox minus those _relay drops."""
+    seen = world.bs.seen_floods if rcv == BS_ID else world.states[rcv].seen_floods
+    probe = SimpleNamespace(id=rcv, seen_floods=set(seen))
+    return [env for env in sorted(inbox, key=_inbox_key) if _relay(probe, env, [])]
+
+
+class DeliveryCheck:
+    """Stands in for sim._deliver: delivers for real, and asserts each round
+    that every node acts on what the reference fan-out would have made it
+    act on, while adversaries overhear exactly the fan-out's copies."""
+
+    deliver = staticmethod(sim_module._deliver)
+
+    def __init__(self):
+        self.rounds = self.skipped_copies = self.replayed_floods_kept = 0
+
+    def __call__(self, world):
+        expected = fan_out(world)
+        got = self.deliver(world)
+        self.rounds += 1
+        for rcv in set(expected) | set(got):
+            want, have = expected.get(rcv, []), got.get(rcv, [])
+            if rcv < BS_ID:
+                assert have == want, (world.round, rcv)
+                continue
+            kept = processed(world, rcv, want)
+            assert processed(world, rcv, have) == sorted(have, key=_inbox_key), (world.round, rcv)
+            assert sorted(have, key=_inbox_key) == kept, (world.round, rcv)
+            self.skipped_copies += len(want) - len(have)
+            self.replayed_floods_kept += sum(
+                1 for env in kept if env.kind in FLOOD_KINDS and env.transmitter < BS_ID
+            )
+        return got
+
+
+def twin_runs(drive):
+    """Run ``drive`` with the real delivery under DeliveryCheck, then again with
+    the reference fan-out and every ordinary sensor stepped every round; both
+    runs must leave the same archive, events and outcome."""
+    check = DeliveryCheck()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim_module, "_deliver", check)
+        fast = drive()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim_module, "_deliver", fan_out_deliver)
+        m.setattr(sim_module, "os_idle", lambda state, round_no: False)
+        slow = drive()
+    assert fast.archive == slow.archive
+    assert fast.events == slow.events
+    assert assemble_outcome(fast) == assemble_outcome(slow)
+    return check
+
+
+DELIVERY_FIELD = dict(
+    groups=8, eta=9, mode="group_clustered", width=110.0, height=110.0, target_degree=10.0, seed=7
+)
+
+
+def churn_run(seed):
+    """Form a field with replaying adversaries, then leaves, reserve joins and
+    one departed sensor coming back, each followed by a run to quiescence."""
+    material = provision([9] * 6, reserve_fraction=0.2, seed=seed)
+    world = deploy(material, PlacementModel("group_clustered", 90.0, 90.0, 22.0), seed=seed + 1)
+    inject_adversary(world, 2, "replay")
+    run(world)
+    joined = sorted(v for v, st in world.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED)
+    for v in joined[:3]:
+        leave(world, v)
+    for v in sorted(material.reserve)[:3]:
+        late_join(world, v)
+    run(world)
+    late_join(world, joined[0])
+    run(world)
+    return world
+
+
+class TestDelivery:
+    @pytest.mark.parametrize("behavior", [None, *ADVERSARY_BEHAVIORS])
+    def test_same_processed_inboxes_as_fan_out(self, behavior):
+        extra = {} if behavior is None else {"adversary_count": 3, "adversary_behavior": behavior}
+        config = RunConfig(**DELIVERY_FIELD, **extra)
+        check = twin_runs(lambda: simulate(config)[0])
+        assert check.rounds > 10 and check.skipped_copies > 1000
+        if behavior == "replay":
+            assert check.replayed_floods_kept > 0
+
+    def test_churn_same_as_fan_out(self):
+        check = twin_runs(lambda: churn_run(8))
+        assert check.skipped_copies > 0
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=strategies.integers(0, 10**6), behavior=strategies.sampled_from(ADVERSARY_BEHAVIORS))
+    def test_random_fields_same_as_fan_out(self, seed, behavior):
+        config = RunConfig(
+            groups=5, eta=7, mode="group_clustered", width=80.0, height=80.0, target_degree=8.0,
+            seed=seed, adversary_count=2, adversary_behavior=behavior,
+        )
+        twin_runs(lambda: simulate(config)[0])
+
+
+class TestIdleSkip:
+    """Sensors with an empty inbox and nothing due are not stepped."""
+
+    @staticmethod
+    def count_steps(m):
+        calls = []
+        for name in ("os_step", "gd_step"):
+            real = getattr(sim_module, name)
+
+            def counted(state, *args, _real=real):
+                calls.append((state.id, args[1]))
+                return _real(state, *args)
+
+            m.setattr(sim_module, name, counted)
+        return calls
+
+    def test_awaiting_sensor_orphans_on_time(self):
+        # Sensor 1 is out of everyone's range: its inbox stays empty.
+        w = line_world(provision([1]), {0: (10.0, 0.0), 1: (60.0, 0.0)})
+        with pytest.MonkeyPatch.context() as m:
+            calls = self.count_steps(m)
+            for _ in range(APPROVAL_TIMEOUT + 2):
+                step(w)
+        st = w.states[1]
+        assert st.join_round == 0 and st.phase is Phase.ORPHAN
+        mine = [(e["round"], e["event"]) for e in w.events if e["node"] == 1]
+        assert mine == [(0, "join_request"), (APPROVAL_TIMEOUT, "orphaned")]
+        assert [r for v, r in calls if v == 1] == [0, APPROVAL_TIMEOUT]
+
+    def test_pending_leave_leaves_that_round(self):
+        w = line_world(provision([1]), {0: (10.0, 0.0), 1: (20.0, 0.0)})
+        run(w)
+        for _ in range(3):
+            step(w)  # quiet rounds: nothing in the air
+        assert not w.inflight and w.states[1].phase is Phase.JOINED
+        leave(w, 1)
+        round_no = w.round
+        with pytest.MonkeyPatch.context() as m:
+            calls = self.count_steps(m)
+            step(w)
+        assert calls == [(1, round_no)]
+        assert w.states[1].phase is Phase.LEFT
+        assert w.events[-1] == {"round": round_no, "node": 1, "event": "left", "detail": {}}
+        assert [(r, env.kind.name) for r, env in w.archive if env.transmitter == 1][-1] == (round_no, "LEAVE")
+
+    def test_skipped_nodes_leave_no_trace(self):
+        w = line_world(provision([1, 1]), {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (10.0, 10.0), 3: (20.0, 10.0)})
+        run(w)
+        events, archive, counters = len(w.events), len(w.archive), dict(w.counters)
+        with pytest.MonkeyPatch.context() as m:
+            calls = self.count_steps(m)
+            run(w, max_rounds=4, force=True)
+        assert calls == []
+        assert len(w.events) == events and len(w.archive) == archive and w.counters == counters
 
 
 class TestChurn:
