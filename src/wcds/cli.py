@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .analysis import (
     METHOD_ALG1,
@@ -154,14 +154,7 @@ def _cmd_sim(args) -> int:
         "config": dict(sorted(config.__dict__.items())),
         "rounds": world.round,
         "outcome": outcome.to_dict(),
-        "verify": {
-            "node_count": report.node_count,
-            "dominator_count": report.dominator_count,
-            "dominating": report.dominating,
-            "weakly_connected": report.weakly_connected,
-            "graph_connected": report.graph_connected,
-            "fully_resolved": report.fully_resolved,
-        },
+        "verify": asdict(report),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out is None:

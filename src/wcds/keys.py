@@ -102,6 +102,18 @@ def decrypt(key: Key, ct: Ciphertext) -> tuple[MessageKind, bytes]:
     return kind, plain[1:]
 
 
+def open_as(key: Key | None, ct: Ciphertext, kind: MessageKind) -> bytes | None:
+    """The body of ``ct`` if ``key`` sealed it as ``kind``, else None. No key, or
+    a clear key id naming another key, returns None without running the cipher."""
+    if key is None or ct.key_id != key.id:
+        return None
+    try:
+        sealed, body = decrypt(key, ct)
+    except (AuthenticationFailure, MalformedCiphertext):
+        return None
+    return body if sealed is kind else None
+
+
 def can_decrypt(key: Key, ct: Ciphertext) -> bool:
     try:
         decrypt(key, ct)

@@ -17,13 +17,16 @@ a seeded run is reproducible byte for byte.
 Envelope sender and kind ride in the clear and are unauthenticated transport
 hints; nothing is trusted for admission or resolution unless the ciphertext
 opens under the expected key and its inner kind and ids agree with the
-envelope.
+envelope. ``keys.open_as`` is that rule, and handlers open through it unless
+the kind of failure matters: a foreign approval marks a neighbour dominator,
+and the base station audits why it drops a report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .keys import (
@@ -36,6 +39,7 @@ from .keys import (
     Rank,
     decrypt,
     encrypt,
+    open_as,
     rekey_group,
 )
 from .wire import (
@@ -165,11 +169,6 @@ def _note(events: list | None, round_no: int, node: int, event: str, **detail) -
         events.append({"round": round_no, "node": node, "event": event, "detail": detail})
 
 
-def _next_seq(state) -> int:
-    state.seq += 1
-    return state.seq
-
-
 def _inbox_key(env: Envelope):
     return (int(env.kind), env.sender, env.seq, env.transmitter)
 
@@ -178,11 +177,16 @@ def _hop1(env: Envelope) -> bool:
     return env.transmitter == env.sender
 
 
+#: What identifies one flood across all its relayed copies: its origin, the
+#: origin's sequence number and the kind (an IntEnum, so it keys like an int).
+flood_key = attrgetter("sender", "seq", "kind")
+
+
 def _relay(state, env: Envelope, out: list[Envelope]) -> bool:
     """Handle flood fan-out; False means this copy was already seen."""
     if env.kind not in FLOOD_KINDS:
         return True
-    fkey = (env.sender, env.seq, int(env.kind))
+    fkey = flood_key(env)
     if fkey in state.seen_floods:
         return False
     state.seen_floods.add(fkey)
@@ -190,10 +194,16 @@ def _relay(state, env: Envelope, out: list[Envelope]) -> bool:
     return True
 
 
+def _send(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
+    """A transmission ``state`` originates, under its next sequence number."""
+    state.seq += 1
+    return Envelope(state.id, kind, ct, state.seq, state.id)
+
+
 def _flood_origin(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
-    seq = _next_seq(state)
-    state.seen_floods.add((state.id, seq, int(kind)))
-    return Envelope(state.id, kind, ct, seq, state.id)
+    env = _send(state, kind, ct)
+    state.seen_floods.add(flood_key(env))
+    return env
 
 
 # ---------------------------------------------------------------- ordinary sensor
@@ -223,7 +233,7 @@ def os_step(
 
     if state.join_round is None:
         ct = encrypt(state.ring.individual, MessageKind.JOIN_REQ, b"")
-        out.append(Envelope(state.id, MessageKind.JOIN_REQ, ct, _next_seq(state), state.id))
+        out.append(_send(state, MessageKind.JOIN_REQ, ct))
         state.join_round = round_no
         state.phase = Phase.AWAITING
         _note(events, round_no, state.id, "join_request")
@@ -250,7 +260,7 @@ def os_step(
     if state.pending_leave:
         if state.phase is Phase.JOINED:
             ct = encrypt(state.ring.individual, MessageKind.LEAVE, b"")
-            out.append(Envelope(state.id, MessageKind.LEAVE, ct, _next_seq(state), state.id))
+            out.append(_send(state, MessageKind.LEAVE, ct))
         state.pending_leave = False
         state.phase = Phase.LEFT
         _note(events, round_no, state.id, "left")
@@ -260,18 +270,10 @@ def os_step(
 
 def _os_rekey(state: NodeState, env: Envelope, round_no: int, events) -> None:
     ring = state.ring
-    ct = env.ciphertext
-    if ring.individual is not None and ct.key_id == ring.individual.id:
-        key = ring.individual
-    elif ct.key_id == ring.group.id:
-        key = ring.group
-    else:
-        return
-    try:
-        kind, body = decrypt(key, ct)
-    except (AuthenticationFailure, MalformedCiphertext):
-        return
-    if kind is not MessageKind.REKEY:
+    body = open_as(ring.individual, env.ciphertext, MessageKind.REKEY)
+    if body is None:
+        body = open_as(ring.group, env.ciphertext, MessageKind.REKEY)
+    if body is None:
         return
     gd, key_id, bits = unpack_id_key(body)
     # Fresh keys have larger ids; refusing older ones defeats replayed rekeys.
@@ -307,11 +309,8 @@ def _os_approval(state: NodeState, env: Envelope, round_no: int, events) -> None
 
 
 def _os_promote(state: NodeState, env: Envelope, round_no: int, events) -> None:
-    try:
-        kind, _ = decrypt(state.ring.individual, env.ciphertext)
-    except (AuthenticationFailure, MalformedCiphertext):
-        return
-    if kind is not MessageKind.PROMOTE_CMD or state.phase is not Phase.ORPHAN:
+    opened = open_as(state.ring.individual, env.ciphertext, MessageKind.PROMOTE_CMD)
+    if opened is None or state.phase is not Phase.ORPHAN:
         return
     state.rank = Rank.GD_OS
     state.phase = Phase.PROMOTED
@@ -347,13 +346,13 @@ def gd_step(
 def _approve_envelope(state: NodeState, member: int) -> Envelope:
     body = pack_ids([state.id, member])
     ct = encrypt(state.ring.group, MessageKind.JOIN_APRV, body)
-    return Envelope(state.id, MessageKind.JOIN_APRV, ct, _next_seq(state), state.id)
+    return _send(state, MessageKind.JOIN_APRV, ct)
 
 
 def _admit_with_rekey(state, material, member, out, round_no, events) -> None:
     new, msgs = rekey_group(material, state.id, joining=member)
     for m in msgs:
-        out.append(Envelope(state.id, MessageKind.REKEY, m.ciphertext, _next_seq(state), state.id))
+        out.append(_send(state, MessageKind.REKEY, m.ciphertext))
     out.append(_approve_envelope(state, member))
     _note(events, round_no, state.id, "rekeyed", joining=member, key=new.id)
 
@@ -361,14 +360,7 @@ def _admit_with_rekey(state, material, member, out, round_no, events) -> None:
 def _gd_join_req(state, env, round_no, material, out, events) -> None:
     hop1 = _hop1(env)
     key = state.ring.subordinate_keys.get(env.sender)
-    authentic = False
-    if key is not None and env.ciphertext.key_id == key.id:
-        try:
-            kind, _ = decrypt(key, env.ciphertext)
-            authentic = kind is MessageKind.JOIN_REQ
-        except (AuthenticationFailure, MalformedCiphertext):
-            authentic = False
-    if not authentic:
+    if open_as(key, env.ciphertext, MessageKind.JOIN_REQ) is None:
         if hop1:
             # Someone else's sensor (or noise) announcing in our range.
             state.mediators.add(env.sender)
@@ -401,13 +393,8 @@ def _gd_orphan_heard(state, env, round_no, out, events) -> None:
 
 def _gd_adopt(state, env, round_no, material, out, events) -> None:
     key = material.group_key_for(state.id, env.ciphertext.key_id)
-    if key is None:
-        return
-    try:
-        kind, body = decrypt(key, env.ciphertext)
-    except (AuthenticationFailure, MalformedCiphertext):
-        return
-    if kind is not MessageKind.ADOPT_CMD:
+    body = open_as(key, env.ciphertext, MessageKind.ADOPT_CMD)
+    if body is None:
         return
     orphan, key_id, bits = unpack_id_key(body)
     if orphan in state.subordinates:
@@ -423,28 +410,17 @@ def _gd_leave(state, env, round_no, material, out, events) -> None:
     if not _hop1(env):
         return
     key = state.ring.subordinate_keys.get(env.sender)
-    if key is None or env.ciphertext.key_id != key.id:
-        return
-    try:
-        kind, _ = decrypt(key, env.ciphertext)
-    except (AuthenticationFailure, MalformedCiphertext):
-        return
-    if kind is not MessageKind.LEAVE or env.sender not in state.subordinates:
+    opened = open_as(key, env.ciphertext, MessageKind.LEAVE)
+    if opened is None or env.sender not in state.subordinates:
         return
     state.subordinates.discard(env.sender)
     _note(events, round_no, state.id, "member_left", os=env.sender)
     _, msgs = rekey_group(material, state.id, members=sorted(state.subordinates))
     for m in msgs:
-        out.append(Envelope(state.id, MessageKind.REKEY, m.ciphertext, _next_seq(state), state.id))
+        out.append(_send(state, MessageKind.REKEY, m.ciphertext))
 
 
 # ---------------------------------------------------------------- base station
-
-
-def _bs_flood(bs: BSState, kind: MessageKind, ct: Ciphertext) -> Envelope:
-    bs.seq += 1
-    bs.seen_floods.add((bs.id, bs.seq, int(kind)))
-    return Envelope(bs.id, kind, ct, bs.seq, bs.id)
 
 
 def bs_step(
@@ -461,11 +437,8 @@ def bs_step(
     """
     out: list[Envelope] = []
     for env in sorted(inbox, key=_inbox_key):
-        if env.kind in FLOOD_KINDS:
-            fkey = (env.sender, env.seq, int(env.kind))
-            if fkey in bs.seen_floods:
-                continue
-            bs.seen_floods.add(fkey)
+        if not _relay(bs, env, []):  # the relay copy is dropped unsent
+            continue
         if env.kind is MessageKind.GD_ERR:
             _bs_gd_err(bs, env, round_no, material, events)
         elif env.kind is MessageKind.ORP_ERR:
@@ -483,28 +456,31 @@ def bs_step(
             adopter = min(seen_by_orphan) if seen_by_orphan else min(reporters)
             body = pack_id_key(os_id, ikey.id, ikey.bits)
             gkey = material.group_keys[adopter]
-            out.append(_bs_flood(bs, MessageKind.ADOPT_CMD, encrypt(gkey, MessageKind.ADOPT_CMD, body)))
+            out.append(_flood_origin(bs, MessageKind.ADOPT_CMD, encrypt(gkey, MessageKind.ADOPT_CMD, body)))
             rec.resolution = ("adopted", adopter)
             _note(events, round_no, bs.id, "adopt_command", orphan=os_id, adopter=adopter)
         else:
-            out.append(_bs_flood(bs, MessageKind.PROMOTE_CMD, encrypt(ikey, MessageKind.PROMOTE_CMD, b"")))
+            out.append(_flood_origin(bs, MessageKind.PROMOTE_CMD, encrypt(ikey, MessageKind.PROMOTE_CMD, b"")))
             rec.resolution = ("promoted", None)
             _note(events, round_no, bs.id, "promote_command", orphan=os_id)
     return bs, out
 
 
+def _audit(bs, env, round_no, reason, events) -> None:
+    bs.audit.append((round_no, env.sender, reason))
+    _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason=reason)
+
+
 def _bs_gd_err(bs, env, round_no, material, events) -> None:
     ikey = material.individual_keys.get(env.sender)
     if ikey is None or ikey.id != env.ciphertext.key_id:
-        bs.audit.append((round_no, env.sender, "unknown_orphan_id"))
-        _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason="unknown_orphan_id")
+        _audit(bs, env, round_no, "unknown_orphan_id", events)
         return
     try:
         kind, body = decrypt(ikey, env.ciphertext)
         observed = unpack_ids(body)
     except (AuthenticationFailure, MalformedCiphertext, ValueError):
-        bs.audit.append((round_no, env.sender, "bad_orphan_report"))
-        _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason="bad_orphan_report")
+        _audit(bs, env, round_no, "bad_orphan_report", events)
         return
     if kind is not MessageKind.GD_ERR:
         return
@@ -518,22 +494,19 @@ def _bs_gd_err(bs, env, round_no, material, events) -> None:
 def _bs_orp_err(bs, env, round_no, material, events) -> None:
     key = material.group_key_for(env.sender, env.ciphertext.key_id)
     if key is None:
-        bs.audit.append((round_no, env.sender, "unknown_reporter"))
-        _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason="unknown_reporter")
+        _audit(bs, env, round_no, "unknown_reporter", events)
         return
     try:
         kind, body = decrypt(key, env.ciphertext)
         orphan = unpack_id(body)
     except (AuthenticationFailure, MalformedCiphertext, ValueError):
-        bs.audit.append((round_no, env.sender, "bad_report"))
-        _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason="bad_report")
+        _audit(bs, env, round_no, "bad_report", events)
         return
     if kind is not MessageKind.ORP_ERR:
         return
     rec = bs.orphans.get(orphan)
     if rec is None:
-        bs.audit.append((round_no, env.sender, "stray_report"))
-        _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason="stray_report")
+        _audit(bs, env, round_no, "stray_report", events)
         return
     if not rec.decided:
         rec.reports.add(env.sender)

@@ -24,6 +24,7 @@ field but not where a copy actually came from.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from operator import attrgetter
@@ -48,6 +49,7 @@ from .protocol import (
     NodeState,
     Phase,
     bs_step,
+    flood_key,
     gd_step,
     os_idle,
     os_step,
@@ -252,7 +254,7 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
         for adv in adversaries:
             inboxes.setdefault(adv, []).append(env)
         if env.kind in FLOOD_KINDS:
-            floods.setdefault((env.sender, env.seq, int(env.kind)), []).append(env)
+            floods.setdefault(flood_key(env), []).append(env)
             continue
         for rcv in listeners:
             if rcv in listening:
@@ -504,20 +506,23 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     )
 
 
-#: RunConfig's numeric fields: counts must be ints (not bools), the rest any
-#: real number, and the optional ones may also be None.
+#: RunConfig's numeric fields: counts must be ints (not bools), the rest
+#: finite real numbers, and the optional ones may also be None.
 _COUNT_FIELDS = ("groups", "eta", "key_bits", "adversary_count", "seed", "max_rounds")
 _REAL_FIELDS = ("width", "height", "radius", "target_degree", "sigma", "reserve_fraction")
 _OPTIONAL_FIELDS = ("radius", "target_degree", "sigma")
+#: The least value each bounded count may take.
+_COUNT_MINIMA = {"groups": 1, "eta": 0, "max_rounds": 1, "adversary_count": 0}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One simulated deployment, end to end.
 
-    Construction checks the numeric fields' types, that ``max_rounds`` is at
-    least 1 and that ``adversary_count`` is not negative, and raises
-    ``ValueError`` naming the field.
+    Construction checks the numeric fields' types, that the real ones are
+    finite, that ``groups`` and ``max_rounds`` are at least 1 and that ``eta``
+    and ``adversary_count`` are not negative, and raises ``ValueError``
+    naming the field.
     """
 
     groups: int
@@ -544,12 +549,14 @@ class RunConfig:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL_FIELDS:
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
-        if self.adversary_count < 0:
-            raise ValueError(f"adversary_count must not be negative, got {self.adversary_count}")
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name, least in _COUNT_MINIMA.items():
+            value = getattr(self, name)
+            if value < least:
+                bound = f"be at least {least}" if least else "not be negative"
+                raise ValueError(f"{name} must {bound}, got {value}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

@@ -153,6 +153,14 @@ class TestSim:
         assert "adversary_count" in proc.stderr
         assert not (tmp_path / "out.json").exists()
 
+    def test_nan_literal_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, radius=float("nan"))
+        assert '"radius": NaN' in cfg.read_text()
+        proc = run_cli("sim", "--config", str(cfg), "--out", "out.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "radius must be a finite number" in proc.stderr
+        assert not (tmp_path / "out.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         for tag in ("a", "b"):

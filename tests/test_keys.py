@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wcds.keys
 from wcds.keys import (
     AuthenticationFailure,
+    Ciphertext,
     Key,
     KeyFountain,
     MalformedCiphertext,
@@ -14,6 +16,7 @@ from wcds.keys import (
     decrypt,
     encrypt,
     group_sizes_for,
+    open_as,
     provision,
     rekey_group,
     storage_bits,
@@ -130,6 +133,43 @@ class TestCipher:
     def test_round_trip_property(self, kind, body, seed):
         k = KeyFountain(seed, 128).next_key()
         assert decrypt(k, encrypt(k, kind, body)) == (kind, body)
+
+
+class TestOpenAs:
+    def key(self, ident=0):
+        return TestCipher().key(ident)
+
+    def test_right_key_and_kind_returns_body(self):
+        k = self.key()
+        assert open_as(k, encrypt(k, MessageKind.LEAVE, b"body"), MessageKind.LEAVE) == b"body"
+        assert open_as(k, encrypt(k, MessageKind.LEAVE, b""), MessageKind.LEAVE) == b""
+
+    def test_no_key(self):
+        ct = encrypt(self.key(), MessageKind.LEAVE, b"body")
+        assert open_as(None, ct, MessageKind.LEAVE) is None
+
+    def test_foreign_key_id_skips_the_cipher(self, monkeypatch):
+        ct = encrypt(self.key(0), MessageKind.LEAVE, b"body")
+
+        def cipher_ran(*args):
+            raise AssertionError("cipher ran")
+
+        # decrypt itself refuses a foreign id before the tag check, so both
+        # the entry point and the tag are stubbed.
+        monkeypatch.setattr(wcds.keys, "decrypt", cipher_ran)
+        monkeypatch.setattr(wcds.keys, "_tag", cipher_ran)
+        assert open_as(self.key(1), ct, MessageKind.LEAVE) is None
+
+    def test_bad_tag(self):
+        k = self.key()
+        ct = encrypt(k, MessageKind.LEAVE, b"body")
+        bent = type(ct)(ct.key_id, ct.payload, bytes(b ^ 1 for b in ct.auth_tag))
+        assert open_as(k, bent, MessageKind.LEAVE) is None
+
+    def test_malformed_or_other_kind(self):
+        k = self.key()
+        assert open_as(k, Ciphertext(k.id, b"", b""), MessageKind.LEAVE) is None
+        assert open_as(k, encrypt(k, MessageKind.JOIN_REQ, b"body"), MessageKind.LEAVE) is None
 
 
 class TestFountain:

@@ -1,5 +1,7 @@
 import pytest
 
+import wcds.keys
+import wcds.protocol
 from wcds.keys import (
     Ciphertext,
     Rank,
@@ -163,6 +165,32 @@ class TestOsRekey:
         ct = encrypt(m.group_keys[2], MessageKind.REKEY, body)
         st, _ = os_step(st, [env(2, MessageKind.REKEY, ct)], 0)
         assert st.ring.group.id == m.group_keys[0].id
+
+
+class TestOsPromote:
+    def test_command_for_another_sensor_is_relayed_unopened(self, monkeypatch):
+        m = provision([2])
+        st = os_state(m, 1)
+        st, _ = os_step(st, [], 0)
+        st, _ = os_step(st, [], APPROVAL_TIMEOUT)
+        assert st.phase is Phase.ORPHAN
+        calls = []
+
+        def counted(key, ct):
+            calls.append(ct.key_id)
+            return decrypt(key, ct)
+
+        monkeypatch.setattr(wcds.keys, "decrypt", counted)
+        monkeypatch.setattr(wcds.protocol, "decrypt", counted)
+        foreign = encrypt(m.individual_keys[2], MessageKind.PROMOTE_CMD, b"")
+        st, out = os_step(st, [env(BS_ID, MessageKind.PROMOTE_CMD, foreign)], APPROVAL_TIMEOUT + 1)
+        assert [(e.kind, e.sender, e.transmitter) for e in out] == [(MessageKind.PROMOTE_CMD, BS_ID, 1)]
+        assert st.phase is Phase.ORPHAN and st.rank is Rank.OS
+        assert calls == []
+        own = encrypt(m.individual_keys[1], MessageKind.PROMOTE_CMD, b"")
+        st, _ = os_step(st, [env(BS_ID, MessageKind.PROMOTE_CMD, own, seq=2)], APPROVAL_TIMEOUT + 2)
+        assert st.phase is Phase.PROMOTED and st.rank is Rank.GD_OS
+        assert calls == [m.individual_keys[1].id]
 
 
 class TestGdJoin:

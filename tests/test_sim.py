@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -158,13 +159,14 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("width", "100"), ("height", None), ("radius", True), ("target_degree", [6]),
-         ("sigma", "3"), ("reserve_fraction", None)],
+         ("sigma", "3"), ("reserve_fraction", None), ("radius", math.nan),
+         ("target_degree", math.nan), ("width", math.inf), ("sigma", -math.inf)],
     )
     def test_reals_must_be_numbers(self, field, value):
         raw = {**self.BASE, field: value}
         if field == "target_degree":
             del raw["radius"]
-        with pytest.raises(ValueError, match=f"{field} must be a number"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             RunConfig.from_dict(raw)
 
     def test_ranges(self):
@@ -173,8 +175,15 @@ class TestRunConfig:
                 RunConfig.from_dict({**self.BASE, "max_rounds": rounds})
         with pytest.raises(ValueError, match="adversary_count must not be negative"):
             RunConfig.from_dict({**self.BASE, "adversaries": -1})
+        for groups in (0, -3):
+            with pytest.raises(ValueError, match="groups must be at least 1"):
+                RunConfig.from_dict({**self.BASE, "groups": groups})
+        with pytest.raises(ValueError, match="eta must not be negative"):
+            RunConfig.from_dict({**self.BASE, "eta": -1})
         cfg = RunConfig.from_dict({**self.BASE, "max_rounds": 1, "adversary_count": 0, "width": 50, "sigma": 2})
         assert (cfg.max_rounds, cfg.adversary_count, cfg.width, cfg.sigma) == (1, 0, 50, 2)
+        cfg = RunConfig.from_dict({**self.BASE, "groups": 1, "eta": 0})
+        assert (cfg.groups, cfg.eta) == (1, 0)
 
 
 class TestRunControl:
