@@ -32,13 +32,6 @@ ANALYTIC_SEED = -1
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    x: int
-    series: str
-    y: float
-
-
-@dataclass(frozen=True)
 class CsvRow:
     experiment: str
     n: int
@@ -73,63 +66,44 @@ def expected_gd_degree(n: int, pc: float) -> float:
     return er_threshold_p(n, pc) * (n - 1)
 
 
-def distinct_key_curve(sizes: Iterable[int], eta: int) -> list[CurvePoint]:
-    """Distinct keys the whole deployment needs, per network size.
+def distinct_key_curve(sizes: Iterable[int], eta: int) -> list[CsvRow]:
+    """Distinct keys the whole deployment needs, one row per network size n.
 
     Each group contributes one group key and each ordinary sensor one
     individual key, so the count is alpha + beta = n: exactly linear.
     """
-    points = []
-    series = f"distinct_keys_eta{eta}"
+    rows = []
+    experiment = f"distinct_keys_eta{eta}"
     for n in sizes:
         alpha = ideal_ds_size(n, eta)
         beta = n - alpha
-        points.append(CurvePoint(n, series, float(alpha + beta)))
-    return points
+        rows.append(CsvRow(experiment, n, 0.0, eta, ANALYTIC_SEED, METHOD_KEYS, float(alpha + beta)))
+    return rows
 
 
-def gd_storage_curve(etas: Iterable[int], key_bits_list: Iterable[int]) -> list[CurvePoint]:
-    """Dominator key storage in bits, one series per key width."""
-    points = []
+def gd_storage_curve(etas: Iterable[int], key_bits_list: Iterable[int]) -> list[CsvRow]:
+    """Dominator key storage in bits, one experiment per key width; the
+    group size eta fills both the n and the eta column."""
+    rows = []
     for k in key_bits_list:
         if k <= 0:
             raise ValueError("key width must be positive")
-        series = f"gd_bits_k{k}"
+        experiment = f"gd_bits_k{k}"
         for eta in etas:
             if eta < 0:
                 raise ValueError("eta must be non-negative")
-            points.append(CurvePoint(eta, series, float((eta + 1) * k)))
-    return points
+            rows.append(CsvRow(experiment, eta, 0.0, eta, ANALYTIC_SEED, METHOD_GD_BITS, float((eta + 1) * k)))
+    return rows
 
 
-def er_degree_curve(ns: Iterable[int], pcs: Iterable[float]) -> list[CurvePoint]:
-    """Expected dominator degree versus overlay size, one series per pc."""
-    points = []
+def er_degree_curve(ns: Iterable[int], pcs: Iterable[float]) -> list[CsvRow]:
+    """Expected dominator degree versus overlay size n, one experiment per pc."""
+    rows = []
     for pc in pcs:
-        series = f"er_degree_pc{pc:g}"
+        experiment = f"er_degree_pc{pc:g}"
         for n in ns:
-            points.append(CurvePoint(n, series, expected_gd_degree(n, pc)))
-    return points
-
-
-def points_to_rows(
-    points: Iterable[CurvePoint],
-    method: str,
-    degree: float = 0.0,
-    eta: int = 0,
-    seed: int = ANALYTIC_SEED,
-    eta_from_x: bool = False,
-) -> list[CsvRow]:
-    """Lay curve points out as CSV rows; the series label becomes the
-    experiment column and the abscissa the n column.
-
-    ``eta_from_x`` mirrors the abscissa into the eta column for curves whose
-    x axis is the group size.
-    """
-    return [
-        CsvRow(p.series, p.x, degree, p.x if eta_from_x else eta, seed, method, p.y)
-        for p in points
-    ]
+            rows.append(CsvRow(experiment, n, 0.0, 0, ANALYTIC_SEED, METHOD_ER_DEGREE, expected_gd_degree(n, pc)))
+    return rows
 
 
 def _format_value(v: float) -> str:
@@ -147,30 +121,6 @@ def write_csv(path: str, rows: Iterable[CsvRow]) -> None:
             writer.writerow(
                 (r.experiment, r.n, _format_value(r.degree), r.eta, r.seed, r.method, _format_value(r.value))
             )
-
-
-def read_csv(path: str) -> list[CsvRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        rows = []
-        for rec in reader:
-            if len(rec) != len(CSV_HEADER):
-                raise ValueError(f"malformed row {rec!r}")
-            exp, n, degree, eta, seed, method, value = rec
-            rows.append(
-                CsvRow(exp, int(n), _parse_number(degree), int(eta), int(seed), method, _parse_number(value))
-            )
-        return rows
-
-
-def _parse_number(text: str) -> float:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 @dataclass(frozen=True)

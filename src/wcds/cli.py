@@ -22,16 +22,12 @@ from dataclasses import asdict, replace
 from .analysis import (
     METHOD_ALG1,
     METHOD_ALG2,
-    METHOD_ER_DEGREE,
-    METHOD_GD_BITS,
     METHOD_IDEAL,
-    METHOD_KEYS,
     METHOD_OURS,
     compare_ds_sizes,
     distinct_key_curve,
     er_degree_curve,
     gd_storage_curve,
-    points_to_rows,
     write_csv,
 )
 from .graph import gen_udg, radius_for_expected_degree, write_graph
@@ -206,21 +202,9 @@ def _cmd_curves(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
 
-    keys_points = distinct_key_curve(range(0, 201, 5), args.eta)
-    write_csv(
-        os.path.join(out, "distinct_keys.csv"),
-        points_to_rows(keys_points, METHOD_KEYS, eta=args.eta),
-    )
-    storage_points = gd_storage_curve(range(0, args.eta_max + 1), kbits)
-    write_csv(
-        os.path.join(out, "gd_storage.csv"),
-        points_to_rows(storage_points, METHOD_GD_BITS, eta_from_x=True),
-    )
-    degree_points = er_degree_curve(range(20, 201, 10), pcs)
-    write_csv(
-        os.path.join(out, "er_degree.csv"),
-        points_to_rows(degree_points, METHOD_ER_DEGREE),
-    )
+    write_csv(os.path.join(out, "distinct_keys.csv"), distinct_key_curve(range(0, 201, 5), args.eta))
+    write_csv(os.path.join(out, "gd_storage.csv"), gd_storage_curve(range(0, args.eta_max + 1), kbits))
+    write_csv(os.path.join(out, "er_degree.csv"), er_degree_curve(range(20, 201, 10), pcs))
     print(f"wrote distinct_keys.csv, gd_storage.csv, er_degree.csv under {out}")
     return 0
 

@@ -42,12 +42,6 @@ class Graph:
     radius: float
     adj: tuple[frozenset[int], ...]
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (i, j) with i < j, in sorted order."""
         for i in range(self.n):

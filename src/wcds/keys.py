@@ -114,14 +114,6 @@ def open_as(key: Key | None, ct: Ciphertext, kind: MessageKind) -> bytes | None:
     return body if sealed is kind else None
 
 
-def can_decrypt(key: Key, ct: Ciphertext) -> bool:
-    try:
-        decrypt(key, ct)
-    except (AuthenticationFailure, MalformedCiphertext):
-        return False
-    return True
-
-
 class KeyFountain:
     """Deterministic stream of fresh keys with unique ascending ids.
 
@@ -162,11 +154,8 @@ class KeyRing:
         out.extend(self.subordinate_keys[n] for n in sorted(self.subordinate_keys))
         return out
 
-    def key_count(self) -> int:
-        return len(self.keys())
-
     def bit_count(self, key_bits: int) -> int:
-        return self.key_count() * key_bits
+        return len(self.keys()) * key_bits
 
 
 @dataclass
@@ -327,25 +316,18 @@ def uniform_storage_bits(alpha: int, beta: int, eta: int, key_bits: int) -> Stor
     return StorageReport(per_gd=(per_gd,) * alpha, per_os=per_os, total=total)
 
 
-@dataclass(frozen=True)
-class RekeyMessage:
-    scope: str  # "unicast" or "broadcast"
-    recipient: int | None
-    ciphertext: Ciphertext
-
-
 def rekey_group(
     material: KeyMaterial,
     gd: int,
     joining: int | None = None,
     members: Iterable[int] = (),
-) -> tuple[Key, list[RekeyMessage]]:
-    """Rotate a group key and plan its distribution.
+) -> tuple[Key, list[Ciphertext]]:
+    """Rotate a group key and seal the new key for distribution.
 
-    With ``joining`` set (a node being added), the new key goes out once under
+    With ``joining`` set (a node being added), the new key is sealed once under
     the joiner's individual key and once under the old group key so existing
-    members follow. Without a joiner (a departure), the new key goes out one
-    unicast per surviving member under that member's individual key; the old
+    members follow. Without a joiner (a departure), it is sealed once per
+    surviving member, in id order, under that member's individual key; the old
     group key is never used, so the departed node learns nothing.
     """
     if gd not in material.group_keys:
@@ -353,26 +335,20 @@ def rekey_group(
     old = material.group_keys[gd]
     new = material.fresh_key()
     body = pack_id_key(gd, new.id, new.bits)
-    messages: list[RekeyMessage] = []
+    sealed: list[Ciphertext] = []
     if joining is not None:
         ikey = material.individual_keys.get(joining)
         if ikey is None:
             raise ValueError(f"{joining} has no individual key")
-        messages.append(
-            RekeyMessage("unicast", joining, encrypt(ikey, MessageKind.REKEY, body))
-        )
-        messages.append(
-            RekeyMessage("broadcast", None, encrypt(old, MessageKind.REKEY, body))
-        )
+        sealed.append(encrypt(ikey, MessageKind.REKEY, body))
+        sealed.append(encrypt(old, MessageKind.REKEY, body))
     else:
         for m in sorted(set(int(v) for v in members)):
             ikey = material.individual_keys.get(m)
             if ikey is None:
                 raise ValueError(f"{m} has no individual key")
-            messages.append(
-                RekeyMessage("unicast", m, encrypt(ikey, MessageKind.REKEY, body))
-            )
+            sealed.append(encrypt(ikey, MessageKind.REKEY, body))
     material.group_keys[gd] = new
     material.rings[gd].group = new
     material.group_key_history.setdefault(gd, {})[new.id] = new
-    return new, messages
+    return new, sealed

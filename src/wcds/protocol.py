@@ -124,7 +124,6 @@ class OrphanRecord:
 class BSState:
     id: int = BS_ID
     orphans: dict[int, OrphanRecord] = field(default_factory=dict)
-    audit: list[tuple[int, int, str]] = field(default_factory=list)
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
     seq: int = 0
 
@@ -144,14 +143,6 @@ class ClusterOutcome:
     orphan_log: tuple[tuple[int, str], ...]
     coverage_failures: tuple[int, ...]
     message_count: tuple[tuple[str, int], ...]
-
-    @property
-    def membership_map(self) -> dict[int, int]:
-        return dict(self.membership)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return dict(self.message_count)
 
     def to_dict(self) -> dict:
         return {
@@ -350,9 +341,9 @@ def _approve_envelope(state: NodeState, member: int) -> Envelope:
 
 
 def _admit_with_rekey(state, material, member, out, round_no, events) -> None:
-    new, msgs = rekey_group(material, state.id, joining=member)
-    for m in msgs:
-        out.append(_send(state, MessageKind.REKEY, m.ciphertext))
+    new, sealed = rekey_group(material, state.id, joining=member)
+    for ct in sealed:
+        out.append(_send(state, MessageKind.REKEY, ct))
     out.append(_approve_envelope(state, member))
     _note(events, round_no, state.id, "rekeyed", joining=member, key=new.id)
 
@@ -415,9 +406,9 @@ def _gd_leave(state, env, round_no, material, out, events) -> None:
         return
     state.subordinates.discard(env.sender)
     _note(events, round_no, state.id, "member_left", os=env.sender)
-    _, msgs = rekey_group(material, state.id, members=sorted(state.subordinates))
-    for m in msgs:
-        out.append(_send(state, MessageKind.REKEY, m.ciphertext))
+    _, sealed = rekey_group(material, state.id, members=sorted(state.subordinates))
+    for ct in sealed:
+        out.append(_send(state, MessageKind.REKEY, ct))
 
 
 # ---------------------------------------------------------------- base station
@@ -467,7 +458,6 @@ def bs_step(
 
 
 def _audit(bs, env, round_no, reason, events) -> None:
-    bs.audit.append((round_no, env.sender, reason))
     _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason=reason)
 
 

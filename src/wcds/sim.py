@@ -139,7 +139,7 @@ class World:
 
         Built once and cached with the neighbour sets derived from it;
         anything that moves a radio on or off the field clears
-        ``_neighbors`` to force a rebuild of both.
+        ``_neighbors`` so that both are rebuilt.
         """
         if self._neighbors is None:
             ids = sorted(self.positions)
@@ -152,12 +152,6 @@ class World:
                     tuple(u for u in near if u < BS_ID),
                 )
         return self._radio
-
-    def neighbors_of(self, entity: int) -> list[int]:
-        """Every radio in range of ``entity``, in id order."""
-        self.radio_graph()
-        listeners, adversaries = self._neighbors[entity]
-        return sorted((*listeners, *adversaries))
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -204,31 +198,6 @@ def deploy(
         states=states,
         bs=BSState(),
         rng=rng,
-    )
-
-
-def make_world(
-    material: KeyMaterial,
-    positions: dict[int, tuple[float, float]],
-    radius: float,
-    seed: int = 0,
-) -> World:
-    """World with explicit positions; ``positions`` must place the base station."""
-    if BS_ID not in positions:
-        raise ValueError("positions must include the base station id")
-    width = max(x for x, _ in positions.values()) + radius
-    height = max(y for _, y in positions.values()) + radius
-    states = {n: _fresh_state(material, n) for n in positions if n != BS_ID}
-    return World(
-        material=material,
-        radius=radius,
-        width=width,
-        height=height,
-        positions=dict(positions),
-        planned=dict(positions),
-        states=states,
-        bs=BSState(),
-        rng=random.Random(seed),
     )
 
 
@@ -354,16 +323,13 @@ def _legit_pending(world: World) -> bool:
     return False
 
 
-def run(world: World, max_rounds: int = 64, force: bool = False) -> World:
+def run(world: World, max_rounds: int = 64) -> World:
     """Step until the legitimate side settles or the round budget runs out.
 
-    Adversary chatter alone never keeps the run alive. ``force`` steps the
-    full budget regardless, for soak tests under sustained attack.
+    Adversary chatter alone never keeps the run alive.
     """
     start = world.round
-    while world.round - start < max_rounds:
-        if not force and not _legit_pending(world):
-            break
+    while world.round - start < max_rounds and _legit_pending(world):
         step(world)
     return world
 
@@ -550,7 +516,11 @@ class RunConfig:
             if value is None and name in _OPTIONAL_FIELDS:
                 continue
             real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
+            try:
+                finite = real and math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name, least in _COUNT_MINIMA.items():
             value = getattr(self, name)

@@ -1,8 +1,14 @@
-"""Shared helpers for tests that start `python -m wcds` as a child process."""
+"""Shared test helpers: the environment for tests that start `python -m wcds`
+as a child process, a world built from explicit positions, and a yes/no
+form of decryption."""
 
 import os
+import random
 
 import wcds
+from wcds.keys import AuthenticationFailure, MalformedCiphertext, decrypt
+from wcds.protocol import BS_ID, BSState, NodeState
+from wcds.sim import World
 
 # The directory that holds the imported wcds package: src/ in a checkout,
 # site-packages when installed. Absolute, so a child finds it from any cwd.
@@ -22,3 +28,33 @@ def child_env(extra=None):
     if extra:
         env.update(extra)
     return env
+
+
+def make_world(material, positions, radius, seed=0):
+    """World with explicit positions; ``positions`` must place the base station."""
+    assert BS_ID in positions, "positions must include the base station id"
+    states = {
+        n: NodeState(id=n, rank=material.ranks[n], ring=material.rings[n])
+        for n in positions
+        if n != BS_ID
+    }
+    return World(
+        material=material,
+        radius=radius,
+        width=max(x for x, _ in positions.values()) + radius,
+        height=max(y for _, y in positions.values()) + radius,
+        positions=dict(positions),
+        planned=dict(positions),
+        states=states,
+        bs=BSState(),
+        rng=random.Random(seed),
+    )
+
+
+def can_decrypt(key, ct):
+    """True when ``key`` opens ``ct``, whatever kind it was sealed as."""
+    try:
+        decrypt(key, ct)
+    except (AuthenticationFailure, MalformedCiphertext):
+        return False
+    return True

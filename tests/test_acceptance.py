@@ -14,7 +14,7 @@ import time
 
 import mpmath
 
-from conftest import child_env
+from conftest import can_decrypt, child_env
 from wcds.analysis import compare_ds_sizes, expected_gd_degree, ideal_ds_size
 from wcds.baselines import cds_alg1, cds_alg2
 from wcds.graph import (
@@ -24,7 +24,7 @@ from wcds.graph import (
     is_connected,
     radius_for_expected_degree,
 )
-from wcds.keys import Rank, can_decrypt, provision, storage_bits, uniform_storage_bits
+from wcds.keys import Rank, provision, storage_bits, uniform_storage_bits
 from wcds.sim import (
     RunConfig,
     assemble_outcome,
@@ -197,7 +197,7 @@ def test_criterion_7_security_suite():
         )
         world, out, _ = simulate(cfg)
         legit = set(world.material.all_nodes())
-        assert set(out.membership_map) <= legit, f"criterion 7: foreign member at seed {seed}"
+        assert set(dict(out.membership)) <= legit, f"criterion 7: foreign member at seed {seed}"
         assert set(out.dominator_set) <= legit, f"criterion 7: foreign dominator at seed {seed}"
         for os_id, gd in out.membership:
             assert world.material.ranks[gd] is Rank.GD, (

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -9,10 +10,12 @@ from wcds.analysis import (
     CSV_HEADER,
     METHOD_ALG1,
     METHOD_ALG2,
+    METHOD_ER_DEGREE,
+    METHOD_GD_BITS,
     METHOD_IDEAL,
+    METHOD_KEYS,
     METHOD_OURS,
     CsvRow,
-    CurvePoint,
     compare_ds_sizes,
     distinct_key_curve,
     er_degree_curve,
@@ -20,8 +23,6 @@ from wcds.analysis import (
     expected_gd_degree,
     gd_storage_curve,
     ideal_ds_size,
-    points_to_rows,
-    read_csv,
     write_csv,
 )
 
@@ -66,18 +67,18 @@ class TestConnectivityThreshold:
 
 class TestCurves:
     def test_distinct_keys_is_linear_in_n(self):
-        pts = distinct_key_curve([0, 10, 55, 200], eta=9)
-        assert [(p.x, p.y) for p in pts] == [(0, 0.0), (10, 10.0), (55, 55.0), (200, 200.0)]
-        assert {p.series for p in pts} == {"distinct_keys_eta9"}
+        rows = distinct_key_curve([0, 10, 55, 200], eta=9)
+        assert [(r.n, r.value) for r in rows] == [(0, 0.0), (10, 10.0), (55, 55.0), (200, 200.0)]
+        assert {r.experiment for r in rows} == {"distinct_keys_eta9"}
 
     def test_distinct_keys_independent_of_eta(self):
         a = distinct_key_curve(range(0, 100, 7), eta=5)
         b = distinct_key_curve(range(0, 100, 7), eta=20)
-        assert [p.y for p in a] == [p.y for p in b]
+        assert [r.value for r in a] == [r.value for r in b]
 
     def test_gd_storage_series_per_key_width(self):
-        pts = gd_storage_curve([0, 10], [64, 128])
-        assert [(p.series, p.x, p.y) for p in pts] == [
+        rows = gd_storage_curve([0, 10], [64, 128])
+        assert [(r.experiment, r.n, r.value) for r in rows] == [
             ("gd_bits_k64", 0, 64.0),
             ("gd_bits_k64", 10, 704.0),
             ("gd_bits_k128", 0, 128.0),
@@ -91,24 +92,31 @@ class TestCurves:
             gd_storage_curve([-1], [64])
 
     def test_er_degree_curve_values(self):
-        pts = er_degree_curve([100, 200], [0.99])
-        assert pts[0] == CurvePoint(100, "er_degree_pc0.99", expected_gd_degree(100, 0.99))
-        assert pts[1].x == 200
-        assert {p.series for p in pts} == {"er_degree_pc0.99"}
+        rows = er_degree_curve([100, 200], [0.99])
+        assert rows[0].value == expected_gd_degree(100, 0.99)
+        assert [r.n for r in rows] == [100, 200]
+        assert {r.experiment for r in rows} == {"er_degree_pc0.99"}
 
 
 class TestRowLayout:
     def test_series_lands_in_experiment_column(self):
-        rows = points_to_rows([CurvePoint(40, "curve_a", 7.5)], "keys", degree=6.0, eta=9, seed=3)
-        assert rows == [CsvRow("curve_a", 40, 6.0, 9, 3, "keys", 7.5)]
+        assert distinct_key_curve([40], eta=9) == [
+            CsvRow("distinct_keys_eta9", 40, 0.0, 9, ANALYTIC_SEED, METHOD_KEYS, 40.0)
+        ]
+        assert er_degree_curve([40], [0.9]) == [
+            CsvRow("er_degree_pc0.9", 40, 0.0, 0, ANALYTIC_SEED, METHOD_ER_DEGREE, expected_gd_degree(40, 0.9))
+        ]
 
     def test_analytic_seed_default(self):
-        row = points_to_rows([CurvePoint(1, "s", 2.0)], "keys")[0]
-        assert row.seed == ANALYTIC_SEED == -1
+        rows = distinct_key_curve([1], 9) + gd_storage_curve([1], [64]) + er_degree_curve([20], [0.9])
+        assert {r.seed for r in rows} == {ANALYTIC_SEED} == {-1}
 
     def test_eta_from_x_mirrors_abscissa(self):
-        rows = points_to_rows(gd_storage_curve([4, 9], [128]), "gd_bits", eta_from_x=True)
-        assert [(r.n, r.eta) for r in rows] == [(4, 4), (9, 9)]
+        rows = gd_storage_curve([4, 9], [128])
+        assert rows == [
+            CsvRow("gd_bits_k128", 4, 0.0, 4, ANALYTIC_SEED, METHOD_GD_BITS, 640.0),
+            CsvRow("gd_bits_k128", 9, 0.0, 9, ANALYTIC_SEED, METHOD_GD_BITS, 1280.0),
+        ]
 
 
 class TestCsv:
@@ -119,28 +127,26 @@ class TestCsv:
             CsvRow("exp_a", 20, 6.5, 9, 1, METHOD_ALG1, 3.25),
         ]
 
+    @staticmethod
+    def read(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, self.rows())
-        assert read_csv(p) == self.rows()
+        assert self.read(p) == [
+            list(CSV_HEADER),
+            ["exp_a", "20", "6", "9", "-1", METHOD_IDEAL, "2"],
+            ["exp_a", "20", "6", "9", "0", METHOD_OURS, "4"],
+            ["exp_a", "20", "6.5", "9", "1", METHOD_ALG1, "3.25"],
+        ]
 
     def test_exact_bytes(self, tmp_path):
         p = tmp_path / "t.csv"
         write_csv(p, self.rows()[:1])
         data = p.read_bytes()
         assert data == b"experiment,n,degree,eta,seed,method,value\nexp_a,20,6,9,-1,ideal_eq2,2\n"
-
-    def test_header_enforced(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_csv(p)
-
-    def test_malformed_row_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text(",".join(CSV_HEADER) + "\nexp,1,2\n")
-        with pytest.raises(ValueError):
-            read_csv(p)
 
     @given(
         rows=st.lists(
@@ -161,16 +167,17 @@ class TestCsv:
     def test_round_trip_property(self, rows, tmp_path_factory):
         p = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(p, rows)
-        back = read_csv(p)
+        header, *back = self.read(p)
+        assert header == list(CSV_HEADER)
         assert len(back) == len(rows)
-        for orig, rec in zip(rows, back):
-            assert rec.experiment == orig.experiment
-            assert rec.n == orig.n
-            assert rec.degree == orig.degree
-            assert rec.eta == orig.eta
-            assert rec.seed == orig.seed
-            assert rec.method == orig.method
-            assert rec.value == orig.value
+        for orig, (experiment, n, degree, eta, seed, method, value) in zip(rows, back):
+            assert experiment == orig.experiment
+            assert int(n) == orig.n
+            assert float(degree) == orig.degree
+            assert int(eta) == orig.eta
+            assert int(seed) == orig.seed
+            assert method == orig.method
+            assert float(value) == orig.value
 
 
 class TestCompareSweep:

@@ -1,5 +1,6 @@
 """Drives the installed entry point through subprocess, the way users run it."""
 
+import csv
 import json
 import statistics
 import subprocess
@@ -7,7 +8,6 @@ import sys
 
 import wcds
 from conftest import child_env
-from wcds.analysis import read_csv
 from wcds.graph import read_graph
 
 
@@ -20,6 +20,12 @@ def run_cli(*args, cwd, env_extra=None):
         text=True,
         timeout=300,
     )
+
+
+def read_rows(path):
+    """A CSV the CLI wrote, as one dict of column text per row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -161,6 +167,13 @@ class TestSim:
         assert "radius must be a finite number" in proc.stderr
         assert not (tmp_path / "out.json").exists()
 
+    def test_int_past_float_range_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, width=10**400)
+        proc = run_cli("sim", "--config", str(cfg), "--out", "out.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "width must be a finite number" in proc.stderr
+        assert not (tmp_path / "out.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         for tag in ("a", "b"):
@@ -188,15 +201,15 @@ class TestCompare:
         assert proc.stdout.startswith("wrote cmp.csv: 21 rows")
         text = (tmp_path / "cmp.csv").read_text()
         assert len(text.splitlines()) == 22
-        rows = read_csv(tmp_path / "cmp.csv")
-        assert {r.method for r in rows} == {"ideal_eq2", "ours", "cds_alg1", "cds_alg2"}
-        ideal = [r for r in rows if r.method == "ideal_eq2"]
-        assert [(r.n, r.seed) for r in ideal] == [(20, -1), (40, -1), (60, -1)]
-        assert {r.experiment for r in rows} == {"compare_deg12"}
+        rows = read_rows(tmp_path / "cmp.csv")
+        assert {r["method"] for r in rows} == {"ideal_eq2", "ours", "cds_alg1", "cds_alg2"}
+        ideal = [r for r in rows if r["method"] == "ideal_eq2"]
+        assert [(r["n"], r["seed"]) for r in ideal] == [("20", "-1"), ("40", "-1"), ("60", "-1")]
+        assert {r["experiment"] for r in rows} == {"compare_deg12"}
         methods = ["ideal_eq2", "ours", "cds_alg1", "cds_alg2"]
 
         def mean(n, m):
-            return statistics.mean(r.value for r in rows if (r.n, r.method) == (n, m))
+            return statistics.mean(float(r["value"]) for r in rows if (int(r["n"]), r["method"]) == (n, m))
 
         assert [line.split() for line in proc.stdout.splitlines()[1:]] == [["n", *methods]] + [
             [str(n)] + [f"{mean(n, m):.2f}" for m in methods] for n in (20, 40, 60)
@@ -205,8 +218,8 @@ class TestCompare:
     def test_seed_flag_offsets_sweep(self, tmp_path):
         proc = self.sweep(tmp_path, "cmp.csv", "--seed", "10")
         assert proc.returncode == 0, proc.stderr
-        rows = read_csv(tmp_path / "cmp.csv")
-        assert {r.seed for r in rows} == {-1, 10, 11}
+        rows = read_rows(tmp_path / "cmp.csv")
+        assert {r["seed"] for r in rows} == {"-1", "10", "11"}
 
     def test_deterministic_output(self, tmp_path):
         for out in ("c1.csv", "c2.csv"):
@@ -219,15 +232,15 @@ class TestCurves:
     def test_three_files(self, tmp_path):
         proc = run_cli("curves", "--out-dir", "curves", cwd=tmp_path)
         assert proc.returncode == 0
-        keys = read_csv(tmp_path / "curves" / "distinct_keys.csv")
-        assert {r.method for r in keys} == {"keys"}
-        assert all(r.value == float(r.n) for r in keys)
-        storage = read_csv(tmp_path / "curves" / "gd_storage.csv")
-        assert {r.method for r in storage} == {"gd_bits"}
-        assert all(r.eta == r.n for r in storage)
-        degree = read_csv(tmp_path / "curves" / "er_degree.csv")
-        assert {r.method for r in degree} == {"er_degree"}
-        assert {r.seed for r in keys + storage + degree} == {-1}
+        keys = read_rows(tmp_path / "curves" / "distinct_keys.csv")
+        assert {r["method"] for r in keys} == {"keys"}
+        assert all(r["value"] == r["n"] for r in keys)
+        storage = read_rows(tmp_path / "curves" / "gd_storage.csv")
+        assert {r["method"] for r in storage} == {"gd_bits"}
+        assert all(r["eta"] == r["n"] for r in storage)
+        degree = read_rows(tmp_path / "curves" / "er_degree.csv")
+        assert {r["method"] for r in degree} == {"er_degree"}
+        assert {r["seed"] for r in keys + storage + degree} == {"-1"}
 
 
 class TestStorage:

@@ -1,9 +1,12 @@
 """Golden digests: fixed runs whose output bytes must not drift.
 
 Every case runs in process and hashes the bytes a user gets: the ``wcds sim``
-outcome document and event trace, a ``wcds compare`` CSV, and a library-level
-churn run. A change that alters any of them on purpose re-pins the digest
-here and says why in CHANGES.md.
+outcome document and event trace, a ``wcds compare`` CSV, the ``wcds curves``
+CSVs, the ``wcds storage`` printout, a ``wcds gen`` graph file, and a
+library-level churn run. A change that alters any of them on purpose re-pins
+the digest here and says why in CHANGES.md. The attack cases also carry the
+facts their bytes stand for: each forms the clean structure and admits no
+foreign radio.
 """
 
 import contextlib
@@ -17,7 +20,17 @@ import pytest
 from wcds.cli import main
 from wcds.keys import Rank, provision
 from wcds.protocol import Phase
-from wcds.sim import PlacementModel, assemble_outcome, deploy, late_join, leave, run, verify_outcome
+from wcds.sim import (
+    PlacementModel,
+    RunConfig,
+    assemble_outcome,
+    deploy,
+    late_join,
+    leave,
+    run,
+    simulate,
+    verify_outcome,
+)
 
 FIELD = {"groups": 4, "eta": 9, "radius": 30.0, "mode": "group_clustered", "seed": 3}
 
@@ -76,6 +89,19 @@ COMPARE_DIGEST = "4b786a92dfa22455a50d8de4021da4c187e5ae74ac87e5915c39da623b0072
 
 CHURN_DIGEST = "391713cb02b77b52608f297bf3d2d4e32df336d4d2c37814e703db4615d08fc2"
 
+# sha256 of each file ``wcds curves`` writes with its default arguments.
+CURVES_DIGESTS = {
+    "distinct_keys.csv": "1c70d4b4ba606ea8d0c6d7e610f7701cebeef6421dfd81110dcccdafc8b55efa",
+    "er_degree.csv": "f9732740172446b913c5b825a8518fa88aac4499ded13dd2e0e411a91f8766d7",
+    "gd_storage.csv": "6af72f1cdd6ba82da25a0e2f777dc0b912ed3048a57637aa548d10a3060d97b8",
+}
+
+STORAGE_ARGS = ["--alpha", "5", "--beta", "50", "--eta", "10"]
+STORAGE_DIGEST = "c64a425ec8656ff328562ef39b114f01a224569d37d2fd3bddb86a2369c84a49"
+
+GEN_ARGS = ["--n", "100", "--degree", "6", "--seed", "4"]
+GEN_DIGEST = "e7b925903eceb5ff6c27ac4d41f18372ba2457850eb868df9a9973a28a7cc6c5"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -133,8 +159,38 @@ def test_sim_digests(tmp_path, name):
     assert (sha256(outcome), sha256(trace)) == SIM_DIGESTS[name]
 
 
+@pytest.mark.parametrize("behavior", ["forge_join", "forge_approve", "replay"])
+def test_attack_changes_no_structure(behavior):
+    _, clean, _ = simulate(RunConfig.from_dict(SIM_CASES["clean"]))
+    world, attacked, report = simulate(RunConfig.from_dict(SIM_CASES[behavior]))
+    assert any(kind.startswith("ADV_") for kind, _ in attacked.message_count)
+    assert attacked.dominator_set == clean.dominator_set
+    assert attacked.membership == clean.membership
+    provisioned = set(world.material.all_nodes())
+    assert set(attacked.dominator_set) | set(dict(attacked.membership)) <= provisioned
+    assert report.ok
+
+
 def test_compare_csv_digest(tmp_path):
     assert sha256(run_compare(tmp_path)) == COMPARE_DIGEST
+
+
+def test_curves_digests(tmp_path):
+    assert quiet_main(["curves", "--out-dir", str(tmp_path)]) == 0
+    assert {name: sha256((tmp_path / name).read_bytes()) for name in CURVES_DIGESTS} == CURVES_DIGESTS
+
+
+def test_storage_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["storage", *STORAGE_ARGS]) == 0
+    assert sha256(out.getvalue().encode()) == STORAGE_DIGEST
+
+
+def test_gen_digest(tmp_path):
+    out = tmp_path / "graph.txt"
+    assert quiet_main(["gen", *GEN_ARGS, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == GEN_DIGEST
 
 
 def test_churn_digest():

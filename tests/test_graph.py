@@ -48,8 +48,8 @@ class TestUnitDisk:
 
     def test_edge_rule_is_inclusive(self):
         g = unit_disk_graph([(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)], 1.0)
-        assert 1 in g.neighbors(0)
-        assert 2 not in g.neighbors(1)
+        assert 1 in g.adj[0]
+        assert 2 not in g.adj[1]
 
     def test_determinism(self):
         a = gen_udg(40, 100.0, 100.0, 20.0, seed=7)
@@ -61,9 +61,9 @@ class TestUnitDisk:
         for seed in range(50):
             g = gen_udg(25, 50.0, 50.0, 12.0, seed=seed)
             for i in range(g.n):
-                for j in g.neighbors(i):
-                    assert i in g.neighbors(j)
-                assert i not in g.neighbors(i)
+                for j in g.adj[i]:
+                    assert i in g.adj[j]
+                assert i not in g.adj[i]
 
     def test_mean_degree_tracks_target(self):
         # border effects are ignored by the formula, hence the wide band

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcds.keys
+from conftest import can_decrypt
 from wcds.keys import (
     AuthenticationFailure,
     Ciphertext,
@@ -12,7 +13,6 @@ from wcds.keys import (
     KeyFountain,
     MalformedCiphertext,
     Rank,
-    can_decrypt,
     decrypt,
     encrypt,
     group_sizes_for,
@@ -230,9 +230,9 @@ class TestProvision:
         assert gd.individual is None
         assert sorted(gd.subordinate_keys) == [1, 2]
         assert gd.access_list == {1, 2}
-        assert gd.key_count() == 3
+        assert len(gd.keys()) == 3
         os_ring = m.rings[1]
-        assert os_ring.key_count() == 2
+        assert len(os_ring.keys()) == 2
         assert os_ring.group == gd.group
 
     def test_groups_do_not_share_keys(self):
@@ -258,7 +258,7 @@ class TestProvision:
         assert m.reserve == {3, 4, 8, 9}
         assert set(m.deployed_nodes()) == {0, 1, 2, 5, 6, 7}
         # reserves are keyed like everyone else
-        assert m.rings[3].key_count() == 2
+        assert len(m.rings[3].keys()) == 2
 
     def test_determinism(self):
         a = provision([3, 3], seed=5)
@@ -306,15 +306,14 @@ class TestRekey:
     def test_join_mode_reaches_old_holders_and_joiner(self):
         m = provision([2])
         old = m.group_keys[0]
-        new, msgs = rekey_group(m, 0, joining=1)
+        new, sealed = rekey_group(m, 0, joining=1)
         assert new.id == 3
-        assert [msg.scope for msg in msgs] == ["unicast", "broadcast"]
-        assert msgs[0].recipient == 1
+        assert [ct.key_id for ct in sealed] == [m.individual_keys[1].id, old.id]
 
-        kind, body = decrypt(m.individual_keys[1], msgs[0].ciphertext)
+        kind, body = decrypt(m.individual_keys[1], sealed[0])
         assert kind is MessageKind.REKEY
         assert unpack_id_key(body) == (0, new.id, new.bits)
-        kind, body = decrypt(old, msgs[1].ciphertext)
+        kind, body = decrypt(old, sealed[1])
         assert unpack_id_key(body) == (0, new.id, new.bits)
 
         assert m.group_keys[0] == new
@@ -323,12 +322,12 @@ class TestRekey:
     def test_leave_mode_excludes_departed(self):
         m = provision([3])
         old = m.group_keys[0]
-        new, msgs = rekey_group(m, 0, members=[1, 3])
-        assert [msg.recipient for msg in msgs] == [1, 3]
-        for msg in msgs:
-            assert not can_decrypt(old, msg.ciphertext)
-            assert not can_decrypt(m.individual_keys[2], msg.ciphertext)
-        kind, body = decrypt(m.individual_keys[3], msgs[1].ciphertext)
+        new, sealed = rekey_group(m, 0, members=[3, 1])
+        assert [ct.key_id for ct in sealed] == [m.individual_keys[1].id, m.individual_keys[3].id]
+        for ct in sealed:
+            assert not can_decrypt(old, ct)
+            assert not can_decrypt(m.individual_keys[2], ct)
+        kind, body = decrypt(m.individual_keys[3], sealed[1])
         assert unpack_id_key(body)[1] == new.id
 
     def test_history_keeps_superseded_keys(self):

@@ -2,10 +2,10 @@ import pytest
 
 import wcds.keys
 import wcds.protocol
+from conftest import can_decrypt, make_world
 from wcds.keys import (
     Ciphertext,
     Rank,
-    can_decrypt,
     decrypt,
     encrypt,
     provision,
@@ -22,7 +22,7 @@ from wcds.protocol import (
     gd_step,
     os_step,
 )
-from wcds.sim import assemble_outcome, make_world, run, verify_outcome
+from wcds.sim import assemble_outcome, run, verify_outcome
 from wcds.wire import MessageKind, pack_id, pack_id_key, pack_ids, unpack_ids
 
 
@@ -448,33 +448,42 @@ class TestBaseStation:
         bs, out = bs_step(bs, [self.gd_err(m, 1)], 0, m)
         assert out == []
 
+    @staticmethod
+    def discards(events):
+        """The base station's audit_discard events as (round, sender, reason)."""
+        return [
+            (e["round"], e["detail"]["sender"], e["detail"]["reason"])
+            for e in events
+            if e["node"] == BS_ID and e["event"] == "audit_discard"
+        ]
+
     def test_audit_unknown_orphan_id(self):
         m = provision([1])
-        bs = BSState()
+        bs, events = BSState(), []
         ct = Ciphertext(10**6, b"\x00" * 9, b"\x00" * 8)
-        bs, _ = bs_step(bs, [env(-5, MessageKind.GD_ERR, ct)], 4, m)
-        assert bs.audit == [(4, -5, "unknown_orphan_id")]
+        bs, _ = bs_step(bs, [env(-5, MessageKind.GD_ERR, ct)], 4, m, events)
+        assert self.discards(events) == [(4, -5, "unknown_orphan_id")]
         assert bs.orphans == {}
 
     def test_audit_bad_orphan_report(self):
         m = provision([1])
-        bs = BSState()
+        events = []
         ct = Ciphertext(m.individual_keys[1].id, b"\x00" * 9, b"\x00" * 8)
-        bs, _ = bs_step(bs, [env(1, MessageKind.GD_ERR, ct)], 4, m)
-        assert bs.audit == [(4, 1, "bad_orphan_report")]
+        bs_step(BSState(), [env(1, MessageKind.GD_ERR, ct)], 4, m, events)
+        assert self.discards(events) == [(4, 1, "bad_orphan_report")]
 
     def test_audit_unknown_reporter(self):
         m = provision([1])
-        bs = BSState()
+        events = []
         ct = Ciphertext(777, b"\x00" * 9, b"\x00" * 8)
-        bs, _ = bs_step(bs, [env(-5, MessageKind.ORP_ERR, ct)], 4, m)
-        assert bs.audit == [(4, -5, "unknown_reporter")]
+        bs_step(BSState(), [env(-5, MessageKind.ORP_ERR, ct)], 4, m, events)
+        assert self.discards(events) == [(4, -5, "unknown_reporter")]
 
     def test_audit_stray_report(self):
         m = provision([1, 1])
-        bs = BSState()
-        bs, _ = bs_step(bs, [self.orp_err(m, 2, 99)], 4, m)
-        assert bs.audit == [(4, 2, "stray_report")]
+        events = []
+        bs_step(BSState(), [self.orp_err(m, 2, 99)], 4, m, events)
+        assert self.discards(events) == [(4, 2, "stray_report")]
 
 
 class TestJoinTimeline:
