@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -41,6 +41,9 @@ class Graph:
     positions: tuple[tuple[float, float], ...]
     radius: float
     adj: tuple[frozenset[int], ...]
+    #: Graphs built by ``from_pairs`` (every unit-disk graph): the edge arrays
+    #: ``adj`` came from, each edge in both directions, sorted by src then dst.
+    pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (i, j) with i < j, in sorted order."""
@@ -54,21 +57,77 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
 
+#: The most grid cells along one axis. Wider coordinate spans get cells
+#: coarser than the radius, which keeps every cell index small enough for its
+#: rounding error to stay far below one cell.
+_MAX_CELLS = 1 << 20
+
+#: Cells are this much wider than the radius, so two points within the radius
+#: always land in the same or adjacent cells despite rounding.
+_CELL_MARGIN = 1.0 + 1e-6
+
+#: The 3 x 3 block of cells around a point's own, as (dx, dy) offsets.
+_STENCIL = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
+
+
+def _disk_pairs(xy: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (i, j), i != j, with dx*dx + dy*dy <= radius**2.
+
+    ``xy`` is an (n, 2) float64 array of finite coordinates, n >= 1.
+    Candidates come from a cell grid, every neighbour-cell offset in one
+    vectorised pass; the rule is then applied to each candidate in float64.
+    Returns int64 arrays (src, dst) sorted by src, then dst.
+    """
+    n = len(xy)
+    lo = xy.min(axis=0)
+    with np.errstate(over="ignore"):
+        span = xy.max(axis=0) - lo
+        if np.isfinite(span).all():
+            size = np.maximum(float(radius) * _CELL_MARGIN, span / _MAX_CELLS)
+            cell = np.floor((xy - lo) / size).astype(np.int64) + 1
+        else:  # a span past float range: one cell, every pair a candidate
+            cell = np.ones(xy.shape, np.int64)
+        # One id per cell of a grid padded by one cell, so no offset wraps a row.
+        rows = int(cell[:, 1].max()) + 2
+        cell_id = cell[:, 0] * rows + cell[:, 1]
+        order = np.argsort(cell_id, kind="stable")
+        by_cell = cell_id[order]
+
+        want = (cell_id[:, None] + (_STENCIL[:, 0] * rows + _STENCIL[:, 1])).ravel()
+        first = np.searchsorted(by_cell, want)
+        hits = np.searchsorted(by_cell, want, side="right") - first
+        src = np.repeat(np.arange(len(want)) // len(_STENCIL), hits)
+        dst = order[np.arange(len(src)) + np.repeat(first - (np.cumsum(hits) - hits), hits)]
+
+        dx = xy[src, 0] - xy[dst, 0]
+        dy = xy[src, 1] - xy[dst, 1]
+        keep = (dx * dx + dy * dy <= float(radius) * float(radius)) & (src != dst)
+    return np.divmod(np.sort(src[keep] * n + dst[keep]), n)
+
+
+def from_pairs(
+    positions: Sequence[tuple[float, float]], radius: float, src: np.ndarray, dst: np.ndarray
+) -> Graph:
+    """Build a graph from ordered edge arrays sorted by src, then dst, each
+    edge present in both directions. The graph keeps the arrays as ``pairs``."""
+    pos = tuple(positions)
+    bounds = [0] + np.cumsum(np.bincount(src, minlength=len(pos))).tolist()
+    near = dst.tolist()
+    adj = tuple(frozenset(near[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return Graph(len(pos), pos, float(radius), adj, (src, dst))
+
+
 def unit_disk_graph(positions: Sequence[tuple[float, float]], radius: float) -> Graph:
-    """Build the unit-disk graph over explicit positions."""
+    """Build the unit-disk graph over explicit, finite positions."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     pos = tuple((float(x), float(y)) for x, y in positions)
-    n = len(pos)
-    if n == 0:
-        return Graph(0, (), float(radius), ())
-    arr = np.asarray(pos, dtype=np.float64)
-    dx = arr[:, 0][:, None] - arr[:, 0][None, :]
-    dy = arr[:, 1][:, None] - arr[:, 1][None, :]
-    within = (dx * dx + dy * dy) <= float(radius) * float(radius)
-    np.fill_diagonal(within, False)
-    adj = tuple(frozenset(np.flatnonzero(within[i]).tolist()) for i in range(n))
-    return Graph(n, pos, float(radius), adj)
+    if not pos:
+        return from_pairs((), radius, np.empty(0, np.int64), np.empty(0, np.int64))
+    xy = np.asarray(pos, dtype=np.float64)
+    if not np.isfinite(xy).all():
+        raise ValueError("positions must be finite")
+    return from_pairs(pos, radius, *_disk_pairs(xy, radius))
 
 
 def gen_udg(n: int, width: float, height: float, radius: float, seed: int) -> Graph:
@@ -232,20 +291,6 @@ def brute_min_ds(g: Graph, mode: str, limit: int = EXHAUSTIVE_LIMIT) -> frozense
                 continue
             return frozenset(combo)
     raise InfeasibleError("exhausted all subsets")  # unreachable on valid input
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Restrict g to ``keep``, renumbering nodes 0..k-1 in ascending old-id order.
-
-    Returns the subgraph and the old ids in new-index order.
-    """
-    order = tuple(sorted(_vertex_set(g, keep)))
-    index = {v: k for k, v in enumerate(order)}
-    adj = tuple(
-        frozenset(index[u] for u in g.adj[v] if u in index) for v in order
-    )
-    positions = tuple(g.positions[v] for v in order)
-    return Graph(len(order), positions, g.radius, adj), order
 
 
 def write_graph(g: Graph, out: TextIO) -> None:

@@ -66,6 +66,11 @@ def _keystream(key: Key, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR ``stream``, byte for byte; both have the same length."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
+
+
 def _tag(key: Key, payload: bytes) -> bytes:
     mac = hashlib.blake2b(key=key.bits[:64], digest_size=TAG_BYTES)
     mac.update(key.id.to_bytes(8, "big", signed=True))
@@ -77,7 +82,7 @@ def encrypt(key: Key, kind: MessageKind | int, body: bytes) -> Ciphertext:
     """Seal (kind, body) under ``key``; the kind byte travels inside the payload."""
     plain = bytes([int(kind)]) + bytes(body)
     stream = _keystream(key, len(plain))
-    payload = bytes(a ^ b for a, b in zip(plain, stream))
+    payload = _xor(plain, stream)
     return Ciphertext(key.id, payload, _tag(key, payload))
 
 
@@ -94,7 +99,7 @@ def decrypt(key: Key, ct: Ciphertext) -> tuple[MessageKind, bytes]:
     if _tag(key, ct.payload) != ct.auth_tag:
         raise AuthenticationFailure("tag check failed")
     stream = _keystream(key, len(ct.payload))
-    plain = bytes(a ^ b for a, b in zip(ct.payload, stream))
+    plain = _xor(ct.payload, stream)
     try:
         kind = MessageKind(plain[0])
     except ValueError as exc:

@@ -15,7 +15,13 @@ copy is one it would have dropped as a duplicate. Other kinds arrive in
 every copy. Adversaries overhear every copy in transmission order, floods
 included. A sensor with an empty inbox that has nothing due (a dominator, or
 an ordinary sensor not due to announce, time out its approval wait or leave)
-is not stepped.
+is not stepped. A run whose only open work is orphans that nothing can reach
+any more (nothing in flight, no adversary, nothing due) is not stepped at
+all: its remaining rounds are counted as spent, which leaves the world as
+stepping them would have.
+
+The radio graph is built once from a cell grid and cached with each radio's
+neighbour sets until a radio comes onto the field or moves.
 
 The envelope's ``transmitter`` field is physical-layer truth: the transport
 stamps it with the emitting entity, so an adversary can forge every claimed
@@ -26,14 +32,17 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from operator import attrgetter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .graph import (
     Graph,
-    induced_subgraph,
+    from_pairs,
     is_connected,
     is_dominating,
     is_wcds,
@@ -110,6 +119,16 @@ class Adversary:
     captured: deque = field(default_factory=lambda: deque(maxlen=512))
 
 
+class RadioIndex(NamedTuple):
+    """The unit-disk graph over every radio on the field (sensors, the base
+    station and adversaries) and, per radio, the protocol radios (sensors and
+    base station) and the adversaries in its range."""
+
+    ids: list[int]  # graph node i is ids[i]
+    graph: Graph
+    neighbors: dict[int, tuple[frozenset[int], tuple[int, ...]]]
+
+
 @dataclass
 class World:
     material: KeyMaterial
@@ -128,30 +147,33 @@ class World:
     events: list[dict] = field(default_factory=list)
     archive: list[tuple[int, Envelope]] = field(default_factory=list)
     formation_complete: bool = False
-    _radio: Graph | None = None
-    #: Per radio, the protocol radios (sensors and base station) and the
-    #: adversaries in its range; derived from ``_radio`` and cleared with it.
-    _neighbors: dict[int, tuple[frozenset[int], tuple[int, ...]]] | None = None
+    #: The radio index, built on first use from ``positions``; ``_place``
+    #: clears it whenever a radio comes onto the field or moves.
+    _radio: RadioIndex | None = None
 
-    def radio_graph(self) -> Graph:
-        """The unit-disk graph over every radio on the field: sensors, the
-        base station and adversaries. Node i is the i-th smallest entity id.
-
-        Built once and cached with the neighbour sets derived from it;
-        anything that moves a radio on or off the field clears
-        ``_neighbors`` so that both are rebuilt.
-        """
-        if self._neighbors is None:
+    def radio_index(self) -> RadioIndex:
+        """The radio index of the field as it stands, built on first use."""
+        if self._radio is None:
             ids = sorted(self.positions)
-            self._radio = unit_disk_graph([self.positions[v] for v in ids], self.radius)
-            self._neighbors = {}
-            for i, v in enumerate(ids):
-                near = sorted(ids[j] for j in self._radio.adj[i])
-                self._neighbors[v] = (
-                    frozenset(u for u in near if u >= BS_ID),
-                    tuple(u for u in near if u < BS_ID),
-                )
+            graph = unit_disk_graph([self.positions[v] for v in ids], self.radius)
+            src, dst = graph.pairs
+            near = np.asarray(ids)[dst].tolist()
+            # Adversary ids sort first, so each row of neighbours, in id
+            # order, splits at BS_ID into adversaries and protocol radios.
+            count = np.bincount(src, minlength=len(ids))
+            lo = np.cumsum(count) - count
+            mid = lo + np.bincount(src[dst < bisect_left(ids, BS_ID)], minlength=len(ids))
+            neighbors = {
+                v: (frozenset(near[b:c]), tuple(near[a:b]))
+                for v, a, b, c in zip(ids, lo.tolist(), mid.tolist(), (lo + count).tolist())
+            }
+            self._radio = RadioIndex(ids, graph, neighbors)
         return self._radio
+
+    def _place(self, radio: int, position: tuple[float, float]) -> None:
+        """Put a radio on the field, or move it, and drop the radio index."""
+        self.positions[radio] = position
+        self._radio = None
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -211,8 +233,7 @@ def _transmit(world: World, env: Envelope, legit: bool) -> None:
 def _deliver(world: World) -> dict[int, list[Envelope]]:
     """Empty the air into per-receiver inboxes, by the rule in the module
     docstring. Departed sensors receive nothing."""
-    world.radio_graph()
-    neighbors = world._neighbors
+    neighbors = world.radio_index().neighbors
     # Every protocol radio that still listens, with the floods it has seen.
     listening = {v: st.seen_floods for v, st in world.states.items() if st.phase is not Phase.LEFT}
     listening[BS_ID] = world.bs.seen_floods
@@ -242,18 +263,22 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
     return inboxes
 
 
-def _adversary_step(world: World, adv: Adversary, inbox: list[Envelope]) -> list[Envelope]:
+def _adversary_step(
+    world: World, adv: Adversary, inbox: list[Envelope], victims: list[int]
+) -> list[Envelope]:
+    """One adversary's round. ``victims`` are the ordinary sensors a
+    ``forge_join`` adversary may impersonate this round, in id order; empty
+    on even rounds, which never impersonate."""
     adv.captured.extend(inbox)
     out: list[Envelope] = []
     if adv.behavior == "forge_join":
         # Alternate between claiming its own id and impersonating a real
         # sensor; either way the ciphertext is junk it cannot seal.
-        legit = sorted(n for n, st in world.states.items() if st.rank is Rank.OS)
-        if world.round % 2 == 0 or not legit:
+        if not victims:
             claimed = adv.id
             key_id = 10**6 - adv.id
         else:
-            claimed = legit[(world.round // 2) % len(legit)]
+            claimed = victims[(world.round // 2) % len(victims)]
             key_id = world.material.individual_keys[claimed].id
         adv.seq += 1
         ct = Ciphertext(key_id, world.rng.randbytes(9), world.rng.randbytes(8))
@@ -297,39 +322,68 @@ def step(world: World) -> None:
         for env in out:
             _transmit(world, env, legit=True)
 
+    victims = []
+    if round_no % 2 and any(adv.behavior == "forge_join" for adv in world.adversaries):
+        victims = sorted(n for n, st in world.states.items() if st.rank is Rank.OS)
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
-        for env in _adversary_step(world, adv, inboxes.get(adv.id, [])):
+        for env in _adversary_step(world, adv, inboxes.get(adv.id, []), victims):
             _transmit(world, env, legit=False)
 
     world.round += 1
-    if not world.formation_complete and not _legit_pending(world):
+    if not world.formation_complete and _pending(world) == _SETTLED:
         world.formation_complete = True
         for st in world.states.values():
             st.post_formation = True
 
 
-def _legit_pending(world: World) -> bool:
+#: What ``_pending`` finds: nothing legitimate left to do; something left
+#: that no later round can change; work that a later round may do.
+_SETTLED, _QUIET, _BUSY = "settled", "quiet", "busy"
+
+
+def _pending(world: World) -> str:
+    """Whether the legitimate side still has work, and whether it can progress.
+
+    Legitimate work is a sensor's or the base station's envelope in flight,
+    a pending leave, an ordinary sensor not yet joined, or an undecided
+    base-station record. The field is quiet when the only such work is
+    ORPHAN sensors and nothing can move them: nothing is in flight, no
+    adversary is on the field, and nothing is due. Every later round would
+    then deliver nothing and step nobody.
+    """
+    stuck = False
     for env in world.inflight:
         if env.transmitter >= BS_ID:
-            return True
+            return _BUSY
     for st in world.states.values():
         if st.pending_leave:
-            return True
+            return _BUSY
         if st.rank is Rank.OS and st.phase not in (Phase.JOINED, Phase.LEFT):
-            return True
+            if st.phase is not Phase.ORPHAN:  # unannounced or awaiting approval
+                return _BUSY
+            stuck = True
     for rec in world.bs.orphans.values():
         if not rec.decided:
-            return True
-    return False
+            return _BUSY
+    if not stuck:
+        return _SETTLED
+    return _QUIET if not world.inflight and not world.adversaries else _BUSY
 
 
 def run(world: World, max_rounds: int = 64) -> World:
     """Step until the legitimate side settles or the round budget runs out.
 
-    Adversary chatter alone never keeps the run alive.
+    Adversary chatter alone never keeps the run alive. A quiet field (see
+    ``_pending``) is not stepped: its remaining rounds are counted as spent,
+    which leaves the world exactly as stepping them would.
     """
     start = world.round
-    while world.round - start < max_rounds and _legit_pending(world):
+    while world.round - start < max_rounds:
+        state = _pending(world)
+        if state == _QUIET:
+            world.round = start + max_rounds
+        if state != _BUSY:
+            break
         step(world)
     return world
 
@@ -356,9 +410,8 @@ def inject_adversary(
         else:
             pos = (world.rng.uniform(0.0, world.width), world.rng.uniform(0.0, world.height))
         world.adversaries.append(Adversary(aid, pos, behavior))
-        world.positions[aid] = pos
+        world._place(aid, pos)
         ids.append(aid)
-    world._neighbors = None
     return ids
 
 
@@ -373,15 +426,13 @@ def late_join(world: World, node: int, position: tuple[float, float] | None = No
         st.join_round = None
         st.was_orphan = False
         if position is not None:
-            world.positions[node] = position
-            world._neighbors = None
+            world._place(node, position)
         return
     if node not in world.material.reserve:
         raise ValueError(f"{node} is neither departed nor held in reserve")
     world.states[node] = _fresh_state(world.material, node)
     world.states[node].post_formation = world.formation_complete
-    world.positions[node] = position if position is not None else world.planned[node]
-    world._neighbors = None
+    world._place(node, position if position is not None else world.planned[node])
 
 
 def leave(world: World, node: int) -> None:
@@ -457,10 +508,15 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     if outcome is None:
         outcome = assemble_outcome(world)
     states = world.states
-    ids = sorted(world.positions)
-    on_field = [i for i, v in enumerate(ids) if v in states and states[v].phase is not Phase.LEFT]
-    g, kept = induced_subgraph(world.radio_graph(), on_field)
-    index = {ids[i]: k for k, i in enumerate(kept)}
+    ids, radio, _ = world.radio_index()
+    on_field = [v in states and states[v].phase is not Phase.LEFT for v in ids]
+    keep = np.array(on_field, dtype=bool)
+    renumber = np.cumsum(keep) - 1
+    src, dst = radio.pairs
+    both = keep[src] & keep[dst]
+    positions = [p for p, k in zip(radio.positions, on_field) if k]
+    g = from_pairs(positions, radio.radius, renumber[src[both]], renumber[dst[both]])
+    index = {v: k for k, v in enumerate(v for v, k in zip(ids, on_field) if k)}
     chosen = {index[d] for d in outcome.dominator_set if d in index}
     return VerifyReport(
         node_count=g.n,

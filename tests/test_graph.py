@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from wcds.graph import (
     brute_min_ds,
     from_edges,
     gen_udg,
-    induced_subgraph,
     is_cds,
     is_connected,
     is_dominating,
@@ -82,6 +83,104 @@ class TestUnitDisk:
             gen_udg(5, 10.0, 10.0, -1.0, seed=0)
         with pytest.raises(ValueError):
             gen_udg(-1, 10.0, 10.0, 1.0, seed=0)
+
+
+def pair_loop(positions, radius):
+    """Reference unit-disk adjacency: every pair, squared distance against r^2
+    in float64, the rule the grid build must reproduce exactly."""
+    r2 = float(radius) * float(radius)
+    adj = [set() for _ in positions]
+    for a, (xa, ya) in enumerate(positions):
+        for b in range(a + 1, len(positions)):
+            xb, yb = positions[b]
+            if (xa - xb) * (xa - xb) + (ya - yb) * (ya - yb) <= r2:
+                adj[a].add(b)
+                adj[b].add(a)
+    return tuple(frozenset(s) for s in adj)
+
+
+def assert_matches_pair_loop(positions, radius):
+    g = unit_disk_graph(positions, radius)
+    assert g.adj == pair_loop(positions, radius)
+    src, dst = g.pairs
+    assert list(zip(src.tolist(), dst.tolist())) == sorted((i, j) for i in range(g.n) for j in g.adj[i])
+
+
+RADII = st.sampled_from([1.0, 0.3, 2.5, 7.0, 1e-3, 1e6])
+
+# Coordinates that stress the grid: multiples of the radius (pairs at exactly
+# r, points on cell borders), offsets far from the origin, and spans from a
+# few radii up to nearly the whole float range.
+COORD = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.integers(-40, 40).map(lambda k: k * 0.25),
+    st.floats(-20.0, 20.0, allow_nan=False),
+    st.floats(-1e302, 1e302, allow_nan=False),
+    st.floats(-1e15, 1e15, allow_nan=False).map(lambda x: 1e15 + x),
+)
+
+
+class TestGridBuild:
+    """The grid build gives the pairwise rule's graph, edge for edge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        radius=RADII,
+        points=st.lists(st.tuples(COORD, COORD), max_size=30),
+        scale=st.sampled_from([1.0, 1e-3, 1e6]),
+        copies=st.lists(st.integers(0, 29), max_size=5),
+    )
+    def test_matches_pair_loop(self, radius, points, scale, copies):
+        positions = [(x * scale, y * scale) for x, y in points]
+        positions += [positions[i] for i in copies if i < len(positions)]  # coincident points
+        assert_matches_pair_loop(positions, radius)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        for positions in ([(0.0, 0.0), (1.0, 0.0)], [(-3.0, 5.0), (-3.0, 5.0)], [(0.0, 0.0), (1.5, 0.0)]):
+            g = unit_disk_graph(positions[:n], 1.0)
+            assert g.n == n and g.adj == pair_loop(positions[:n], 1.0)
+
+    def test_pairs_at_exactly_r_on_cell_borders(self):
+        # 3-4-5 triangles: squared distance is exactly r^2 in float64.
+        positions = [(3.0 * i, 4.0 * j) for i in range(-3, 4) for j in range(-3, 4)]
+        positions += [(x + 5.0, y) for x, y in positions] + [(x, y - 5.0) for x, y in positions]
+        assert_matches_pair_loop(positions, 5.0)
+        g = unit_disk_graph([(0.0, 0.0), (3.0, 4.0), (-5.0, 0.0)], 5.0)
+        assert g.adj == (frozenset({1, 2}), frozenset({0}), frozenset({0}))
+
+    def test_wide_and_negative_spans(self):
+        rng = random.Random(5)
+        for span in (10.0, 1e8, 1e150, 8e307):
+            positions = [(rng.uniform(-span, span), rng.uniform(-span, span)) for _ in range(40)]
+            positions += [(x + 0.5, y) for x, y in positions[:10]]
+            assert_matches_pair_loop(positions, 1.0)
+        assert_matches_pair_loop([(-1.7e308, 0.0), (1.7e308, 0.0), (1.7e308, 0.5)], 1.0)
+
+    def test_random_fields(self):
+        for seed in range(20):
+            g = gen_udg(150, 100.0, 100.0, 11.0, seed=seed)
+            assert g.adj == pair_loop(g.positions, 11.0)
+
+    def test_non_finite_positions_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                unit_disk_graph([(0.0, 0.0), (bad, 1.0)], 1.0)
+
+    def test_ten_thousand_nodes_in_bounded_memory(self):
+        # The dense build needed one 763 MB n x n array per temporary here.
+        n = 10_000
+        radius = radius_for_expected_degree(n, 1000.0, 1000.0, 12.0)
+        rng = random.Random(9)
+        positions = [(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)) for _ in range(n)]
+        tracemalloc.start()
+        try:
+            g = unit_disk_graph(positions, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000_000
+        assert 10 <= 2 * g.edge_count / n <= 13
 
 
 class TestRadiusForDegree:
@@ -244,13 +343,7 @@ class TestSerialization:
                 read_graph(inp)
 
 
-class TestInduced:
-    def test_induced_preserves_edges(self):
-        g = path(5)
-        sub, order = induced_subgraph(g, {1, 2, 3})
-        assert order == (1, 2, 3)
-        assert list(sub.edges()) == [(0, 1), (1, 2)]
-
+class TestConnectivity:
     def test_connectivity_helpers(self):
         assert is_connected(path(4))
         assert not is_connected(from_edges(3, [(0, 1)]))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies
 
 import wcds.sim as sim_module
 from conftest import make_world
+from test_golden import SIM_CASES as GOLDEN_CASES
 from wcds.graph import radius_for_expected_degree
 from wcds.keys import Rank, provision
 from wcds.protocol import APPROVAL_TIMEOUT, BS_ID, Phase, _inbox_key, _relay
@@ -217,7 +218,7 @@ def radio_neighbors(world):
     """Every radio in range of each radio, in id order, read off the world's
     radio graph."""
     ids = sorted(world.positions)
-    g = world.radio_graph()
+    g = world.radio_index().graph
     return {v: sorted(ids[j] for j in g.adj[i]) for i, v in enumerate(ids)}
 
 
@@ -237,16 +238,27 @@ class TestRadioIndex:
                     table[vb].append(va)
         return table
 
+    def check(self, world):
+        table = self.pair_loop(world)
+        assert radio_neighbors(world) == table
+        split = {
+            v: (frozenset(u for u in near if u >= BS_ID), tuple(sorted(u for u in near if u < BS_ID)))
+            for v, near in table.items()
+        }
+        index = world.radio_index()
+        assert index.neighbors == split
+        assert index.ids == sorted(world.positions) and index.graph.n == len(world.positions)
+
     def test_neighbors_match_pair_loop_through_churn(self):
         m = provision([9] * 6, reserve_fraction=0.3, seed=2)
         w = deploy(m, PlacementModel("group_clustered", 90.0, 90.0, 18.0), seed=4)
         inject_adversary(w, 3, "forge_join")
-        assert radio_neighbors(w) == self.pair_loop(w)
+        self.check(w)
+        assert any(advs for _, advs in w.radio_index().neighbors.values())
         run(w)
         leave(w, 1)
         late_join(w, min(m.reserve), position=(45.0, 45.0))
-        assert radio_neighbors(w) == self.pair_loop(w)
-        assert w.radio_graph().n == len(w.positions)
+        self.check(w)
 
 
 def fan_out(world):
@@ -426,6 +438,104 @@ class TestIdleSkip:
                 step(w)
         assert calls == []
         assert len(w.events) == events and len(w.archive) == archive and w.counters == counters
+
+
+def step_counts(m):
+    """Count ``step`` calls made through the module, as ``run`` makes them."""
+    calls = []
+    real = sim_module.step
+
+    def counted(world):
+        calls.append(world.round)
+        real(world)
+
+    m.setattr(sim_module, "step", counted)
+    return calls
+
+
+def quiet_twin(drive):
+    """Run ``drive`` as it is, then again with the quiescence test patched to
+    False, so that every round of the budget is stepped. Both runs must end in
+    the same world; returns the step counts of the real run and the twin."""
+    real_pending = sim_module._pending
+    runs = []
+    for never_quiet in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if never_quiet:
+                m.setattr(
+                    sim_module,
+                    "_pending",
+                    lambda w: sim_module._BUSY if real_pending(w) == sim_module._QUIET else real_pending(w),
+                )
+            calls = step_counts(m)
+            world = drive()
+        runs.append((world, len(calls)))
+    (fast, fast_steps), (slow, slow_steps) = runs
+    assert fast.round == slow.round
+    assert fast.events == slow.events
+    assert fast.archive == slow.archive
+    assert fast.counters == slow.counters
+    assert fast.formation_complete == slow.formation_complete
+    assert {v: st.post_formation for v, st in fast.states.items()} == {
+        v: st.post_formation for v, st in slow.states.items()
+    }
+    assert assemble_outcome(fast) == assemble_outcome(slow)
+    assert verify_outcome(fast) == verify_outcome(slow)
+    return fast_steps, slow_steps
+
+
+class TestQuietTail:
+    """A field whose only open work is orphans nothing can reach is not
+    stepped; the rounds it would have idled through are counted all the same."""
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (160, 3)])
+    def test_stalled_degree6_field(self, n, seed):
+        radius = radius_for_expected_degree(n, 100.0, 100.0, 6.0)
+        fast, slow = quiet_twin(lambda: form_deployment(n, 9, 100.0, 100.0, radius, seed=seed))
+        assert fast < slow == 64
+
+    @pytest.mark.parametrize("name", ["clean", "nested_placement"])
+    def test_golden_configs(self, name):
+        config = RunConfig.from_dict(GOLDEN_CASES[name])
+        fast, slow = quiet_twin(lambda: simulate(config)[0])
+        if name == "clean":  # settles before its budget: nothing to skip
+            assert fast == slow
+        else:
+            assert fast < slow == config.max_rounds
+
+    @pytest.mark.parametrize("behavior", ADVERSARY_BEHAVIORS)
+    def test_adversaries_are_never_skipped(self, behavior):
+        config = RunConfig.from_dict({**GOLDEN_CASES["nested_placement"], "adversaries": {"count": 1, "behavior": behavior}})
+        fast, slow = quiet_twin(lambda: simulate(config)[0])
+        assert fast == slow == config.max_rounds
+
+    def test_awaiting_sensor_times_out(self):
+        # Sensor 1 is out of everyone's range: nothing is in the air when its
+        # approval wait runs out, and that round must still be stepped.
+        def drive():
+            w = line_world(provision([1]), {0: (10.0, 0.0), 1: (60.0, 0.0)})
+            run(w, max_rounds=10)
+            assert w.round == 10 and w.states[1].phase is Phase.ORPHAN
+            return w
+
+        fast, slow = quiet_twin(drive)
+        assert fast < slow
+
+    def test_quiet_run_resumes_where_it_would_have(self):
+        # An unreachable sensor orphans; after the budget, a leave wakes the
+        # field, and the skipped run goes on exactly like the stepped one.
+        def drive():
+            spots = {0: (10.0, 0.0), 1: (60.0, 0.0), 2: (10.0, 10.0), 3: (20.0, 10.0)}
+            w = line_world(provision([1, 1]), spots)
+            run(w, max_rounds=20)
+            assert w.round == 20 and w.states[1].phase is Phase.ORPHAN
+            leave(w, 3)
+            run(w, max_rounds=5)
+            assert w.states[3].phase is Phase.LEFT
+            return w
+
+        fast, slow = quiet_twin(drive)
+        assert fast < slow
 
 
 class TestChurn:
