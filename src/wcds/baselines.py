@@ -12,7 +12,7 @@ realization beyond what is stated here.
 
 from __future__ import annotations
 
-from .graph import Graph, InfeasibleError, is_connected
+from .graph import Graph, InfeasibleError, component, is_connected
 
 
 def _check(g: Graph) -> None:
@@ -108,17 +108,8 @@ def _fragments(g: Graph, members: set[int]) -> list[set[int]]:
     left = set(members)
     out = []
     while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u in left and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        out.append(comp)
-        left -= comp
+        out.append(component(g, min(left), left))
+        left -= out[-1]
     return out
 
 

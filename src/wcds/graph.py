@@ -10,13 +10,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 EXHAUSTIVE_LIMIT = 14
-
-MODES = ("dominating", "cds", "wcds")
 
 
 class SizeLimitError(ValueError):
@@ -35,26 +33,26 @@ class Graph:
     dist(i, j) <= radius, decided on squared distances with no tolerance.
     ``from_edges`` builds arbitrary adjacency for parsers and tests; the
     geometric rule is guaranteed only for gen_udg / unit_disk_graph output.
+    Every constructor goes through ``from_pairs``.
     """
 
     n: int
     positions: tuple[tuple[float, float], ...]
     radius: float
     adj: tuple[frozenset[int], ...]
-    #: Graphs built by ``from_pairs`` (every unit-disk graph): the edge arrays
-    #: ``adj`` came from, each edge in both directions, sorted by src then dst.
-    pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+    #: The edge arrays ``adj`` came from, each edge in both directions,
+    #: sorted by src then dst.
+    pairs: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (i, j) with i < j, in sorted order."""
-        for i in range(self.n):
-            for j in sorted(self.adj[i]):
-                if i < j:
-                    yield (i, j)
+        src, dst = self.pairs
+        once = src < dst
+        return zip(src[once].tolist(), dst[once].tolist())
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return len(self.pairs[0]) // 2
 
 
 #: The most grid cells along one axis. Wider coordinate spans get cells
@@ -158,17 +156,16 @@ def from_edges(
         positions = ((0.0, 0.0),) * n
     if len(positions) != n:
         raise ValueError("positions length must equal n")
-    sets: list[set[int]] = [set() for _ in range(n)]
+    keys = []
     for i, j in edge_list:
         i, j = int(i), int(j)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) outside 0..{n - 1}")
         if i == j:
             raise ValueError("self loops are not allowed")
-        sets[i].add(j)
-        sets[j].add(i)
+        keys += (i * n + j, j * n + i)
     pos = tuple((float(x), float(y)) for x, y in positions)
-    return Graph(n, pos, float(radius), tuple(frozenset(s) for s in sets))
+    return from_pairs(pos, radius, *np.divmod(np.unique(np.array(keys, dtype=np.int64)), n))
 
 
 def radius_for_expected_degree(n: int, width: float, height: float, degree: float) -> float:
@@ -194,29 +191,36 @@ def _vertex_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def is_dominating(g: Graph, members: Iterable[int]) -> bool:
-    """True iff every node is in the set or adjacent to a member."""
-    s = _vertex_set(g, members)
-    covered = set(s)
+def _cover(g: Graph, s: frozenset[int]) -> set[int]:
+    """The closed neighbourhood of ``s``: its members and all their neighbours."""
+    cover = set(s)
     for v in s:
-        covered.update(g.adj[v])
-    return len(covered) == g.n
+        cover.update(g.adj[v])
+    return cover
 
 
-def _connected_within(g: Graph, keep: frozenset[int]) -> bool:
-    # Empty and singleton sets count as connected.
-    if len(keep) <= 1:
-        return True
-    start = min(keep)
+def component(g: Graph, start: int, within: Collection[int]) -> set[int]:
+    """The nodes of ``within`` that ``start``, itself in ``within``, reaches
+    through edges between nodes of ``within``."""
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
         for u in g.adj[v]:
-            if u in keep and u not in seen:
+            if u in within and u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == len(keep)
+    return seen
+
+
+def _connected_within(g: Graph, keep: Collection[int]) -> bool:
+    # Empty and singleton sets count as connected.
+    return len(keep) <= 1 or len(component(g, min(keep), keep)) == len(keep)
+
+
+def is_dominating(g: Graph, members: Iterable[int]) -> bool:
+    """True iff every node is in the set or adjacent to a member."""
+    return len(_cover(g, _vertex_set(g, members))) == g.n
 
 
 def is_cds(g: Graph, members: Iterable[int]) -> bool:
@@ -228,68 +232,37 @@ def is_cds(g: Graph, members: Iterable[int]) -> bool:
 def is_wcds(g: Graph, members: Iterable[int]) -> bool:
     """True iff the set dominates g and the union of its closed neighborhoods
     induces a connected subgraph."""
-    s = _vertex_set(g, members)
-    if not is_dominating(g, s):
-        return False
-    cover = set(s)
-    for v in s:
-        cover.update(g.adj[v])
-    return _connected_within(g, frozenset(cover))
+    cover = _cover(g, _vertex_set(g, members))
+    return len(cover) == g.n and _connected_within(g, cover)
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or _connected_within(g, frozenset(range(g.n)))
+    return _connected_within(g, frozenset(range(g.n)))
 
 
-def _mask_connected(mask: int, nbr_masks: Sequence[int]) -> bool:
-    if mask == 0:
-        return True
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= nbr_masks[low.bit_length() - 1]
-            m ^= low
-        nxt &= mask
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == mask
+#: The exact solver's modes, each with the predicate its answer must satisfy.
+MODES = {"dominating": is_dominating, "cds": is_cds, "wcds": is_wcds}
 
 
-def brute_min_ds(g: Graph, mode: str, limit: int = EXHAUSTIVE_LIMIT) -> frozenset[int]:
+def brute_min_ds(g: Graph, mode: str) -> frozenset[int]:
     """Exhaustively find a minimum dominating / cds / wcds vertex set.
 
-    Subsets are scanned in order of increasing size and, within one size, in
+    Each candidate is checked with the mode's own predicate. Subsets are
+    scanned in order of increasing size and, within one size, in
     lexicographic order of the sorted member list, so the answer is unique for
-    a given graph. Graphs larger than ``limit`` are refused.
+    a given graph. Graphs larger than ``EXHAUSTIVE_LIMIT`` are refused.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if g.n > limit:
-        raise SizeLimitError(f"graph has {g.n} nodes, exhaustive limit is {limit}")
+        raise ValueError(f"mode must be one of {tuple(MODES)}")
+    if g.n > EXHAUSTIVE_LIMIT:
+        raise SizeLimitError(f"graph has {g.n} nodes, exhaustive limit is {EXHAUSTIVE_LIMIT}")
     if mode in ("cds", "wcds") and not is_connected(g):
         raise InfeasibleError(f"no {mode} exists on a disconnected graph")
-    nbr = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
-    closed = [nbr[v] | (1 << v) for v in range(g.n)]
-    full = (1 << g.n) - 1
+    holds = MODES[mode]
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            cover = 0
-            smask = 0
-            for v in combo:
-                cover |= closed[v]
-                smask |= 1 << v
-            if cover != full:
-                continue
-            if mode == "cds" and not _mask_connected(smask, nbr):
-                continue
-            if mode == "wcds" and not _mask_connected(cover, nbr):
-                continue
-            return frozenset(combo)
+            if holds(g, combo):
+                return frozenset(combo)
     raise InfeasibleError("exhausted all subsets")  # unreachable on valid input
 
 

@@ -38,7 +38,6 @@ class Rank(str, Enum):
     GD = "GD"
     OS = "Os"
     GD_OS = "GD_os"
-    BS = "BS"
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,6 @@ class KeyRing:
     individual: Key | None
     group: Key
     subordinate_keys: dict[int, Key] = field(default_factory=dict)
-    access_list: set[int] = field(default_factory=set)
 
     def keys(self) -> list[Key]:
         out = []
@@ -272,7 +270,6 @@ def provision(
             individual=None,
             group=gkey,
             subordinate_keys=sub_keys,
-            access_list=set(members),
         )
         groups.append((gd, members))
         held = math.floor(size * reserve_fraction)

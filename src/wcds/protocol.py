@@ -79,9 +79,10 @@ class Envelope(NamedTuple):
 
     ``sender`` is the claimed origin and ``seq`` its per-origin sequence
     number; together they identify a flooded message across relays.
-    ``transmitter`` is the entity whose radio actually emitted this copy,
-    supplied by the transport; receiving a copy whose transmitter equals its
-    sender is what "heard at one hop" means.
+    ``transmitter`` is the entity whose radio actually emitted this copy:
+    each emitter sets it to its own id, including on a copy it relays or
+    replays. Receiving a copy whose transmitter equals its sender is what
+    "heard at one hop" means.
     """
 
     sender: int
@@ -357,7 +358,7 @@ def _gd_join_req(state, env, round_no, material, out, events) -> None:
             state.mediators.add(env.sender)
             _note(events, round_no, state.id, "foreign_announce", os=env.sender)
         return
-    if not hop1 or env.sender not in state.ring.access_list:
+    if not hop1:
         return
     newly = env.sender not in state.subordinates
     state.subordinates.add(env.sender)
@@ -391,7 +392,6 @@ def _gd_adopt(state, env, round_no, material, out, events) -> None:
     if orphan in state.subordinates:
         return
     state.ring.subordinate_keys[orphan] = Key(key_id, bits)
-    state.ring.access_list.add(orphan)
     state.subordinates.add(orphan)
     _note(events, round_no, state.id, "adopting", os=orphan)
     _admit_with_rekey(state, material, orphan, out, round_no, events)

@@ -23,9 +23,10 @@ stepping them would have.
 The radio graph is built once from a cell grid and cached with each radio's
 neighbour sets until a radio comes onto the field or moves.
 
-The envelope's ``transmitter`` field is physical-layer truth: the transport
-stamps it with the emitting entity, so an adversary can forge every claimed
-field but not where a copy actually came from.
+The envelope's ``transmitter`` field is the radio that emitted the copy.
+Each emitter sets it to its own id, on the copies it relays or replays too,
+and delivery reaches only the radios in range of it. So an adversary can
+forge every claimed field but not where a copy actually came from.
 """
 
 from __future__ import annotations
@@ -223,10 +224,10 @@ def deploy(
     )
 
 
-def _transmit(world: World, env: Envelope, legit: bool) -> None:
+def _transmit(world: World, env: Envelope) -> None:
     world.inflight.append(env)
     world.archive.append((world.round, env))
-    name = (_LEGIT_COUNTERS if legit else _ADV_COUNTERS)[env.kind]
+    name = (_LEGIT_COUNTERS if env.transmitter >= BS_ID else _ADV_COUNTERS)[env.kind]
     world.counters[name] = world.counters.get(name, 0) + 1
 
 
@@ -308,7 +309,7 @@ def step(world: World) -> None:
 
     _, out = bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)
     for env in out:
-        _transmit(world, env, legit=True)
+        _transmit(world, env)
 
     for node in sorted(world.states):
         st = world.states[node]
@@ -320,14 +321,14 @@ def step(world: World) -> None:
         else:
             _, out = gd_step(st, inbox, round_no, material, events)
         for env in out:
-            _transmit(world, env, legit=True)
+            _transmit(world, env)
 
     victims = []
     if round_no % 2 and any(adv.behavior == "forge_join" for adv in world.adversaries):
         victims = sorted(n for n, st in world.states.items() if st.rank is Rank.OS)
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
         for env in _adversary_step(world, adv, inboxes.get(adv.id, []), victims):
-            _transmit(world, env, legit=False)
+            _transmit(world, env)
 
     world.round += 1
     if not world.formation_complete and _pending(world) == _SETTLED:
@@ -640,16 +641,15 @@ def form_deployment(
     height: float,
     radius: float,
     seed: int = 0,
-    mode: str = "group_clustered",
     sigma: float | None = None,
-    max_rounds: int = 64,
 ) -> World:
-    """Provision exactly n sensors into groups of up to eta members, deploy,
-    and run cluster formation to quiescence."""
+    """Provision exactly n sensors into groups of up to eta members, deploy
+    them group-clustered, and run cluster formation for ``run``'s default
+    round budget."""
     material = provision(group_sizes_for(n, eta), seed=seed)
-    placement = PlacementModel(mode=mode, width=width, height=height, radius=radius, sigma=sigma)
+    placement = PlacementModel("group_clustered", width, height, radius, sigma=sigma)
     world = deploy(material, placement, seed=seed + 1_000_000_007)
-    run(world, max_rounds=max_rounds)
+    run(world)
     return world
 
 

@@ -83,6 +83,14 @@ class TestUnitDisk:
             gen_udg(5, 10.0, 10.0, -1.0, seed=0)
         with pytest.raises(ValueError):
             gen_udg(-1, 10.0, 10.0, 1.0, seed=0)
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            from_edges(-1, [])
+        with pytest.raises(ValueError, match="positions length"):
+            from_edges(2, [(0, 1)], positions=[(0.0, 0.0)])
+        with pytest.raises(ValueError, match="outside 0..1"):
+            from_edges(2, [(0, 2)])
+        with pytest.raises(ValueError, match="self loops"):
+            from_edges(2, [(1, 1)])
 
 
 def pair_loop(positions, radius):
@@ -201,6 +209,10 @@ class TestRadiusForDegree:
     def test_requires_two_nodes(self):
         with pytest.raises(ValueError):
             radius_for_expected_degree(1, 10.0, 10.0, 2.0)
+        with pytest.raises(ValueError, match="plane dimensions"):
+            radius_for_expected_degree(10, 10.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match="degree must be positive"):
+            radius_for_expected_degree(10, 10.0, 10.0, 0.0)
 
 
 class TestPredicates:
@@ -337,10 +349,16 @@ class TestSerialization:
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("nodes=3\n")
-        with open(p) as inp:
-            with pytest.raises(ValueError):
-                read_graph(inp)
+        for text, message in (
+            ("nodes=3\n", "bad header"),
+            ("n=2 r=1.0\n0 0.0 0.0\n", "truncated node section"),
+            ("n=2 r=1.0\n0 0.0 0.0\n2 1.0 0.0\n", "consecutive"),
+            ("n=2 r=1.0\n0 0.0 0.0\n1 1.0 0.0\n0 1 1\n", "bad edge line"),
+        ):
+            p.write_text(text)
+            with open(p) as inp:
+                with pytest.raises(ValueError, match=message):
+                    read_graph(inp)
 
 
 class TestConnectivity:

@@ -52,6 +52,8 @@ class TestWire:
             unpack_id(b"\x00" * 7)
         with pytest.raises(ValueError):
             unpack_ids(pack_ids([1, 2])[:-3])
+        with pytest.raises(ValueError, match="truncated id list"):
+            unpack_ids(b"\x00" * 3)
         with pytest.raises(ValueError):
             unpack_id_key(b"\x00" * 9)
 
@@ -111,6 +113,8 @@ class TestCipher:
         ct = encrypt(k, MessageKind.JOIN_REQ, b"")
         with pytest.raises(MalformedCiphertext):
             decrypt(k, type(ct)(ct.key_id, b"", b""))
+        with pytest.raises(MalformedCiphertext, match="must be bytes"):
+            decrypt(k, type(ct)(ct.key_id, "text", ct.auth_tag))
 
     def test_unknown_kind_byte(self):
         k = self.key()
@@ -229,7 +233,6 @@ class TestProvision:
         gd = m.rings[0]
         assert gd.individual is None
         assert sorted(gd.subordinate_keys) == [1, 2]
-        assert gd.access_list == {1, 2}
         assert len(gd.keys()) == 3
         os_ring = m.rings[1]
         assert len(os_ring.keys()) == 2

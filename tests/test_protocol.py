@@ -305,7 +305,6 @@ class TestGdAdopt:
         st = gd_state(m, 0)
         st, out = gd_step(st, [self.adopt_env(m, 0, 3)], 5, m)
         assert st.subordinates == {3}
-        assert 3 in st.ring.access_list
         assert st.ring.subordinate_keys[3] == m.individual_keys[3]
         kinds = [e.kind.name for e in out]
         assert kinds == ["ADOPT_CMD", "REKEY", "REKEY", "JOIN_APRV"]

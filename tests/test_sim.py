@@ -98,6 +98,8 @@ class TestRunConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"groups": 2, "eta": 4, "radios": 3})
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            RunConfig.from_dict([("groups", 2)])
         cfg = RunConfig.from_dict({"groups": 2, "eta": 4, "radius": 10.0})
         assert cfg.groups == 2
 
@@ -123,6 +125,10 @@ class TestRunConfig:
             RunConfig.from_dict({**base, "placement": {"radios": 3}})
         with pytest.raises(ValueError, match="unknown adversaries keys"):
             RunConfig.from_dict({**base, "adversaries": {"count": 1, "kind": "replay"}})
+        with pytest.raises(ValueError, match="adversaries must be a count or an object"):
+            RunConfig.from_dict({**base, "adversaries": "3"})
+        with pytest.raises(ValueError, match="placement must be a JSON object"):
+            RunConfig.from_dict({**base, "placement": ["uniform"]})
 
     def test_key_given_flat_and_nested_rejected(self):
         with pytest.raises(ValueError, match="radius given both"):
