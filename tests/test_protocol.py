@@ -478,6 +478,13 @@ class TestBaseStation:
         bs_step(BSState(), [env(-5, MessageKind.ORP_ERR, ct)], 4, m, events)
         assert self.discards(events) == [(4, -5, "unknown_reporter")]
 
+    def test_audit_bad_report(self):
+        m = provision([1])
+        events = []
+        ct = Ciphertext(m.group_keys[0].id, b"\x00" * 9, b"\x00" * 8)
+        bs_step(BSState(), [env(0, MessageKind.ORP_ERR, ct)], 4, m, events)
+        assert self.discards(events) == [(4, 0, "bad_report")]
+
     def test_audit_stray_report(self):
         m = provision([1, 1])
         events = []
