@@ -188,9 +188,6 @@ class KeyMaterial:
         """
         return self.group_key_history.get(gd, {}).get(key_id)
 
-    def fresh_key(self) -> Key:
-        return self.fountain.next_key()
-
     def all_nodes(self) -> tuple[int, ...]:
         out = []
         for gd, members in self.groups:
@@ -319,37 +316,22 @@ def uniform_storage_bits(alpha: int, beta: int, eta: int, key_bits: int) -> Stor
 
 
 def rekey_group(
-    material: KeyMaterial,
-    gd: int,
-    joining: int | None = None,
-    members: Iterable[int] = (),
+    material: KeyMaterial, gd: int, recipients: Iterable[Key]
 ) -> tuple[Key, list[Ciphertext]]:
-    """Rotate a group key and seal the new key for distribution.
+    """Rotate a group key and seal the new key under each of ``recipients``,
+    in the order given.
 
-    With ``joining`` set (a node being added), the new key is sealed once under
-    the joiner's individual key and once under the old group key so existing
-    members follow. Without a joiner (a departure), it is sealed once per
-    surviving member, in id order, under that member's individual key; the old
-    group key is never used, so the departed node learns nothing.
+    A node being added gets it under its individual key, and the old group
+    key carries it to the existing members. After a departure it goes once
+    to each surviving member, in id order, under that member's individual
+    key; the old group key is never used, so the departed node learns
+    nothing.
     """
     if gd not in material.group_keys:
         raise ValueError(f"{gd} is not a dominator")
-    old = material.group_keys[gd]
-    new = material.fresh_key()
+    new = material.fountain.next_key()
     body = pack_id_key(gd, new.id, new.bits)
-    sealed: list[Ciphertext] = []
-    if joining is not None:
-        ikey = material.individual_keys.get(joining)
-        if ikey is None:
-            raise ValueError(f"{joining} has no individual key")
-        sealed.append(encrypt(ikey, MessageKind.REKEY, body))
-        sealed.append(encrypt(old, MessageKind.REKEY, body))
-    else:
-        for m in sorted(set(int(v) for v in members)):
-            ikey = material.individual_keys.get(m)
-            if ikey is None:
-                raise ValueError(f"{m} has no individual key")
-            sealed.append(encrypt(ikey, MessageKind.REKEY, body))
+    sealed = [encrypt(key, MessageKind.REKEY, body) for key in recipients]
     material.group_keys[gd] = new
     material.rings[gd].group = new
     material.group_key_history.setdefault(gd, {})[new.id] = new

@@ -17,9 +17,9 @@ a seeded run is reproducible byte for byte.
 Envelope sender and kind ride in the clear and are unauthenticated transport
 hints; nothing is trusted for admission or resolution unless the ciphertext
 opens under the expected key and its inner kind and ids agree with the
-envelope. ``keys.open_as`` is that rule, and handlers open through it unless
-the kind of failure matters: a foreign approval marks a neighbour dominator,
-and the base station audits why it drops a report.
+envelope. ``keys.open_as`` is that rule, and every handler opens through
+it. A hop-1 approval that does not open marks its sender a neighbour
+dominator, and the base station audits every report it drops.
 """
 
 from __future__ import annotations
@@ -30,14 +30,11 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .keys import (
-    AuthenticationFailure,
     Ciphertext,
     Key,
     KeyMaterial,
     KeyRing,
-    MalformedCiphertext,
     Rank,
-    decrypt,
     encrypt,
     open_as,
     rekey_group,
@@ -103,7 +100,6 @@ class NodeState:
     subordinates: set[int] = field(default_factory=set)
     mediators: set[int] = field(default_factory=set)
     join_round: int | None = None
-    was_orphan: bool = False
     post_formation: bool = False
     pending_leave: bool = False
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
@@ -113,11 +109,9 @@ class NodeState:
 
 @dataclass
 class OrphanRecord:
-    os_id: int
     observed: tuple[int, ...]
     received_round: int
     reports: set[int] = field(default_factory=set)
-    decided: bool = False
     resolution: tuple[str, int | None] | None = None
 
 
@@ -243,7 +237,6 @@ def os_step(
 
     if state.phase is Phase.AWAITING and round_no >= state.join_round + APPROVAL_TIMEOUT:
         state.phase = Phase.ORPHAN
-        state.was_orphan = True
         observed = sorted(state.neighbor_dominators)
         ct = encrypt(state.ring.individual, MessageKind.GD_ERR, pack_ids(observed))
         out.append(_flood_origin(state, MessageKind.GD_ERR, ct))
@@ -275,17 +268,13 @@ def _os_rekey(state: NodeState, env: Envelope, round_no: int, events) -> None:
 
 
 def _os_approval(state: NodeState, env: Envelope, round_no: int, events) -> None:
-    try:
-        kind, body = decrypt(state.ring.group, env.ciphertext)
-    except AuthenticationFailure:
+    if not _hop1(env):
+        return
+    body = open_as(state.ring.group, env.ciphertext, MessageKind.JOIN_APRV)
+    if body is None:
         # A dominator is talking to some group of ours in range, just not to us.
-        if _hop1(env):
-            state.neighbor_dominators.add(env.sender)
-            _note(events, round_no, state.id, "neighbor_dominator", gd=env.sender)
-        return
-    except MalformedCiphertext:
-        return
-    if kind is not MessageKind.JOIN_APRV or not _hop1(env):
+        state.neighbor_dominators.add(env.sender)
+        _note(events, round_no, state.id, "neighbor_dominator", gd=env.sender)
         return
     try:
         approver, _member = unpack_ids(body)
@@ -294,9 +283,9 @@ def _os_approval(state: NodeState, env: Envelope, round_no: int, events) -> None
     if approver != env.sender:
         return
     if state.dominator is None and state.phase in (Phase.AWAITING, Phase.ORPHAN):
+        event = "adopted" if state.phase is Phase.ORPHAN else "joined"
         state.dominator = env.sender
         state.phase = Phase.JOINED
-        event = "adopted" if state.was_orphan else "joined"
         _note(events, round_no, state.id, event, gd=env.sender)
 
 
@@ -342,7 +331,8 @@ def _approve_envelope(state: NodeState, member: int) -> Envelope:
 
 
 def _admit_with_rekey(state, material, member, out, round_no, events) -> None:
-    new, sealed = rekey_group(material, state.id, joining=member)
+    recipients = [state.ring.subordinate_keys[member], state.ring.group]
+    new, sealed = rekey_group(material, state.id, recipients)
     for ct in sealed:
         out.append(_send(state, MessageKind.REKEY, ct))
     out.append(_approve_envelope(state, member))
@@ -406,7 +396,8 @@ def _gd_leave(state, env, round_no, material, out, events) -> None:
         return
     state.subordinates.discard(env.sender)
     _note(events, round_no, state.id, "member_left", os=env.sender)
-    _, sealed = rekey_group(material, state.id, members=sorted(state.subordinates))
+    survivors = [state.ring.subordinate_keys[m] for m in sorted(state.subordinates)]
+    _, sealed = rekey_group(material, state.id, survivors)
     for ct in sealed:
         out.append(_send(state, MessageKind.REKEY, ct))
 
@@ -437,9 +428,8 @@ def bs_step(
 
     for os_id in sorted(bs.orphans):
         rec = bs.orphans[os_id]
-        if rec.decided or round_no < rec.received_round + MATCH_WINDOW:
+        if rec.resolution is not None or round_no < rec.received_round + MATCH_WINDOW:
             continue
-        rec.decided = True
         reporters = sorted(rec.reports)
         ikey = material.individual_keys[os_id]
         if reporters:
@@ -461,23 +451,31 @@ def _audit(bs, env, round_no, reason, events) -> None:
     _note(events, round_no, bs.id, "audit_discard", sender=env.sender, reason=reason)
 
 
+def _read_report(key: Key, env: Envelope, kind: MessageKind, unpack):
+    """The decoded body of a report sealed under ``key`` as ``kind``; None if
+    it does not open that way or its body does not decode."""
+    body = open_as(key, env.ciphertext, kind)
+    if body is None:
+        return None
+    try:
+        return unpack(body)
+    except ValueError:
+        return None
+
+
 def _bs_gd_err(bs, env, round_no, material, events) -> None:
     ikey = material.individual_keys.get(env.sender)
     if ikey is None or ikey.id != env.ciphertext.key_id:
         _audit(bs, env, round_no, "unknown_orphan_id", events)
         return
-    try:
-        kind, body = decrypt(ikey, env.ciphertext)
-        observed = unpack_ids(body)
-    except (AuthenticationFailure, MalformedCiphertext, ValueError):
+    observed = _read_report(ikey, env, MessageKind.GD_ERR, unpack_ids)
+    if observed is None:
         _audit(bs, env, round_no, "bad_orphan_report", events)
         return
-    if kind is not MessageKind.GD_ERR:
-        return
     existing = bs.orphans.get(env.sender)
-    if existing is not None and not existing.decided:
+    if existing is not None and existing.resolution is None:
         return
-    bs.orphans[env.sender] = OrphanRecord(env.sender, observed, round_no)
+    bs.orphans[env.sender] = OrphanRecord(observed, round_no)
     _note(events, round_no, bs.id, "orphan_recorded", os=env.sender, observed=list(observed))
 
 
@@ -486,17 +484,13 @@ def _bs_orp_err(bs, env, round_no, material, events) -> None:
     if key is None:
         _audit(bs, env, round_no, "unknown_reporter", events)
         return
-    try:
-        kind, body = decrypt(key, env.ciphertext)
-        orphan = unpack_id(body)
-    except (AuthenticationFailure, MalformedCiphertext, ValueError):
+    orphan = _read_report(key, env, MessageKind.ORP_ERR, unpack_id)
+    if orphan is None:
         _audit(bs, env, round_no, "bad_report", events)
-        return
-    if kind is not MessageKind.ORP_ERR:
         return
     rec = bs.orphans.get(orphan)
     if rec is None:
         _audit(bs, env, round_no, "stray_report", events)
         return
-    if not rec.decided:
+    if rec.resolution is None:
         rec.reports.add(env.sender)

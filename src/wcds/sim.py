@@ -114,7 +114,6 @@ class PlacementModel:
 @dataclass
 class Adversary:
     id: int
-    position: tuple[float, float]
     behavior: str
     seq: int = 0
     captured: deque = field(default_factory=lambda: deque(maxlen=512))
@@ -364,7 +363,7 @@ def _pending(world: World) -> str:
                 return _BUSY
             stuck = True
     for rec in world.bs.orphans.values():
-        if not rec.decided:
+        if rec.resolution is None:
             return _BUSY
     if not stuck:
         return _SETTLED
@@ -410,7 +409,7 @@ def inject_adversary(
             pos = positions[i]
         else:
             pos = (world.rng.uniform(0.0, world.width), world.rng.uniform(0.0, world.height))
-        world.adversaries.append(Adversary(aid, pos, behavior))
+        world.adversaries.append(Adversary(aid, behavior))
         world._place(aid, pos)
         ids.append(aid)
     return ids
@@ -425,7 +424,6 @@ def late_join(world: World, node: int, position: tuple[float, float] | None = No
         st.phase = Phase.IDLE
         st.dominator = None
         st.join_round = None
-        st.was_orphan = False
         if position is not None:
             world._place(node, position)
         return
@@ -606,7 +604,7 @@ class RunConfig:
         elif adversaries is not None:
             raise ValueError("adversaries must be a count or an object")
         for name, fields in _NESTED_FIELDS.items():
-            sub = nested[name] or {}
+            sub = {} if nested[name] is None else nested[name]
             if not isinstance(sub, dict):
                 raise ValueError(f"{name} must be a JSON object")
             unknown = set(sub) - set(fields)

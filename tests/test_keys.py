@@ -309,7 +309,7 @@ class TestRekey:
     def test_join_mode_reaches_old_holders_and_joiner(self):
         m = provision([2])
         old = m.group_keys[0]
-        new, sealed = rekey_group(m, 0, joining=1)
+        new, sealed = rekey_group(m, 0, [m.individual_keys[1], old])
         assert new.id == 3
         assert [ct.key_id for ct in sealed] == [m.individual_keys[1].id, old.id]
 
@@ -325,7 +325,7 @@ class TestRekey:
     def test_leave_mode_excludes_departed(self):
         m = provision([3])
         old = m.group_keys[0]
-        new, sealed = rekey_group(m, 0, members=[3, 1])
+        new, sealed = rekey_group(m, 0, [m.individual_keys[1], m.individual_keys[3]])
         assert [ct.key_id for ct in sealed] == [m.individual_keys[1].id, m.individual_keys[3].id]
         for ct in sealed:
             assert not can_decrypt(old, ct)
@@ -336,7 +336,7 @@ class TestRekey:
     def test_history_keeps_superseded_keys(self):
         m = provision([2])
         old = m.group_keys[0]
-        new, _ = rekey_group(m, 0, joining=1)
+        new, _ = rekey_group(m, 0, [m.individual_keys[1], old])
         assert m.group_key_for(0, old.id) == old
         assert m.group_key_for(0, new.id) == new
         assert m.group_key_for(0, 999) is None
@@ -344,18 +344,14 @@ class TestRekey:
 
     def test_ids_keep_ascending_across_rotations(self):
         m = provision([2])
-        first, _ = rekey_group(m, 0, joining=1)
-        second, _ = rekey_group(m, 0, joining=2)
+        first, _ = rekey_group(m, 0, [m.individual_keys[1]])
+        second, _ = rekey_group(m, 0, [m.individual_keys[2]])
         assert first.id < second.id
 
     def test_invalid_targets(self):
         m = provision([2])
         with pytest.raises(ValueError):
-            rekey_group(m, 1, joining=2)
-        with pytest.raises(ValueError):
-            rekey_group(m, 0, joining=99)
-        with pytest.raises(ValueError):
-            rekey_group(m, 0, members=[99])
+            rekey_group(m, 1, [m.individual_keys[2]])
 
 
 class TestCompromiseScope:

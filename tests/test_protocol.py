@@ -1,7 +1,6 @@
 import pytest
 
 import wcds.keys
-import wcds.protocol
 from conftest import can_decrypt, make_world
 from wcds.keys import (
     Ciphertext,
@@ -55,7 +54,7 @@ class TestOsAnnounce:
         st, _ = os_step(st, [], 0)
         st.neighbor_dominators.add(7)
         st, out = os_step(st, [], APPROVAL_TIMEOUT)
-        assert st.phase is Phase.ORPHAN and st.was_orphan
+        assert st.phase is Phase.ORPHAN
         assert [e.kind for e in out] == [MessageKind.GD_ERR]
         kind, body = decrypt(m.individual_keys[1], out[0].ciphertext)
         assert kind is MessageKind.GD_ERR
@@ -115,12 +114,19 @@ class TestOsApproval:
 
     def test_forged_approval_with_junk_tag_rejected(self):
         m = provision([1])
-        st = self.awaiting(m, 1)
-        ct = Ciphertext(m.group_keys[0].id, b"\x00" * 17, b"\x00" * 8)
-        st, _ = os_step(st, [env(-2, MessageKind.JOIN_APRV, ct)], 1)
-        assert st.phase is Phase.AWAITING
-        # an unreadable group-keyed transmission is not evidence of a dominator
-        assert st.neighbor_dominators == {-2}
+        gkey = m.group_keys[0]
+        unopenable = [
+            Ciphertext(gkey.id, b"\x00" * 17, b"\x00" * 8),  # junk tag
+            encrypt(gkey, 200, pack_ids([0, 1])),  # no such kind
+            encrypt(gkey, MessageKind.JOIN_REQ, pack_ids([0, 1])),  # another kind
+        ]
+        for ct in unopenable:
+            st = self.awaiting(m, 1)
+            st, _ = os_step(st, [env(-2, MessageKind.JOIN_APRV, ct)], 1)
+            assert st.phase is Phase.AWAITING
+            # a hop-1 approval that does not open under our group key counts
+            # as a dominator of some other group in range
+            assert st.neighbor_dominators == {-2}
 
     def test_second_approval_ignored(self):
         m = provision([1, 1])
@@ -181,7 +187,6 @@ class TestOsPromote:
             return decrypt(key, ct)
 
         monkeypatch.setattr(wcds.keys, "decrypt", counted)
-        monkeypatch.setattr(wcds.protocol, "decrypt", counted)
         foreign = encrypt(m.individual_keys[2], MessageKind.PROMOTE_CMD, b"")
         st, out = os_step(st, [env(BS_ID, MessageKind.PROMOTE_CMD, foreign)], APPROVAL_TIMEOUT + 1)
         assert [(e.kind, e.sender, e.transmitter) for e in out] == [(MessageKind.PROMOTE_CMD, BS_ID, 1)]
@@ -419,7 +424,7 @@ class TestBaseStation:
         bs = BSState()
         bs, _ = bs_step(bs, [self.gd_err(m, 1)], 0, m)
         bs, out = bs_step(bs, [], MATCH_WINDOW, m)
-        assert bs.orphans[1].decided
+        assert bs.orphans[1].resolution is not None
         bs, out = bs_step(bs, [self.orp_err(m, 2, 1)], MATCH_WINDOW + 1, m)
         assert out == []
         assert bs.orphans[1].resolution == ("promoted", None)
@@ -429,10 +434,10 @@ class TestBaseStation:
         bs = BSState()
         bs, _ = bs_step(bs, [self.gd_err(m, 1)], 0, m)
         bs, _ = bs_step(bs, [], MATCH_WINDOW, m)
-        assert bs.orphans[1].decided
+        assert bs.orphans[1].resolution is not None
         bs, _ = bs_step(bs, [self.gd_err(m, 1, seq=2)], 9, m)
         rec = bs.orphans[1]
-        assert rec.received_round == 9 and not rec.decided
+        assert rec.received_round == 9 and rec.resolution is None
 
     def test_duplicate_flood_while_undecided_keeps_record(self):
         m = provision([1])
@@ -466,10 +471,17 @@ class TestBaseStation:
 
     def test_audit_bad_orphan_report(self):
         m = provision([1])
-        events = []
-        ct = Ciphertext(m.individual_keys[1].id, b"\x00" * 9, b"\x00" * 8)
-        bs_step(BSState(), [env(1, MessageKind.GD_ERR, ct)], 4, m, events)
-        assert self.discards(events) == [(4, 1, "bad_orphan_report")]
+        ikey = m.individual_keys[1]
+        unreadable = [
+            Ciphertext(ikey.id, b"\x00" * 9, b"\x00" * 8),  # junk tag
+            encrypt(ikey, MessageKind.ORP_ERR, pack_ids([])),  # another kind
+            encrypt(ikey, MessageKind.GD_ERR, b"\x01"),  # body does not decode
+        ]
+        for ct in unreadable:
+            bs, events = BSState(), []
+            bs_step(bs, [env(1, MessageKind.GD_ERR, ct)], 4, m, events)
+            assert self.discards(events) == [(4, 1, "bad_orphan_report")]
+            assert bs.orphans == {}
 
     def test_audit_unknown_reporter(self):
         m = provision([1])
@@ -480,10 +492,16 @@ class TestBaseStation:
 
     def test_audit_bad_report(self):
         m = provision([1])
-        events = []
-        ct = Ciphertext(m.group_keys[0].id, b"\x00" * 9, b"\x00" * 8)
-        bs_step(BSState(), [env(0, MessageKind.ORP_ERR, ct)], 4, m, events)
-        assert self.discards(events) == [(4, 0, "bad_report")]
+        gkey = m.group_keys[0]
+        unreadable = [
+            Ciphertext(gkey.id, b"\x00" * 9, b"\x00" * 8),  # junk tag
+            encrypt(gkey, MessageKind.GD_ERR, pack_id(1)),  # another kind
+            encrypt(gkey, MessageKind.ORP_ERR, b"\x01"),  # body does not decode
+        ]
+        for ct in unreadable:
+            events = []
+            bs_step(BSState(), [env(0, MessageKind.ORP_ERR, ct)], 4, m, events)
+            assert self.discards(events) == [(4, 0, "bad_report")]
 
     def test_audit_stray_report(self):
         m = provision([1, 1])
@@ -572,7 +590,7 @@ class TestAdoptionTimeline:
         st = w.states[1]
         assert st.phase is Phase.JOINED
         assert st.dominator == 2
-        assert st.was_orphan
+        assert (1, "adopted") in [(e["node"], e["event"]) for e in w.events]
         assert w.states[2].subordinates == {3, 1}
         events = [e["event"] for e in w.events]
         assert events.count("orphan_reported") == 1

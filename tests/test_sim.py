@@ -127,8 +127,10 @@ class TestRunConfig:
             RunConfig.from_dict({**base, "adversaries": {"count": 1, "kind": "replay"}})
         with pytest.raises(ValueError, match="adversaries must be a count or an object"):
             RunConfig.from_dict({**base, "adversaries": "3"})
-        with pytest.raises(ValueError, match="placement must be a JSON object"):
-            RunConfig.from_dict({**base, "placement": ["uniform"]})
+        # only an absent (or null) placement means none, not any falsy value
+        for placement in (["uniform"], [], 0, ""):
+            with pytest.raises(ValueError, match="placement must be a JSON object"):
+                RunConfig.from_dict({**base, "placement": placement})
 
     def test_key_given_flat_and_nested_rejected(self):
         with pytest.raises(ValueError, match="radius given both"):
@@ -264,6 +266,11 @@ class TestRadioIndex:
         run(w)
         leave(w, 1)
         late_join(w, min(m.reserve), position=(45.0, 45.0))
+        self.check(w)
+        run(w)
+        assert w.states[1].phase is Phase.LEFT
+        late_join(w, 1, position=(10.0, 80.0))  # a departed sensor back at a new spot
+        assert w.positions[1] == (10.0, 80.0) and w.states[1].phase is Phase.IDLE
         self.check(w)
 
 
