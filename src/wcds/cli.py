@@ -160,9 +160,10 @@ def _cmd_sim(args) -> int:
             fh.write(text)
         print(f"wrote {args.out}")
     if args.trace is not None:
+        encoder = json.JSONEncoder(sort_keys=True)  # the one json.dumps would build per event
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             for event in world.events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+                fh.write(encoder.encode(event) + "\n")
         print(f"wrote {args.trace}")
     return 0
 

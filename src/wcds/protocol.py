@@ -102,6 +102,10 @@ class NodeState:
     join_round: int | None = None
     post_formation: bool = False
     pending_leave: bool = False
+    #: Floods this node has relayed or originated, by ``flood_key``. A
+    #: dominator writes it in its step, and so does any sensor originating a
+    #: flood; an ordinary sensor's relays are the simulator's, which records
+    #: them in ``World.reached`` instead.
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
     reported_orphans: set[int] = field(default_factory=set)
     seq: int = 0
@@ -155,8 +159,9 @@ def _note(events: list | None, round_no: int, node: int, event: str, **detail) -
         events.append({"round": round_no, "node": node, "event": event, "detail": detail})
 
 
-def _inbox_key(env: Envelope):
-    return (int(env.kind), env.sender, env.seq, env.transmitter)
+#: The order a step works through its inbox (kinds are IntEnums, so they
+#: sort as ints).
+_inbox_key = attrgetter("kind", "sender", "seq", "transmitter")
 
 
 def _hop1(env: Envelope) -> bool:
@@ -169,7 +174,8 @@ flood_key = attrgetter("sender", "seq", "kind")
 
 
 def _relay(state, env: Envelope, out: list[Envelope]) -> bool:
-    """Handle flood fan-out; False means this copy was already seen."""
+    """Handle flood fan-out for a dominator or the base station; False means
+    this copy was already seen."""
     if env.kind not in FLOOD_KINDS:
         return True
     fkey = flood_key(env)
@@ -192,6 +198,19 @@ def _flood_origin(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
     return env
 
 
+#: The kinds each rank's step acts on, and so the only kinds the simulator
+#: puts in its inbox. Every sensor relays every flood once: a dominator in its
+#: step, so its inbox takes them all, and an ordinary sensor in the radio
+#: layer, so its inbox takes only the promote commands it may obey. The base
+#: station's step reads floods alone.
+_DOMINATOR_KINDS = FLOOD_KINDS | {MessageKind.JOIN_REQ, MessageKind.LEAVE}
+STEP_KINDS = {
+    Rank.OS: frozenset({MessageKind.REKEY, MessageKind.JOIN_APRV, MessageKind.PROMOTE_CMD}),
+    Rank.GD: _DOMINATOR_KINDS,
+    Rank.GD_OS: _DOMINATOR_KINDS,
+}
+
+
 # ---------------------------------------------------------------- ordinary sensor
 
 
@@ -212,7 +231,9 @@ def os_step(
     round_no: int,
     events: list | None = None,
 ) -> tuple[NodeState, list[Envelope]]:
-    """Advance one ordinary sensor by one round."""
+    """Advance one ordinary sensor by one round. Its flood relays are not
+    part of the step: the simulator sends them, after any announcement made
+    here and before any orphan error or leave."""
     out: list[Envelope] = []
     if state.phase is Phase.LEFT:
         return state, out
@@ -225,15 +246,12 @@ def os_step(
         _note(events, round_no, state.id, "join_request")
 
     for env in sorted(inbox, key=_inbox_key):
-        if not _relay(state, env, out):
-            continue
         if env.kind is MessageKind.REKEY:
             _os_rekey(state, env, round_no, events)
         elif env.kind is MessageKind.JOIN_APRV:
             _os_approval(state, env, round_no, events)
         elif env.kind is MessageKind.PROMOTE_CMD:
             _os_promote(state, env, round_no, events)
-        # Other kinds are relayed (when floods) or ignored by ordinary sensors.
 
     if state.phase is Phase.AWAITING and round_no >= state.join_round + APPROVAL_TIMEOUT:
         state.phase = Phase.ORPHAN

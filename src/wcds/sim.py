@@ -6,19 +6,33 @@ steps the base station, the sensors and the adversaries in a fixed order,
 and collects their outboxes for the next round. With the same provisioning
 and seed, runs are byte-for-byte reproducible.
 
-Delivery hands each sensor, and the base station, at most one copy of each
-flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD) per round, and none of a
-flood it has already seen. Of the copies in range, the one with the smallest
-transmitter id wins, ties going to the earlier transmission: that is the
-copy the step's sorted inbox would have processed first, and every other
-copy is one it would have dropped as a duplicate. Other kinds arrive in
-every copy. Adversaries overhear every copy in transmission order, floods
-included. A sensor with an empty inbox that has nothing due (a dominator, or
-an ordinary sensor not due to announce, time out its approval wait or leave)
-is not stepped. A run whose only open work is orphans that nothing can reach
-any more (nothing in flight, no adversary, nothing due) is not stepped at
-all: its remaining rounds are counted as spent, which leaves the world as
-stepping them would have.
+Every sensor relays each flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD)
+once. The world keeps one record per flood, ``World.reached``: the protocol
+radios it has reached, starting with its origin. Each round the copies of a
+flood in the air are walked by transmitter id, ties in transmission order,
+and each copy reaches the radios in its range that the flood has not reached
+yet. So the smallest transmitter wins: that is the copy a step working
+through its sorted inbox would act on, and every other copy is one it would
+drop as a duplicate. Departed sensors get nothing and are not recorded, so a
+sensor that comes back while a flood is passing still gets it.
+
+Dominators relay in their own steps, where relays interleave with their
+replies, so a dominator and the base station (which relays nothing) get the
+winning copy in their inboxes. Ordinary sensors relay in the radio layer:
+their relays go out at their turn in step order, after the step's
+announcement and before its orphan error or leave, in inbox order. Of the
+floods only PROMOTE_CMD, which it may obey, also reaches an ordinary
+sensor's inbox. Other kinds go, in every copy, only to the ranks whose steps
+act on them (``protocol.STEP_KINDS``): REKEY and JOIN_APRV to ordinary
+sensors, JOIN_REQ and LEAVE to dominators, none to the base station.
+Adversaries overhear every copy in transmission order, floods included.
+
+A sensor with an empty inbox that has nothing due (a dominator, or an
+ordinary sensor not due to announce, time out its approval wait or leave) is
+not stepped; its relays still go out. A run whose only open work is orphans
+that nothing can reach any more (nothing in flight, no adversary, nothing
+due) is not stepped at all: its remaining rounds are counted as spent, which
+leaves the world as stepping them would have.
 
 The radio graph is built once from a cell grid and cached with each radio's
 neighbour sets until a radio comes onto the field or moves.
@@ -33,10 +47,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
-from collections import deque
-from operator import attrgetter
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +73,7 @@ from .protocol import (
     Envelope,
     NodeState,
     Phase,
+    STEP_KINDS,
     bs_step,
     flood_key,
     gd_step,
@@ -69,11 +85,24 @@ from .wire import FLOOD_KINDS, MessageKind
 PLACEMENT_MODES = ("uniform", "group_clustered")
 ADVERSARY_BEHAVIORS = ("forge_join", "forge_approve", "replay")
 
-#: Transmission counter names per kind, for legitimate and adversary senders.
-_LEGIT_COUNTERS = {k: k.name for k in MessageKind}
-_ADV_COUNTERS = {k: "ADV_" + k.name for k in MessageKind}
+#: Transmission counter names by kind and whether an adversary sent it.
+_COUNTERS = {
+    (k, hostile): ("ADV_" if hostile else "") + k.name for k in MessageKind for hostile in (False, True)
+}
 
 _TRANSMITTER = attrgetter("transmitter")
+_KIND = attrgetter("kind")
+#: Flood keys (sender, seq, kind) in the order of ``protocol._inbox_key``.
+_INBOX_ORDER = itemgetter(2, 0, 1)
+
+#: The ranks whose step reads each kind that is not a flood.
+_READERS = {
+    kind: [rank for rank, kinds in STEP_KINDS.items() if kind in kinds]
+    for kind in MessageKind
+    if kind not in FLOOD_KINDS
+}
+#: The floods an ordinary sensor's step reads, besides relaying them.
+_OS_FLOODS = STEP_KINDS[Rank.OS] & FLOOD_KINDS
 
 #: The nested config objects RunConfig.from_dict accepts, each mapping its
 #: keys to the flat fields they set.
@@ -143,9 +172,12 @@ class World:
     adversaries: list[Adversary] = field(default_factory=list)
     round: int = 0
     inflight: list[Envelope] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
+    counters: Counter[str] = field(default_factory=Counter)
     events: list[dict] = field(default_factory=list)
     archive: list[tuple[int, Envelope]] = field(default_factory=list)
+    #: Per flood key, the protocol radios the flood has reached: its origin
+    #: and every radio delivered a copy. Departed sensors are never added.
+    reached: dict[tuple, set[int]] = field(default_factory=dict)
     formation_complete: bool = False
     #: The radio index, built on first use from ``positions``; ``_place``
     #: clears it whenever a radio comes onto the field or moves.
@@ -223,20 +255,26 @@ def deploy(
     )
 
 
-def _transmit(world: World, env: Envelope) -> None:
-    world.inflight.append(env)
-    world.archive.append((world.round, env))
-    name = (_LEGIT_COUNTERS if env.transmitter >= BS_ID else _ADV_COUNTERS)[env.kind]
-    world.counters[name] = world.counters.get(name, 0) + 1
+def _transmit(world: World, out: list[Envelope]) -> None:
+    """Put an outbox on the air and in the archive; ``step`` counts each
+    round's transmissions at its end."""
+    world.inflight += out
+    world.archive += zip(repeat(world.round), out)
 
 
-def _deliver(world: World) -> dict[int, list[Envelope]]:
-    """Empty the air into per-receiver inboxes, by the rule in the module
-    docstring. Departed sensors receive nothing."""
+def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
+    """Empty the air, by the rule in the module docstring, into the inboxes
+    of the radios whose steps read each copy, and the relays that ordinary
+    sensors owe, sorted by relaying sensor and then in inbox order.
+    Departed sensors receive nothing."""
     neighbors = world.radio_index().neighbors
-    # Every protocol radio that still listens, with the floods it has seen.
-    listening = {v: st.seen_floods for v, st in world.states.items() if st.phase is not Phase.LEFT}
-    listening[BS_ID] = world.bs.seen_floods
+    ranks: dict[Rank, set[int]] = {rank: set() for rank in STEP_KINDS}
+    left: set[int] = set()
+    for v, st in world.states.items():
+        if st.phase is Phase.LEFT:
+            left.add(v)
+        else:
+            ranks[st.rank].add(v)
     inboxes: dict[int, list[Envelope]] = {}
     floods: dict[tuple, list[Envelope]] = {}
     for env in world.inflight:
@@ -246,21 +284,34 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
         if env.kind in FLOOD_KINDS:
             floods.setdefault(flood_key(env), []).append(env)
             continue
-        for rcv in listeners:
-            if rcv in listening:
+        for rank in _READERS[env.kind]:
+            for rcv in listeners & ranks[rank]:
                 inboxes.setdefault(rcv, []).append(env)
-    for key, copies in floods.items():
+    ordinary = ranks[Rank.OS]
+    relays: list[Envelope] = []
+    for key in sorted(floods, key=_INBOX_ORDER):
+        copies = floods[key]
+        reached = world.reached.get(key)
+        if reached is None:  # the flood's first round in the air: only its origin sent it
+            reached = world.reached[key] = {e.sender for e in copies if e.transmitter == e.sender}
+        obeyed = key[2] in _OS_FLOODS
         copies.sort(key=_TRANSMITTER)
-        heard: set[int] = set()
         for env in copies:
-            fresh = neighbors[env.transmitter][0] - heard
-            heard |= fresh
-            for rcv in fresh:
-                seen = listening.get(rcv)
-                if seen is not None and key not in seen:
-                    inboxes.setdefault(rcv, []).append(env)
+            fresh = neighbors[env.transmitter][0] - reached
+            if not fresh:
+                continue
+            if left:
+                fresh -= left
+            reached |= fresh
+            relaying = fresh & ordinary
+            # Dominators and the base station read every flood.
+            for rcv in fresh if obeyed else fresh - relaying:
+                inboxes.setdefault(rcv, []).append(env)
+            sender, kind, ct, seq, _ = env
+            relays += [Envelope(sender, kind, ct, seq, rcv) for rcv in relaying]
+    relays.sort(key=_TRANSMITTER)  # stable: each sensor's relays stay in inbox order
     world.inflight = []
-    return inboxes
+    return inboxes, relays
 
 
 def _adversary_step(
@@ -301,33 +352,48 @@ def _adversary_step(
 
 def step(world: World) -> None:
     """Advance the whole field by one round."""
-    inboxes = _deliver(world)
+    inboxes, relays = _deliver(world)
     material = world.material
     events = world.events
     round_no = world.round
 
-    _, out = bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)
-    for env in out:
-        _transmit(world, env)
+    _transmit(world, bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1])
 
+    # Each sensor's relays go out at its turn in id order, after its
+    # announcement and before its orphan error or leave. Relays of sensors
+    # that send nothing of their own go out together, ahead of the next
+    # sensor that does.
+    done = 0  # relays before this index are on the air
     for node in sorted(world.states):
         st = world.states[node]
         inbox = inboxes.get(node)
-        if inbox is None and (st.rank is not Rank.OS or os_idle(st, round_no)):
+        if st.rank is not Rank.OS:
+            if inbox is None:
+                continue
+            out = gd_step(st, inbox, round_no, material, events)[1]
+        elif inbox is None and os_idle(st, round_no):
             continue  # nothing heard and nothing due: the step would be a no-op
-        if st.rank is Rank.OS:
-            _, out = os_step(st, inbox or [], round_no, events)
         else:
-            _, out = gd_step(st, inbox, round_no, material, events)
-        for env in out:
-            _transmit(world, env)
+            out = os_step(st, inbox or [], round_no, events)[1]
+        if not out:
+            continue
+        start = bisect_left(relays, node, done, key=_TRANSMITTER)
+        end = bisect_right(relays, node, start, key=_TRANSMITTER)
+        lead = 1 if out[0].kind is MessageKind.JOIN_REQ else 0
+        _transmit(world, relays[done:start] + out[:lead] + relays[start:end] + out[lead:])
+        done = end
+    _transmit(world, relays[done:])
 
     victims = []
     if round_no % 2 and any(adv.behavior == "forge_join" for adv in world.adversaries):
         victims = sorted(n for n, st in world.states.items() if st.rank is Rank.OS)
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
-        for env in _adversary_step(world, adv, inboxes.get(adv.id, []), victims):
-            _transmit(world, env)
+        _transmit(world, _adversary_step(world, adv, inboxes.get(adv.id, []), victims))
+
+    # Everything in the air went up this round. Adversary ids are below the
+    # base station's.
+    hostile = map(BS_ID.__gt__, map(_TRANSMITTER, world.inflight))
+    world.counters.update(map(_COUNTERS.__getitem__, zip(map(_KIND, world.inflight), hostile)))
 
     world.round += 1
     if not world.formation_complete and _pending(world) == _SETTLED:

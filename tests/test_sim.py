@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -8,8 +8,24 @@ import wcds.sim as sim_module
 from conftest import make_world
 from test_golden import SIM_CASES as GOLDEN_CASES
 from wcds.graph import radius_for_expected_degree
-from wcds.keys import Rank, provision
-from wcds.protocol import APPROVAL_TIMEOUT, BS_ID, Phase, _inbox_key, _relay
+from wcds.keys import Rank, encrypt, provision
+from wcds.protocol import (
+    APPROVAL_TIMEOUT,
+    BS_ID,
+    STEP_KINDS,
+    Envelope,
+    NodeState,
+    Phase,
+    _flood_origin,
+    _inbox_key,
+    _note,
+    _os_approval,
+    _os_promote,
+    _os_rekey,
+    _relay,
+    _send,
+    flood_key,
+)
 from wcds.sim import (
     ADVERSARY_BEHAVIORS,
     PlacementModel,
@@ -25,7 +41,7 @@ from wcds.sim import (
     step,
     verify_outcome,
 )
-from wcds.wire import FLOOD_KINDS
+from wcds.wire import FLOOD_KINDS, MessageKind, pack_ids
 
 
 def line_world(material, spots, radius=12.0):
@@ -290,22 +306,72 @@ def fan_out(world):
 
 
 def fan_out_deliver(world):
+    """The reference fan-out in ``_deliver``'s shape, with no relays for the
+    radio layer to send: the reference step relays for itself."""
     inboxes = fan_out(world)
     world.inflight = []
-    return inboxes
+    return inboxes, []
 
 
-def processed(world, rcv, inbox):
-    """The copies a step acts on: its sorted inbox minus those _relay drops."""
-    seen = world.bs.seen_floods if rcv == BS_ID else world.states[rcv].seen_floods
-    probe = SimpleNamespace(id=rcv, seen_floods=set(seen))
-    return [env for env in sorted(inbox, key=_inbox_key) if _relay(probe, env, [])]
+def relaying_os_step(
+    state: NodeState,
+    inbox: Iterable[Envelope],
+    round_no: int,
+    events: list | None = None,
+) -> tuple[NodeState, list[Envelope]]:
+    """Reference ordinary-sensor step: ``os_step`` as it was when each sensor
+    relayed floods in its own step, deduplicating by ``seen_floods``."""
+    out: list[Envelope] = []
+    if state.phase is Phase.LEFT:
+        return state, out
+
+    if state.join_round is None:
+        ct = encrypt(state.ring.individual, MessageKind.JOIN_REQ, b"")
+        out.append(_send(state, MessageKind.JOIN_REQ, ct))
+        state.join_round = round_no
+        state.phase = Phase.AWAITING
+        _note(events, round_no, state.id, "join_request")
+
+    for env in sorted(inbox, key=_inbox_key):
+        if not _relay(state, env, out):
+            continue
+        if env.kind is MessageKind.REKEY:
+            _os_rekey(state, env, round_no, events)
+        elif env.kind is MessageKind.JOIN_APRV:
+            _os_approval(state, env, round_no, events)
+        elif env.kind is MessageKind.PROMOTE_CMD:
+            _os_promote(state, env, round_no, events)
+        # Other kinds are relayed (when floods) or ignored by ordinary sensors.
+
+    if state.phase is Phase.AWAITING and round_no >= state.join_round + APPROVAL_TIMEOUT:
+        state.phase = Phase.ORPHAN
+        observed = sorted(state.neighbor_dominators)
+        ct = encrypt(state.ring.individual, MessageKind.GD_ERR, pack_ids(observed))
+        out.append(_flood_origin(state, MessageKind.GD_ERR, ct))
+        _note(events, round_no, state.id, "orphaned", observed=observed)
+
+    if state.pending_leave:
+        if state.phase is Phase.JOINED:
+            ct = encrypt(state.ring.individual, MessageKind.LEAVE, b"")
+            out.append(_send(state, MessageKind.LEAVE, ct))
+        state.pending_leave = False
+        state.phase = Phase.LEFT
+        _note(events, round_no, state.id, "left")
+
+    return state, out
+
+
+def payload(env):
+    """An envelope without its transmitter: what a relay of it carries."""
+    return env.sender, env.kind, env.ciphertext, env.seq
 
 
 class DeliveryCheck:
     """Stands in for sim._deliver: delivers for real, and asserts each round
-    that every node acts on what the reference fan-out would have made it
-    act on, while adversaries overhear exactly the fan-out's copies."""
+    that adversaries overhear exactly the reference fan-out's copies, that
+    every protocol radio's inbox holds only copies the fan-out gave it and of
+    kinds its step reads, and that only ordinary sensors relay, each a flood
+    the fan-out gave it, in id and then inbox order."""
 
     deliver = staticmethod(sim_module._deliver)
 
@@ -314,33 +380,46 @@ class DeliveryCheck:
 
     def __call__(self, world):
         expected = fan_out(world)
-        got = self.deliver(world)
+        replayed = [env for env in world.inflight if env.kind in FLOOD_KINDS and env.transmitter < BS_ID]
+        before = {flood_key(env): set(world.reached[flood_key(env)]) for env in replayed}
+        inboxes, relays = self.deliver(world)
         self.rounds += 1
-        for rcv in set(expected) | set(got):
-            want, have = expected.get(rcv, []), got.get(rcv, [])
+        for rcv in set(expected) | set(inboxes):
+            want, have = expected.get(rcv, []), inboxes.get(rcv, [])
             if rcv < BS_ID:
                 assert have == want, (world.round, rcv)
                 continue
-            kept = processed(world, rcv, want)
-            assert processed(world, rcv, have) == sorted(have, key=_inbox_key), (world.round, rcv)
-            assert sorted(have, key=_inbox_key) == kept, (world.round, rcv)
+            reads = FLOOD_KINDS if rcv == BS_ID else STEP_KINDS[world.states[rcv].rank]
+            assert all(env in want and env.kind in reads for env in have), (world.round, rcv)
             self.skipped_copies += len(want) - len(have)
-            self.replayed_floods_kept += sum(
-                1 for env in kept if env.kind in FLOOD_KINDS and env.transmitter < BS_ID
-            )
-        return got
+        assert relays == sorted(relays, key=lambda env: (env.transmitter, *_inbox_key(env)))
+        for env in relays:
+            st = world.states[env.transmitter]
+            assert st.rank is Rank.OS and st.phase is not Phase.LEFT
+            assert env.kind in FLOOD_KINDS
+            assert payload(env) in map(payload, expected[env.transmitter]), (world.round, env)
+        # A replayed copy sorts ahead of every legitimate one, so a radio in
+        # its range that the flood reached this round was reached by a replay.
+        neighbors = world.radio_index().neighbors
+        for env in replayed:
+            key = flood_key(env)
+            if (world.reached[key] - before[key]) & neighbors[env.transmitter][0]:
+                self.replayed_floods_kept += 1
+        return inboxes, relays
 
 
 def twin_runs(drive):
     """Run ``drive`` with the real delivery under DeliveryCheck, then again with
-    the reference fan-out and every ordinary sensor stepped every round; both
-    runs must leave the same archive, events and outcome."""
+    the reference fan-out, the reference step that relays for itself, and
+    every ordinary sensor stepped every round; both runs must leave the same
+    archive, events and outcome."""
     check = DeliveryCheck()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim_module, "_deliver", check)
         fast = drive()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim_module, "_deliver", fan_out_deliver)
+        m.setattr(sim_module, "os_step", relaying_os_step)
         m.setattr(sim_module, "os_idle", lambda state, round_no: False)
         slow = drive()
     assert fast.archive == slow.archive
@@ -355,8 +434,10 @@ DELIVERY_FIELD = dict(
 
 
 def churn_run(seed):
-    """Form a field with replaying adversaries, then leaves, reserve joins and
-    one departed sensor coming back, each followed by a run to quiescence."""
+    """Form a field with replaying adversaries, then leaves and reserve joins.
+    Step until a flood that went out in range of the first leaver while it
+    was away is in the air in its range again, bring that sensor back then,
+    and run to quiescence."""
     material = provision([9] * 6, reserve_fraction=0.2, seed=seed)
     world = deploy(material, PlacementModel("group_clustered", 90.0, 90.0, 22.0), seed=seed + 1)
     inject_adversary(world, 2, "replay")
@@ -366,8 +447,22 @@ def churn_run(seed):
         leave(world, v)
     for v in sorted(material.reserve)[:3]:
         late_join(world, v)
-    run(world)
-    late_join(world, joined[0])
+    comeback = joined[0]
+    step(world)
+    assert world.states[comeback].phase is Phase.LEFT
+    missed = set()  # floods sent in its range since it left
+    while True:
+        listeners, adversaries = world.radio_index().neighbors[comeback]
+        near = {
+            flood_key(env) for env in world.inflight
+            if env.kind in FLOOD_KINDS and (env.transmitter in listeners or env.transmitter in adversaries)
+        }
+        if near & missed:
+            break
+        missed |= near
+        assert world.round < 200, "no flood passed the departed sensor twice"
+        step(world)
+    late_join(world, comeback)
     run(world)
     return world
 
@@ -386,6 +481,24 @@ class TestDelivery:
         check = twin_runs(lambda: churn_run(8))
         assert check.skipped_copies > 0
 
+    def test_rejoined_sensor_relays_a_flood_it_missed(self):
+        # The first leaver comes back while a flood that passed it is still in
+        # the air around it, and relays that flood: a departed sensor is not
+        # recorded as reached by the floods it misses.
+        world = churn_run(8)
+        comeback = next(e["node"] for e in world.events if e["event"] == "left")
+        last = {e["event"]: e["round"] for e in world.events if e["node"] == comeback}
+        gone, back = last["left"], last["join_request"]
+        listeners, adversaries = world.radio_index().neighbors[comeback]
+        # Copies sent from round ``gone`` to ``back - 2`` arrived while it was away.
+        missed = {
+            flood_key(env) for r, env in world.archive
+            if gone <= r <= back - 2 and env.kind in FLOOD_KINDS
+            and (env.transmitter in listeners or env.transmitter in adversaries)
+        }
+        relayed = {flood_key(env) for r, env in world.archive if r >= back and env.transmitter == comeback}
+        assert missed & relayed
+
     @settings(max_examples=6, deadline=None)
     @given(seed=strategies.integers(0, 10**6), behavior=strategies.sampled_from(ADVERSARY_BEHAVIORS))
     def test_random_fields_same_as_fan_out(self, seed, behavior):
@@ -394,6 +507,23 @@ class TestDelivery:
             seed=seed, adversary_count=2, adversary_behavior=behavior,
         )
         twin_runs(lambda: simulate(config)[0])
+
+
+class TestOsRelay:
+    def test_command_for_another_sensor_is_relayed_once(self):
+        # BS - 1 - 2 in a line, their dominator out of range: both orphan and
+        # are promoted. Sensor 1 hears 2's command from the base station and
+        # again from 2, and relays it once.
+        m = provision([2])
+        w = line_world(m, {0: (60.0, 60.0), 1: (10.0, 0.0), 2: (20.0, 0.0)})
+        run(w)
+        assert assemble_outcome(w).orphan_log == ((1, "promoted"), (2, "promoted"))
+        own = m.individual_keys[2].id
+        sent = [
+            env.transmitter for _, env in w.archive
+            if env.kind is MessageKind.PROMOTE_CMD and env.ciphertext.key_id == own
+        ]
+        assert sent == [BS_ID, 1, 2]
 
 
 class TestIdleSkip:
