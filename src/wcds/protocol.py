@@ -40,7 +40,6 @@ from .keys import (
     rekey_group,
 )
 from .wire import (
-    FLOOD_KINDS,
     MessageKind,
     pack_id,
     pack_id_key,
@@ -102,10 +101,9 @@ class NodeState:
     join_round: int | None = None
     post_formation: bool = False
     pending_leave: bool = False
-    #: Floods this node has relayed or originated, by ``flood_key``. A
-    #: dominator writes it in its step, and so does any sensor originating a
-    #: flood; an ordinary sensor's relays are the simulator's, which records
-    #: them in ``World.reached`` instead.
+    #: Never written: the simulator records each flood's reach in
+    #: ``World.reached``. It stays only because the benchmark's tracer
+    #: (``perfbench/tracing.py``) reads it, and goes when that tracer does.
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
     reported_orphans: set[int] = field(default_factory=set)
     seq: int = 0
@@ -123,6 +121,7 @@ class OrphanRecord:
 class BSState:
     id: int = BS_ID
     orphans: dict[int, OrphanRecord] = field(default_factory=dict)
+    #: Unused, as ``NodeState.seen_floods`` is.
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
     seq: int = 0
 
@@ -173,41 +172,24 @@ def _hop1(env: Envelope) -> bool:
 flood_key = attrgetter("sender", "seq", "kind")
 
 
-def _relay(state, env: Envelope, out: list[Envelope]) -> bool:
-    """Handle flood fan-out for a dominator or the base station; False means
-    this copy was already seen."""
-    if env.kind not in FLOOD_KINDS:
-        return True
-    fkey = flood_key(env)
-    if fkey in state.seen_floods:
-        return False
-    state.seen_floods.add(fkey)
-    out.append(Envelope(env.sender, env.kind, env.ciphertext, env.seq, state.id))
-    return True
-
-
 def _send(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
     """A transmission ``state`` originates, under its next sequence number."""
     state.seq += 1
     return Envelope(state.id, kind, ct, state.seq, state.id)
 
 
-def _flood_origin(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
-    env = _send(state, kind, ct)
-    state.seen_floods.add(flood_key(env))
-    return env
-
-
-#: The kinds each rank's step acts on, and so the only kinds the simulator
-#: puts in its inbox. Every sensor relays every flood once: a dominator in its
-#: step, so its inbox takes them all, and an ordinary sensor in the radio
-#: layer, so its inbox takes only the promote commands it may obey. The base
-#: station's step reads floods alone.
-_DOMINATOR_KINDS = FLOOD_KINDS | {MessageKind.JOIN_REQ, MessageKind.LEAVE}
+#: The kinds each step acts on, by the rank of the sensor stepped or
+#: ``BS_ID`` for the base station, and so the only kinds the simulator puts
+#: in its inbox. Relaying floods is not a step's work: the simulator sends
+#: every sensor's relays.
+_DOMINATOR_KINDS = frozenset(
+    {MessageKind.ADOPT_CMD, MessageKind.JOIN_REQ, MessageKind.GD_ERR, MessageKind.LEAVE}
+)
 STEP_KINDS = {
     Rank.OS: frozenset({MessageKind.REKEY, MessageKind.JOIN_APRV, MessageKind.PROMOTE_CMD}),
     Rank.GD: _DOMINATOR_KINDS,
     Rank.GD_OS: _DOMINATOR_KINDS,
+    BS_ID: frozenset({MessageKind.GD_ERR, MessageKind.ORP_ERR}),
 }
 
 
@@ -231,9 +213,7 @@ def os_step(
     round_no: int,
     events: list | None = None,
 ) -> tuple[NodeState, list[Envelope]]:
-    """Advance one ordinary sensor by one round. Its flood relays are not
-    part of the step: the simulator sends them, after any announcement made
-    here and before any orphan error or leave."""
+    """Advance one ordinary sensor by one round."""
     out: list[Envelope] = []
     if state.phase is Phase.LEFT:
         return state, out
@@ -257,7 +237,7 @@ def os_step(
         state.phase = Phase.ORPHAN
         observed = sorted(state.neighbor_dominators)
         ct = encrypt(state.ring.individual, MessageKind.GD_ERR, pack_ids(observed))
-        out.append(_flood_origin(state, MessageKind.GD_ERR, ct))
+        out.append(_send(state, MessageKind.GD_ERR, ct))
         _note(events, round_no, state.id, "orphaned", observed=observed)
 
     if state.pending_leave:
@@ -329,8 +309,6 @@ def gd_step(
     """Advance one dominator (provisioned or promoted) by one round."""
     out: list[Envelope] = []
     for env in sorted(inbox, key=_inbox_key):
-        if not _relay(state, env, out):
-            continue
         if env.kind is MessageKind.JOIN_REQ:
             _gd_join_req(state, env, round_no, material, out, events)
         elif env.kind is MessageKind.GD_ERR:
@@ -387,7 +365,7 @@ def _gd_orphan_heard(state, env, round_no, out, events) -> None:
         return
     state.reported_orphans.add(env.sender)
     ct = encrypt(state.ring.group, MessageKind.ORP_ERR, pack_id(env.sender))
-    out.append(_flood_origin(state, MessageKind.ORP_ERR, ct))
+    out.append(_send(state, MessageKind.ORP_ERR, ct))
     _note(events, round_no, state.id, "orphan_reported", os=env.sender)
 
 
@@ -432,13 +410,11 @@ def bs_step(
 ) -> tuple[BSState, list[Envelope]]:
     """Advance the base station by one round.
 
-    The base station consumes floods without relaying; every flow it takes
-    part in either terminates at it or starts from it.
+    The base station relays nothing; every flow it takes part in either
+    terminates at it or starts from it.
     """
     out: list[Envelope] = []
     for env in sorted(inbox, key=_inbox_key):
-        if not _relay(bs, env, []):  # the relay copy is dropped unsent
-            continue
         if env.kind is MessageKind.GD_ERR:
             _bs_gd_err(bs, env, round_no, material, events)
         elif env.kind is MessageKind.ORP_ERR:
@@ -455,11 +431,11 @@ def bs_step(
             adopter = min(seen_by_orphan) if seen_by_orphan else min(reporters)
             body = pack_id_key(os_id, ikey.id, ikey.bits)
             gkey = material.group_keys[adopter]
-            out.append(_flood_origin(bs, MessageKind.ADOPT_CMD, encrypt(gkey, MessageKind.ADOPT_CMD, body)))
+            out.append(_send(bs, MessageKind.ADOPT_CMD, encrypt(gkey, MessageKind.ADOPT_CMD, body)))
             rec.resolution = ("adopted", adopter)
             _note(events, round_no, bs.id, "adopt_command", orphan=os_id, adopter=adopter)
         else:
-            out.append(_flood_origin(bs, MessageKind.PROMOTE_CMD, encrypt(ikey, MessageKind.PROMOTE_CMD, b"")))
+            out.append(_send(bs, MessageKind.PROMOTE_CMD, encrypt(ikey, MessageKind.PROMOTE_CMD, b"")))
             rec.resolution = ("promoted", None)
             _note(events, round_no, bs.id, "promote_command", orphan=os_id)
     return bs, out

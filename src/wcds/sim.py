@@ -16,15 +16,12 @@ through its sorted inbox would act on, and every other copy is one it would
 drop as a duplicate. Departed sensors get nothing and are not recorded, so a
 sensor that comes back while a flood is passing still gets it.
 
-Dominators relay in their own steps, where relays interleave with their
-replies, so a dominator and the base station (which relays nothing) get the
-winning copy in their inboxes. Ordinary sensors relay in the radio layer:
-their relays go out at their turn in step order, after the step's
-announcement and before its orphan error or leave, in inbox order. Of the
-floods only PROMOTE_CMD, which it may obey, also reaches an ordinary
-sensor's inbox. Other kinds go, in every copy, only to the ranks whose steps
-act on them (``protocol.STEP_KINDS``): REKEY and JOIN_APRV to ordinary
-sensors, JOIN_REQ and LEAVE to dominators, none to the base station.
+Relaying is the radio layer's work, not a step's: each sensor's relays go
+out at its turn in step order, ahead of its own sends, in inbox order. An
+inbox gets only the kinds its radio's step acts on (``protocol.STEP_KINDS``):
+REKEY, JOIN_APRV and PROMOTE_CMD for ordinary sensors, ADOPT_CMD, JOIN_REQ,
+GD_ERR and LEAVE for dominators, GD_ERR and ORP_ERR for the base station. Of
+a flood it gets the winning copy, of any other kind every copy in range.
 Adversaries overhear every copy in transmission order, floods included.
 
 A sensor with an empty inbox that has nothing due (a dominator, or an
@@ -94,15 +91,6 @@ _TRANSMITTER = attrgetter("transmitter")
 _KIND = attrgetter("kind")
 #: Flood keys (sender, seq, kind) in the order of ``protocol._inbox_key``.
 _INBOX_ORDER = itemgetter(2, 0, 1)
-
-#: The ranks whose step reads each kind that is not a flood.
-_READERS = {
-    kind: [rank for rank, kinds in STEP_KINDS.items() if kind in kinds]
-    for kind in MessageKind
-    if kind not in FLOOD_KINDS
-}
-#: The floods an ordinary sensor's step reads, besides relaying them.
-_OS_FLOODS = STEP_KINDS[Rank.OS] & FLOOD_KINDS
 
 #: The nested config objects RunConfig.from_dict accepts, each mapping its
 #: keys to the flat fields they set.
@@ -264,17 +252,23 @@ def _transmit(world: World, out: list[Envelope]) -> None:
 
 def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
     """Empty the air, by the rule in the module docstring, into the inboxes
-    of the radios whose steps read each copy, and the relays that ordinary
-    sensors owe, sorted by relaying sensor and then in inbox order.
-    Departed sensors receive nothing."""
+    of the radios whose steps read each copy, and the relays the sensors
+    owe, sorted by relaying sensor and then in inbox order. Departed sensors
+    receive nothing."""
     neighbors = world.radio_index().neighbors
-    ranks: dict[Rank, set[int]] = {rank: set() for rank in STEP_KINDS}
+    # The radios each ``STEP_KINDS`` entry covers, then the radios that read each kind.
+    members: dict = {reader: set() for reader in STEP_KINDS}
+    members[BS_ID].add(BS_ID)
     left: set[int] = set()
     for v, st in world.states.items():
         if st.phase is Phase.LEFT:
             left.add(v)
         else:
-            ranks[st.rank].add(v)
+            members[st.rank].add(v)
+    reads = {
+        kind: set().union(*(members[r] for r, kinds in STEP_KINDS.items() if kind in kinds))
+        for kind in MessageKind
+    }
     inboxes: dict[int, list[Envelope]] = {}
     floods: dict[tuple, list[Envelope]] = {}
     for env in world.inflight:
@@ -284,17 +278,14 @@ def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
         if env.kind in FLOOD_KINDS:
             floods.setdefault(flood_key(env), []).append(env)
             continue
-        for rank in _READERS[env.kind]:
-            for rcv in listeners & ranks[rank]:
-                inboxes.setdefault(rcv, []).append(env)
-    ordinary = ranks[Rank.OS]
+        for rcv in listeners & reads[env.kind]:
+            inboxes.setdefault(rcv, []).append(env)
     relays: list[Envelope] = []
     for key in sorted(floods, key=_INBOX_ORDER):
         copies = floods[key]
         reached = world.reached.get(key)
         if reached is None:  # the flood's first round in the air: only its origin sent it
             reached = world.reached[key] = {e.sender for e in copies if e.transmitter == e.sender}
-        obeyed = key[2] in _OS_FLOODS
         copies.sort(key=_TRANSMITTER)
         for env in copies:
             fresh = neighbors[env.transmitter][0] - reached
@@ -303,12 +294,10 @@ def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
             if left:
                 fresh -= left
             reached |= fresh
-            relaying = fresh & ordinary
-            # Dominators and the base station read every flood.
-            for rcv in fresh if obeyed else fresh - relaying:
+            for rcv in fresh & reads[env.kind]:
                 inboxes.setdefault(rcv, []).append(env)
             sender, kind, ct, seq, _ = env
-            relays += [Envelope(sender, kind, ct, seq, rcv) for rcv in relaying]
+            relays += [Envelope(sender, kind, ct, seq, rcv) for rcv in fresh if rcv != BS_ID]
     relays.sort(key=_TRANSMITTER)  # stable: each sensor's relays stay in inbox order
     world.inflight = []
     return inboxes, relays
@@ -359,10 +348,9 @@ def step(world: World) -> None:
 
     _transmit(world, bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1])
 
-    # Each sensor's relays go out at its turn in id order, after its
-    # announcement and before its orphan error or leave. Relays of sensors
-    # that send nothing of their own go out together, ahead of the next
-    # sensor that does.
+    # Each sensor's relays go out at its turn in id order, ahead of its own
+    # sends. Relays of sensors that send nothing of their own go out
+    # together, ahead of the next sensor that does.
     done = 0  # relays before this index are on the air
     for node in sorted(world.states):
         st = world.states[node]
@@ -377,10 +365,8 @@ def step(world: World) -> None:
             out = os_step(st, inbox or [], round_no, events)[1]
         if not out:
             continue
-        start = bisect_left(relays, node, done, key=_TRANSMITTER)
-        end = bisect_right(relays, node, start, key=_TRANSMITTER)
-        lead = 1 if out[0].kind is MessageKind.JOIN_REQ else 0
-        _transmit(world, relays[done:start] + out[:lead] + relays[start:end] + out[lead:])
+        end = bisect_right(relays, node, done, key=_TRANSMITTER)
+        _transmit(world, relays[done:end] + out)
         done = end
     _transmit(world, relays[done:])
 

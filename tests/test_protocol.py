@@ -260,12 +260,11 @@ class TestGdOrphanRelay:
         m = provision([1, 1])
         st = gd_state(m, 0)
         st, out1 = gd_step(st, [self.orphan_flood(m, 3)], 2, m)
-        kinds1 = sorted(e.kind.name for e in out1)
-        assert kinds1 == ["GD_ERR", "ORP_ERR"]  # relay plus own report
+        assert [e.kind.name for e in out1] == ["ORP_ERR"]  # the relay is the simulator's
         flood2 = self.orphan_flood(m, 3, (0,))
         st, out2 = gd_step(st, [Envelope(3, flood2.kind, flood2.ciphertext, 2, 3)], 3, m)
-        # a fresh flood from the same orphan is relayed but not re-reported
-        assert sorted(e.kind.name for e in out2) == ["GD_ERR"]
+        # a fresh flood from the same orphan is not re-reported
+        assert out2 == []
 
     def test_report_names_the_orphan_under_group_key(self):
         m = provision([1, 1])
@@ -280,14 +279,14 @@ class TestGdOrphanRelay:
         st = gd_state(m, 0)
         st.subordinates.add(1)
         st, out = gd_step(st, [self.orphan_flood(m, 1)], 2, m)
-        assert [e.kind.name for e in out] == ["GD_ERR"]
+        assert out == []
 
     def test_relayed_flood_not_reported(self):
         m = provision([1, 1])
         st = gd_state(m, 0)
         flood = self.orphan_flood(m, 3)
         st, out = gd_step(st, [Envelope(3, flood.kind, flood.ciphertext, 1, 2)], 2, m)
-        assert [e.kind.name for e in out] == ["GD_ERR"]
+        assert out == []
         assert st.reported_orphans == set()
 
     def test_promoted_head_does_not_report(self):
@@ -295,7 +294,7 @@ class TestGdOrphanRelay:
         st = gd_state(m, 0)
         st.rank = Rank.GD_OS
         st, out = gd_step(st, [self.orphan_flood(m, 3)], 2, m)
-        assert [e.kind.name for e in out] == ["GD_ERR"]
+        assert out == []
 
 
 class TestGdAdopt:
@@ -312,21 +311,21 @@ class TestGdAdopt:
         assert st.subordinates == {3}
         assert st.ring.subordinate_keys[3] == m.individual_keys[3]
         kinds = [e.kind.name for e in out]
-        assert kinds == ["ADOPT_CMD", "REKEY", "REKEY", "JOIN_APRV"]
+        assert kinds == ["REKEY", "REKEY", "JOIN_APRV"]
 
     def test_adopt_for_another_group_ignored(self):
         m = provision([1, 1])
         st = gd_state(m, 2)
         st, out = gd_step(st, [self.adopt_env(m, 0, 3)], 5, m)
         assert st.subordinates == set()
-        assert [e.kind.name for e in out] == ["ADOPT_CMD"]  # relay only
+        assert out == []
 
     def test_adopt_is_idempotent(self):
         m = provision([1, 1])
         st = gd_state(m, 0)
         st, out1 = gd_step(st, [self.adopt_env(m, 0, 3)], 5, m)
         st, out2 = gd_step(st, [self.adopt_env(m, 0, 3, seq=2)], 6, m)
-        assert [e.kind.name for e in out2] == ["ADOPT_CMD"]
+        assert out2 == []
 
     def test_adopt_under_superseded_key_still_lands(self):
         # the command can race a rotation that happened after it was sealed

@@ -1,5 +1,4 @@
 import math
-from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -8,22 +7,14 @@ import wcds.sim as sim_module
 from conftest import make_world
 from test_golden import SIM_CASES as GOLDEN_CASES
 from wcds.graph import radius_for_expected_degree
-from wcds.keys import Rank, encrypt, provision
+from wcds.keys import Rank, provision
 from wcds.protocol import (
     APPROVAL_TIMEOUT,
     BS_ID,
     STEP_KINDS,
     Envelope,
-    NodeState,
     Phase,
-    _flood_origin,
     _inbox_key,
-    _note,
-    _os_approval,
-    _os_promote,
-    _os_rekey,
-    _relay,
-    _send,
     flood_key,
 )
 from wcds.sim import (
@@ -41,7 +32,7 @@ from wcds.sim import (
     step,
     verify_outcome,
 )
-from wcds.wire import FLOOD_KINDS, MessageKind, pack_ids
+from wcds.wire import FLOOD_KINDS, MessageKind
 
 
 def line_world(material, spots, radius=12.0):
@@ -313,52 +304,33 @@ def fan_out_deliver(world):
     return inboxes, []
 
 
-def relaying_os_step(
-    state: NodeState,
-    inbox: Iterable[Envelope],
-    round_no: int,
-    events: list | None = None,
-) -> tuple[NodeState, list[Envelope]]:
-    """Reference ordinary-sensor step: ``os_step`` as it was when each sensor
-    relayed floods in its own step, deduplicating by ``seen_floods``."""
-    out: list[Envelope] = []
-    if state.phase is Phase.LEFT:
-        return state, out
+def _relay(state, env: Envelope, out: list[Envelope]) -> bool:
+    """Relay a flood's first copy as the sender did when each sensor relayed
+    in its own step; False means this copy was already seen."""
+    if env.kind not in FLOOD_KINDS:
+        return True
+    fkey = flood_key(env)
+    if fkey in state.seen_floods:
+        return False
+    state.seen_floods.add(fkey)
+    out.append(env._replace(transmitter=state.id))
+    return True
 
-    if state.join_round is None:
-        ct = encrypt(state.ring.individual, MessageKind.JOIN_REQ, b"")
-        out.append(_send(state, MessageKind.JOIN_REQ, ct))
-        state.join_round = round_no
-        state.phase = Phase.AWAITING
-        _note(events, round_no, state.id, "join_request")
 
-    for env in sorted(inbox, key=_inbox_key):
-        if not _relay(state, env, out):
-            continue
-        if env.kind is MessageKind.REKEY:
-            _os_rekey(state, env, round_no, events)
-        elif env.kind is MessageKind.JOIN_APRV:
-            _os_approval(state, env, round_no, events)
-        elif env.kind is MessageKind.PROMOTE_CMD:
-            _os_promote(state, env, round_no, events)
-        # Other kinds are relayed (when floods) or ignored by ordinary sensors.
+def relaying(step_fn, sends_relays=True):
+    """Reference step: ``step_fn`` as it ran when each sensor relayed floods
+    in its own step. The step sees each flood's first copy only, by
+    ``seen_floods``; its relays go out ahead of its own sends (the base
+    station's are dropped), and the floods it originates count as seen."""
 
-    if state.phase is Phase.AWAITING and round_no >= state.join_round + APPROVAL_TIMEOUT:
-        state.phase = Phase.ORPHAN
-        observed = sorted(state.neighbor_dominators)
-        ct = encrypt(state.ring.individual, MessageKind.GD_ERR, pack_ids(observed))
-        out.append(_flood_origin(state, MessageKind.GD_ERR, ct))
-        _note(events, round_no, state.id, "orphaned", observed=observed)
+    def stepped(state, inbox, *args):
+        relays: list[Envelope] = []
+        first = [env for env in sorted(inbox, key=_inbox_key) if _relay(state, env, relays)]
+        state, out = step_fn(state, first, *args)
+        state.seen_floods.update(flood_key(env) for env in out if env.kind in FLOOD_KINDS)
+        return state, (relays if sends_relays else []) + out
 
-    if state.pending_leave:
-        if state.phase is Phase.JOINED:
-            ct = encrypt(state.ring.individual, MessageKind.LEAVE, b"")
-            out.append(_send(state, MessageKind.LEAVE, ct))
-        state.pending_leave = False
-        state.phase = Phase.LEFT
-        _note(events, round_no, state.id, "left")
-
-    return state, out
+    return stepped
 
 
 def payload(env):
@@ -370,8 +342,8 @@ class DeliveryCheck:
     """Stands in for sim._deliver: delivers for real, and asserts each round
     that adversaries overhear exactly the reference fan-out's copies, that
     every protocol radio's inbox holds only copies the fan-out gave it and of
-    kinds its step reads, and that only ordinary sensors relay, each a flood
-    the fan-out gave it, in id and then inbox order."""
+    kinds its step reads, and that only sensors on the field relay, each a
+    flood the fan-out gave it, in id and then inbox order."""
 
     deliver = staticmethod(sim_module._deliver)
 
@@ -389,13 +361,12 @@ class DeliveryCheck:
             if rcv < BS_ID:
                 assert have == want, (world.round, rcv)
                 continue
-            reads = FLOOD_KINDS if rcv == BS_ID else STEP_KINDS[world.states[rcv].rank]
+            reads = STEP_KINDS[BS_ID if rcv == BS_ID else world.states[rcv].rank]
             assert all(env in want and env.kind in reads for env in have), (world.round, rcv)
             self.skipped_copies += len(want) - len(have)
         assert relays == sorted(relays, key=lambda env: (env.transmitter, *_inbox_key(env)))
         for env in relays:
-            st = world.states[env.transmitter]
-            assert st.rank is Rank.OS and st.phase is not Phase.LEFT
+            assert world.states[env.transmitter].phase is not Phase.LEFT
             assert env.kind in FLOOD_KINDS
             assert payload(env) in map(payload, expected[env.transmitter]), (world.round, env)
         # A replayed copy sorts ahead of every legitimate one, so a radio in
@@ -410,7 +381,7 @@ class DeliveryCheck:
 
 def twin_runs(drive):
     """Run ``drive`` with the real delivery under DeliveryCheck, then again with
-    the reference fan-out, the reference step that relays for itself, and
+    the reference fan-out, the reference steps that relay for themselves, and
     every ordinary sensor stepped every round; both runs must leave the same
     archive, events and outcome."""
     check = DeliveryCheck()
@@ -419,7 +390,9 @@ def twin_runs(drive):
         fast = drive()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim_module, "_deliver", fan_out_deliver)
-        m.setattr(sim_module, "os_step", relaying_os_step)
+        m.setattr(sim_module, "os_step", relaying(sim_module.os_step))
+        m.setattr(sim_module, "gd_step", relaying(sim_module.gd_step))
+        m.setattr(sim_module, "bs_step", relaying(sim_module.bs_step, sends_relays=False))
         m.setattr(sim_module, "os_idle", lambda state, round_no: False)
         slow = drive()
     assert fast.archive == slow.archive
@@ -524,6 +497,21 @@ class TestOsRelay:
             if env.kind is MessageKind.PROMOTE_CMD and env.ciphertext.key_id == own
         ]
         assert sent == [BS_ID, 1, 2]
+
+
+class TestGdRelay:
+    def test_dominator_relays_a_passing_orphan_error_once_ahead_of_its_report(self):
+        # BS - 2 - 1 in a line, sensor 1's own dominator 0 out of range.
+        # Dominator 2 hears 1's orphan error at one hop and, in the same turn,
+        # relays it once and then reports it.
+        m = provision([1, 1])
+        w = line_world(m, {0: (60.0, 60.0), 1: (20.0, 0.0), 2: (10.0, 0.0), 3: (10.0, 8.0)})
+        run(w)
+        assert assemble_outcome(w).orphan_log == ((1, "adopted"),)
+        errors = (MessageKind.GD_ERR, MessageKind.ORP_ERR)
+        sent = [(r, env.kind, env.sender) for r, env in w.archive if env.transmitter == 2 and env.kind in errors]
+        r = sent[0][0]
+        assert sent == [(r, MessageKind.GD_ERR, 1), (r, MessageKind.ORP_ERR, 2)]
 
 
 class TestIdleSkip:
