@@ -271,8 +271,9 @@ def _os_approval(state: NodeState, env: Envelope, round_no: int, events) -> None
     body = open_as(state.ring.group, env.ciphertext, MessageKind.JOIN_APRV)
     if body is None:
         # A dominator is talking to some group of ours in range, just not to us.
-        state.neighbor_dominators.add(env.sender)
-        _note(events, round_no, state.id, "neighbor_dominator", gd=env.sender)
+        if env.sender not in state.neighbor_dominators:
+            state.neighbor_dominators.add(env.sender)
+            _note(events, round_no, state.id, "neighbor_dominator", gd=env.sender)
         return
     try:
         approver, _member = unpack_ids(body)
@@ -306,7 +307,13 @@ def gd_step(
     material: KeyMaterial,
     events: list | None = None,
 ) -> tuple[NodeState, list[Envelope]]:
-    """Advance one dominator (provisioned or promoted) by one round."""
+    """Advance one dominator (provisioned or promoted) by one round.
+
+    Approvals are sealed when the step ends, under the group key the
+    dominator holds then, so a rekey later in the step (a leave, another
+    admission) cannot leave an approval under a key its member has already
+    replaced. Each keeps its place and sequence number.
+    """
     out: list[Envelope] = []
     for env in sorted(inbox, key=_inbox_key):
         if env.kind is MessageKind.JOIN_REQ:
@@ -317,13 +324,18 @@ def gd_step(
             _gd_adopt(state, env, round_no, material, out, events)
         elif env.kind is MessageKind.LEAVE:
             _gd_leave(state, env, round_no, material, out, events)
-    return state, out
+    key = state.ring.group
+    return state, [
+        env._replace(ciphertext=encrypt(key, env.kind, env.ciphertext))
+        if env.kind is MessageKind.JOIN_APRV else env
+        for env in out
+    ]
 
 
 def _approve_envelope(state: NodeState, member: int) -> Envelope:
-    body = pack_ids([state.id, member])
-    ct = encrypt(state.ring.group, MessageKind.JOIN_APRV, body)
-    return _send(state, MessageKind.JOIN_APRV, ct)
+    """An approval of ``member`` carrying its unsealed body, which
+    ``gd_step`` seals when the step ends."""
+    return _send(state, MessageKind.JOIN_APRV, pack_ids([state.id, member]))
 
 
 def _admit_with_rekey(state, material, member, out, round_no, events) -> None:

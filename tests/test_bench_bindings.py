@@ -1,11 +1,13 @@
-"""Every function the benchmark instruments is still reachable by its name.
+"""Every function the benchmark instruments is still reachable by its name,
+and its tracer still runs.
 
 ``perfbench/tracing.py`` wraps each ``<module>.<function>`` in
 ``TRACED_NAMES``, and the sweep workload also captures
 ``sim.form_deployment``; a name that no longer resolves stops the benchmark
 with "no binding of ... to instrument". This catches it in the test suite.
 The workloads in ``perfbench/workloads.py`` call further names of the
-package, which are checked the same way.
+package, which are checked the same way. The tracer's counter hooks also read
+state the steps are handed, so one small simulation runs under it.
 """
 
 import ast
@@ -20,17 +22,32 @@ TRACING = os.path.join(PERFBENCH, "tracing.py")
 WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 
 
-def traced_names() -> tuple[str, ...]:
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TRACED_NAMES
+    return tracing
 
 
-@pytest.mark.parametrize("name", [*traced_names(), "sim.form_deployment"])
+@pytest.mark.parametrize("name", [*load_tracing().TRACED_NAMES, "sim.form_deployment"])
 def test_instrumented_name_resolves(name):
     module, function = name.split(".")
     assert callable(getattr(importlib.import_module(f"wcds.{module}"), function))
+
+
+def test_traced_simulation_runs():
+    tracing = load_tracing()
+    for module in {name.split(".")[0] for name in tracing.TRACED_NAMES}:
+        importlib.import_module(f"wcds.{module}")
+    import wcds.sim
+
+    instrument = tracing.Instrument(tracing=True)
+    config = wcds.sim.RunConfig(groups=3, eta=5, radius=30.0, mode="group_clustered", seed=1)
+    with instrument.active():
+        wcds.sim.simulate(config)
+    counters = instrument.counter_values()
+    assert counters["protocol.node_steps"] > 0 and counters["protocol.flood_receptions"] > 0
+    assert instrument.aggregate()["sim.step"][0] == counters["sim.rounds"]
 
 
 def workload_names() -> list[str]:

@@ -2,8 +2,8 @@
 
 Every case runs in process and hashes the bytes a user gets: the ``wcds sim``
 outcome document and event trace, a ``wcds compare`` CSV, the ``wcds curves``
-CSVs, the ``wcds storage`` printout, a ``wcds gen`` graph file, and a
-library-level churn run. A change that alters any of them on purpose re-pins
+CSVs, the ``wcds storage`` printout, a ``wcds gen`` graph file, and two
+library-level churn runs. A change that alters any of them on purpose re-pins
 the digest here and says why in CHANGES.md. The attack cases also carry the
 facts their bytes stand for: each forms the clean structure and admits no
 foreign radio.
@@ -60,34 +60,36 @@ SIM_CASES = {
 SIM_DIGESTS = {
     "clean": (
         "1612890a36d1f1abad3c70cc4ca03b9820e05ecf2b3b98f50d6c3b74f1fb0631",
-        "908ec34c47268fdc472644c19b317a7312b58f02d181c6f9cb6d510d1bf508d7",
+        "18256175299564feedb101ad200b864f6f2bd4a9a2b4f3fe51cafdf291c6340b",
     ),
     "forge_join": (
         "7a1c97884ad42e4b6f35bc505cbb103fa62f85d11ef8ad3d725995f78ab51848",
-        "4472b7a1c2324c24a86504ec4444e624c419b8a02ac1daae93a4c099041c843c",
+        "7c29b7336ef310d398db1d7b80e6f55aae5a1fd0ec9f244b0360464ca509ce63",
     ),
     "forge_approve": (
         "d783fcf4faea4000625d4016c862aca43106c67018ec0aa08d664e1ed42f4b6b",
-        "158aaa26314c45fdfd2e69314f46f2671b9ea25cafcc0d6f3a9940067f24ac90",
+        "85455f387014f309462b6e1592e0029dbadf30b100776411d8fcfc9396583161",
     ),
     "replay": (
         "12621f0fa6ba9f926da0fdc020b4d44b84be2481800ed62ecc9560b6785f0a64",
-        "908ec34c47268fdc472644c19b317a7312b58f02d181c6f9cb6d510d1bf508d7",
+        "18256175299564feedb101ad200b864f6f2bd4a9a2b4f3fe51cafdf291c6340b",
     ),
     "nested_placement": (
         "e0edeac4278a3feb79b8985dd366fde08005f4093cdc96d706edb1fba8a10472",
-        "ec917ceb50e10d2a7d1a074303c7f9ff926776902e2de34b000ccb69326de623",
+        "6e4634a0509ed9010ea4516d8a9a935c1cb551e522c0a8031333136da4dd1b4f",
     ),
     "flood_replay": (
         "0bb8c20178167b9095e131f8f7f5d48678831cd8abad1124b91bff2eb2ff3132",
-        "cced9193b9cb7fd38fedb8b2dcfa547f49ea78910e839768f1ecde3d81ef8d1c",
+        "263d97a2d84f0ff576fec063f31e766e1ef6f70ad15ce9c9a7695ef5e1173f0f",
     ),
 }
 
 COMPARE_ARGS = ["--nmin", "20", "--nmax", "40", "--step", "20", "--degree", "6", "--seeds", "2"]
 COMPARE_DIGEST = "4b786a92dfa22455a50d8de4021da4c187e5ae74ac87e5915c39da623b00720d"
 
-CHURN_DIGEST = "391713cb02b77b52608f297bf3d2d4e32df336d4d2c37814e703db4615d08fc2"
+CHURN_DIGEST = "d6fd0a301b90af760f21f3d5e015f22ca048d0f929882f4d0ae3ea2274dc9f5d"
+
+RACE_DIGEST = "9d5665697a1f946728d86fb1b15c26d2279208223ee8aeb7473021bfc854b345"
 
 # sha256 of each file ``wcds curves`` writes with its default arguments.
 CURVES_DIGESTS = {
@@ -127,8 +129,7 @@ def run_compare(tmp_path) -> bytes:
 
 
 def run_churn() -> bytes:
-    """Form a field with reserves held back, then two leaves and three late joins;
-    the outcome, its verification against the radio graph, and every event."""
+    """Form a field with reserves held back, then two leaves and three late joins."""
     material = provision([9] * 4, reserve_fraction=0.2, seed=5)
     world = deploy(material, PlacementModel("group_clustered", 70.0, 70.0, 25.0), seed=6)
     run(world)
@@ -140,6 +141,31 @@ def run_churn() -> bytes:
     for v in sorted(material.reserve)[:3]:
         late_join(world, v)
     run(world)
+    return churn_bytes(world)
+
+
+def race_run(seed: int):
+    """On a formed 4 x 6 field with reserves, a joined member leaves and a
+    reserve of the same group late-joins in the same round; run to
+    quiescence. Returns the world and the joiner."""
+    config = RunConfig(
+        groups=4, eta=6, radius=45.0, mode="group_clustered", reserve_fraction=0.3, seed=seed
+    )
+    world = simulate(config)[0]
+    material, states = world.material, world.states
+    for gd, members in material.groups:
+        spare = [v for v in members if v in material.reserve]
+        home = [v for v in members if v in states and states[v].dominator == gd]
+        if spare and home:
+            break
+    leave(world, home[0])
+    late_join(world, spare[0])
+    run(world)
+    return world, spare[0]
+
+
+def churn_bytes(world) -> bytes:
+    """The outcome, its verification against the radio graph, and every event."""
     outcome = assemble_outcome(world)
     doc = json.dumps(outcome.to_dict(), sort_keys=True) + "\n"
     doc += json.dumps(dataclasses.asdict(verify_outcome(world, outcome)), sort_keys=True) + "\n"
@@ -195,3 +221,10 @@ def test_gen_digest(tmp_path):
 
 def test_churn_digest():
     assert sha256(run_churn()) == CHURN_DIGEST
+
+
+def test_race_digest():
+    world, joiner = race_run(0)
+    mine = {e["event"] for e in world.events if e["node"] == joiner}
+    assert "joined" in mine and "orphaned" not in mine
+    assert sha256(churn_bytes(world)) == RACE_DIGEST

@@ -359,6 +359,21 @@ class TestGdLeave:
         assert not can_decrypt(old_ring_key, later)
         assert not can_decrypt(m.individual_keys[1], later)
 
+    def test_join_and_leave_in_one_step_approve_under_the_final_key(self):
+        m = provision([3])
+        st = gd_state(m, 0)
+        st.post_formation = True
+        st.subordinates.update({1, 2})
+        join = env(3, MessageKind.JOIN_REQ, encrypt(m.individual_keys[3], MessageKind.JOIN_REQ, b""))
+        st, out = gd_step(st, [join, self.leave_env(m, 1)], 8, m)
+        assert [e.kind.name for e in out] == ["REKEY", "REKEY", "JOIN_APRV", "REKEY", "REKEY"]
+        assert [e.seq for e in out] == [1, 2, 3, 4, 5]
+        # the approval rides under the key the leave rotated to, which the
+        # joiner receives as a survivor
+        approval = out[2].ciphertext
+        assert approval.key_id == m.group_keys[0].id
+        assert unpack_ids(decrypt(m.group_keys[0], approval)[1]) == (0, 3)
+
     def test_leave_from_stranger_ignored(self):
         m = provision([2, 1])
         st = gd_state(m, 0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies
 
 import wcds.sim as sim_module
 from conftest import make_world
-from test_golden import SIM_CASES as GOLDEN_CASES
+from test_golden import SIM_CASES as GOLDEN_CASES, race_run
 from wcds.graph import radius_for_expected_degree
 from wcds.keys import Rank, provision
 from wcds.protocol import (
@@ -733,6 +733,15 @@ class TestChurn:
         run(w)
         assert w.states[1].phase is Phase.JOINED
         assert w.states[0].subordinates == {1, 2}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_join_and_leave_in_one_group_in_one_round(self, seed):
+        # The dominator approves the joiner, then rekeys for the leave in the
+        # same step: the approval must open under the key the joiner ends with.
+        world, joiner = race_run(seed)
+        st = world.states[joiner]
+        assert st.phase is Phase.JOINED and st.rank is Rank.OS
+        assert not any(e["node"] == joiner and e["event"] == "orphaned" for e in world.events)
 
     def test_leave_guards(self):
         m = provision([2])
