@@ -103,7 +103,7 @@ class NodeState:
     pending_leave: bool = False
     #: Never written: the simulator records each flood's reach in
     #: ``World.reached``. It stays only because the benchmark's tracer
-    #: (``perfbench/tracing.py``) reads it, and goes when that tracer does.
+    #: (``perfbench/tracing.py``) reads it; it goes when the tracer stops.
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
     reported_orphans: set[int] = field(default_factory=set)
     seq: int = 0
@@ -121,7 +121,8 @@ class OrphanRecord:
 class BSState:
     id: int = BS_ID
     orphans: dict[int, OrphanRecord] = field(default_factory=dict)
-    #: Unused, as ``NodeState.seen_floods`` is.
+    #: Never written; kept for the benchmark's tracer, like
+    #: ``NodeState.seen_floods``.
     seen_floods: set[tuple[int, int, int]] = field(default_factory=set)
     seq: int = 0
 

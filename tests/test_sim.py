@@ -304,30 +304,26 @@ def fan_out_deliver(world):
     return inboxes, []
 
 
-def _relay(state, env: Envelope, out: list[Envelope]) -> bool:
-    """Relay a flood's first copy as the sender did when each sensor relayed
-    in its own step; False means this copy was already seen."""
-    if env.kind not in FLOOD_KINDS:
-        return True
-    fkey = flood_key(env)
-    if fkey in state.seen_floods:
-        return False
-    state.seen_floods.add(fkey)
-    out.append(env._replace(transmitter=state.id))
-    return True
-
-
-def relaying(step_fn, sends_relays=True):
+def relaying(step_fn, seen, sends_relays=True):
     """Reference step: ``step_fn`` as it ran when each sensor relayed floods
-    in its own step. The step sees each flood's first copy only, by
-    ``seen_floods``; its relays go out ahead of its own sends (the base
-    station's are dropped), and the floods it originates count as seen."""
+    in its own step. ``seen`` maps each node to the keys of the floods it has
+    relayed or originated, whichever step it ran. The step sees only the
+    first copy of each flood not seen, its relays go out ahead of its own
+    sends (the base station's are dropped), and the floods it originates
+    count as seen."""
 
     def stepped(state, inbox, *args):
-        relays: list[Envelope] = []
-        first = [env for env in sorted(inbox, key=_inbox_key) if _relay(state, env, relays)]
+        mine = seen.setdefault(state.id, set())
+        first, relays = [], []
+        for env in sorted(inbox, key=_inbox_key):
+            if env.kind in FLOOD_KINDS:
+                if flood_key(env) in mine:
+                    continue
+                mine.add(flood_key(env))
+                relays.append(env._replace(transmitter=state.id))
+            first.append(env)
         state, out = step_fn(state, first, *args)
-        state.seen_floods.update(flood_key(env) for env in out if env.kind in FLOOD_KINDS)
+        mine.update(flood_key(env) for env in out if env.kind in FLOOD_KINDS)
         return state, (relays if sends_relays else []) + out
 
     return stepped
@@ -390,9 +386,10 @@ def twin_runs(drive):
         fast = drive()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim_module, "_deliver", fan_out_deliver)
-        m.setattr(sim_module, "os_step", relaying(sim_module.os_step))
-        m.setattr(sim_module, "gd_step", relaying(sim_module.gd_step))
-        m.setattr(sim_module, "bs_step", relaying(sim_module.bs_step, sends_relays=False))
+        seen = {}  # shared: a promoted sensor moves from os_step to gd_step
+        m.setattr(sim_module, "os_step", relaying(sim_module.os_step, seen))
+        m.setattr(sim_module, "gd_step", relaying(sim_module.gd_step, seen))
+        m.setattr(sim_module, "bs_step", relaying(sim_module.bs_step, seen, sends_relays=False))
         m.setattr(sim_module, "os_idle", lambda state, round_no: False)
         slow = drive()
     assert fast.archive == slow.archive
