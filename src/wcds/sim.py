@@ -4,7 +4,8 @@ The world owns all state. Each round it delivers the transmissions of the
 previous round to the entities within radio range of their transmitters,
 steps the base station, the sensors and the adversaries in a fixed order,
 and collects their outboxes for the next round. With the same provisioning
-and seed, runs are byte-for-byte reproducible.
+and seed, runs are byte-for-byte reproducible. Past transmissions are not
+kept, only counted by kind in ``World.counters``.
 
 Every sensor relays each flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD)
 once. The world keeps one record per flood, ``World.reached``: the protocol
@@ -48,7 +49,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -159,10 +159,10 @@ class World:
     rng: random.Random
     adversaries: list[Adversary] = field(default_factory=list)
     round: int = 0
+    #: The last round's transmissions in the order sent, until delivered.
     inflight: list[Envelope] = field(default_factory=list)
     counters: Counter[str] = field(default_factory=Counter)
     events: list[dict] = field(default_factory=list)
-    archive: list[tuple[int, Envelope]] = field(default_factory=list)
     #: Per flood key, the protocol radios the flood has reached: its origin
     #: and every radio delivered a copy. Departed sensors are never added.
     reached: dict[tuple, set[int]] = field(default_factory=dict)
@@ -241,13 +241,6 @@ def deploy(
         bs=BSState(),
         rng=rng,
     )
-
-
-def _transmit(world: World, out: list[Envelope]) -> None:
-    """Put an outbox on the air and in the archive; ``step`` counts each
-    round's transmissions at its end."""
-    world.inflight += out
-    world.archive += zip(repeat(world.round), out)
 
 
 def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
@@ -346,7 +339,7 @@ def step(world: World) -> None:
     events = world.events
     round_no = world.round
 
-    _transmit(world, bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1])
+    world.inflight += bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1]
 
     # Each sensor's relays go out at its turn in id order, ahead of its own
     # sends. Relays of sensors that send nothing of their own go out
@@ -366,15 +359,15 @@ def step(world: World) -> None:
         if not out:
             continue
         end = bisect_right(relays, node, done, key=_TRANSMITTER)
-        _transmit(world, relays[done:end] + out)
+        world.inflight += relays[done:end] + out
         done = end
-    _transmit(world, relays[done:])
+    world.inflight += relays[done:]
 
     victims = []
     if round_no % 2 and any(adv.behavior == "forge_join" for adv in world.adversaries):
         victims = sorted(n for n, st in world.states.items() if st.rank is Rank.OS)
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
-        _transmit(world, _adversary_step(world, adv, inboxes.get(adv.id, []), victims))
+        world.inflight += _adversary_step(world, adv, inboxes.get(adv.id, []), victims)
 
     # Everything in the air went up this round. Adversary ids are below the
     # base station's.
@@ -476,6 +469,7 @@ def late_join(world: World, node: int, position: tuple[float, float] | None = No
         st.phase = Phase.IDLE
         st.dominator = None
         st.join_round = None
+        st.neighbor_dominators.clear()  # what it heard before it left
         if position is not None:
             world._place(node, position)
         return

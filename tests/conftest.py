@@ -1,11 +1,12 @@
 """Shared test helpers: the environment for tests that start `python -m wcds`
-as a child process, a world built from explicit positions, and a yes/no
-form of decryption."""
+as a child process, a world built from explicit positions, a recorder of
+every transmission, and a yes/no form of decryption."""
 
 import os
 import random
 
 import wcds
+import wcds.sim
 from wcds.keys import AuthenticationFailure, MalformedCiphertext, decrypt
 from wcds.protocol import BS_ID, BSState, NodeState
 from wcds.sim import World
@@ -49,6 +50,23 @@ def make_world(material, positions, radius, seed=0):
         bs=BSState(),
         rng=random.Random(seed),
     )
+
+
+def record_transmissions(monkeypatch):
+    """Record every transmission of each ``wcds.sim.step`` call, as ``run``
+    makes them, into the returned list as ``(round, envelope)`` in the order
+    sent. ``step`` empties the air before anyone sends, so after a call the
+    air holds exactly that round's transmissions. A test that steps by hand
+    calls ``wcds.sim.step`` to be recorded."""
+    sent = []
+    real = wcds.sim.step
+
+    def recorded(world):
+        real(world)
+        sent.extend((world.round - 1, env) for env in world.inflight)
+
+    monkeypatch.setattr(wcds.sim, "step", recorded)
+    return sent
 
 
 def can_decrypt(key, ct):

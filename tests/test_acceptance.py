@@ -13,8 +13,9 @@ import sys
 import time
 
 import mpmath
+import pytest
 
-from conftest import can_decrypt, child_env
+from conftest import can_decrypt, child_env, record_transmissions
 from wcds.analysis import compare_ds_sizes, expected_gd_degree, ideal_ds_size
 from wcds.baselines import cds_alg1, cds_alg2
 from wcds.graph import (
@@ -205,15 +206,17 @@ def test_criterion_7_security_suite():
             )
 
     # stealing one ordinary ring must expose only that ring's traffic
-    world, _, _ = simulate(
-        RunConfig(groups=3, eta=4, radius=40.0, mode="group_clustered", seed=2)
-    )
+    with pytest.MonkeyPatch.context() as m:
+        sent = record_transmissions(m)
+        world, _, _ = simulate(
+            RunConfig(groups=3, eta=4, radius=40.0, mode="group_clustered", seed=2)
+        )
     material = world.material
     victim, own_gd = 1, 0
     ring = material.rings[victim]
     own_ids = {ring.individual.id} | _group_key_ids(material, own_gd)
     opened = closed = 0
-    for _, env in world.archive:
+    for _, env in sent:
         if any(can_decrypt(k, env.ciphertext) for k in ring.keys()):
             assert env.ciphertext.key_id in own_ids, (
                 f"criterion 7: stolen ring opened foreign key {env.ciphertext.key_id}"
@@ -221,26 +224,28 @@ def test_criterion_7_security_suite():
             opened += 1
         else:
             closed += 1
-    assert opened > 0 and closed > 0, "criterion 7: audit saw a one-sided archive"
+    assert opened > 0 and closed > 0, "criterion 7: audit saw one-sided traffic"
 
     # after a leave, the departed ring opens nothing that follows
-    world, out, _ = simulate(
-        RunConfig(
-            groups=2, eta=4, radius=40.0, mode="group_clustered",
-            reserve_fraction=0.25, seed=3,
+    with pytest.MonkeyPatch.context() as m:
+        sent = record_transmissions(m)
+        world, out, _ = simulate(
+            RunConfig(
+                groups=2, eta=4, radius=40.0, mode="group_clustered",
+                reserve_fraction=0.25, seed=3,
+            )
         )
-    )
-    material = world.material
-    reserves = sorted(set(material.all_nodes()) - set(world.states))
-    departed, gd = out.membership[0]
-    stolen = material.rings[departed]
-    leave(world, departed)
-    run(world)
-    leave_round = world.round
-    joiner = next(r for r in reserves if material.ranks[r] is Rank.OS)
-    late_join(world, joiner)
-    run(world)
-    post = [env for rnd, env in world.archive if rnd >= leave_round]
+        material = world.material
+        reserves = sorted(set(material.all_nodes()) - set(world.states))
+        departed, gd = out.membership[0]
+        stolen = material.rings[departed]
+        leave(world, departed)
+        run(world)
+        leave_round = world.round
+        joiner = next(r for r in reserves if material.ranks[r] is Rank.OS)
+        late_join(world, joiner)
+        run(world)
+    post = [env for rnd, env in sent if rnd >= leave_round]
     group_sealed = sum(
         1 for env in post if env.ciphertext.key_id in _group_key_ids(material, gd)
     )

@@ -71,6 +71,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
+    def test_negative_retry_budget_is_two(self, tmp_path):
+        proc = run_cli(
+            "compare", "--nmin", "20", "--nmax", "20", "--seeds", "1",
+            "--retry-budget", "-1", "--out", "c.csv", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "--retry-budget" in proc.stderr
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestGen:
     def test_writes_readable_graph(self, tmp_path):

@@ -128,7 +128,7 @@ def run_compare(tmp_path) -> bytes:
     return out.read_bytes()
 
 
-def run_churn() -> bytes:
+def churn_world():
     """Form a field with reserves held back, then two leaves and three late joins."""
     material = provision([9] * 4, reserve_fraction=0.2, seed=5)
     world = deploy(material, PlacementModel("group_clustered", 70.0, 70.0, 25.0), seed=6)
@@ -141,7 +141,7 @@ def run_churn() -> bytes:
     for v in sorted(material.reserve)[:3]:
         late_join(world, v)
     run(world)
-    return churn_bytes(world)
+    return world
 
 
 def race_run(seed: int):
@@ -220,7 +220,7 @@ def test_gen_digest(tmp_path):
 
 
 def test_churn_digest():
-    assert sha256(run_churn()) == CHURN_DIGEST
+    assert sha256(churn_bytes(churn_world())) == CHURN_DIGEST
 
 
 def test_race_digest():

@@ -1,14 +1,21 @@
-"""Every public name in the package has a caller outside the tests.
+"""Every public name in the package has a caller outside the tests, and
+every field of the simulator's state is read outside the tests.
 
 A top-level name in ``src/wcds/*.py`` that does not start with an underscore
 must be referred to, as a whole word, somewhere other than its own
 definition: in ``src/``, ``perfbench/`` or ``README.md``. A name only tests
-use belongs in the tests.
+use belongs in the tests. Likewise a state field that only tests read is
+state kept for the tests alone, and belongs in the tests.
 """
 
 import ast
+import dataclasses
 import os
 import re
+
+from wcds.keys import KeyMaterial, KeyRing
+from wcds.protocol import BSState, NodeState, OrphanRecord
+from wcds.sim import Adversary, World
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "wcds")
@@ -69,3 +76,29 @@ def unreferenced():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(unreferenced()) == sorted(ALLOWED)
+
+
+def attributes_read():
+    """Every attribute name loaded (not stored) in ``src/`` or ``perfbench/``."""
+    names = set()
+    for top in (PACKAGE, os.path.join(ROOT, "perfbench")):
+        for dirpath, _, files in os.walk(top):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    tree = ast.parse(read(os.path.join(dirpath, f)))
+                    names.update(
+                        node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    )
+    return names
+
+
+def test_every_state_field_is_read_outside_the_tests():
+    read_names = attributes_read()
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (World, NodeState, BSState, OrphanRecord, Adversary, KeyRing, KeyMaterial)
+        for f in dataclasses.fields(cls)
+        if f.name not in read_names
+    ]
+    assert unread == []

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies
 
 import wcds.sim as sim_module
-from conftest import make_world
-from test_golden import SIM_CASES as GOLDEN_CASES, race_run
+from conftest import make_world, record_transmissions
+from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
 from wcds.graph import radius_for_expected_degree
 from wcds.keys import Rank, provision
 from wcds.protocol import (
@@ -378,13 +379,15 @@ class DeliveryCheck:
 def twin_runs(drive):
     """Run ``drive`` with the real delivery under DeliveryCheck, then again with
     the reference fan-out, the reference steps that relay for themselves, and
-    every ordinary sensor stepped every round; both runs must leave the same
-    archive, events and outcome."""
+    every ordinary sensor stepped every round; both runs must make the same
+    transmissions and leave the same events and outcome."""
     check = DeliveryCheck()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim_module, "_deliver", check)
+        fast_sent = record_transmissions(m)
         fast = drive()
     with pytest.MonkeyPatch.context() as m:
+        slow_sent = record_transmissions(m)
         m.setattr(sim_module, "_deliver", fan_out_deliver)
         seen = {}  # shared: a promoted sensor moves from os_step to gd_step
         m.setattr(sim_module, "os_step", relaying(sim_module.os_step, seen))
@@ -392,7 +395,7 @@ def twin_runs(drive):
         m.setattr(sim_module, "bs_step", relaying(sim_module.bs_step, seen, sends_relays=False))
         m.setattr(sim_module, "os_idle", lambda state, round_no: False)
         slow = drive()
-    assert fast.archive == slow.archive
+    assert fast_sent == slow_sent
     assert fast.events == slow.events
     assert assemble_outcome(fast) == assemble_outcome(slow)
     return check
@@ -418,7 +421,7 @@ def churn_run(seed):
     for v in sorted(material.reserve)[:3]:
         late_join(world, v)
     comeback = joined[0]
-    step(world)
+    sim_module.step(world)
     assert world.states[comeback].phase is Phase.LEFT
     missed = set()  # floods sent in its range since it left
     while True:
@@ -431,7 +434,7 @@ def churn_run(seed):
             break
         missed |= near
         assert world.round < 200, "no flood passed the departed sensor twice"
-        step(world)
+        sim_module.step(world)
     late_join(world, comeback)
     run(world)
     return world
@@ -451,10 +454,11 @@ class TestDelivery:
         check = twin_runs(lambda: churn_run(8))
         assert check.skipped_copies > 0
 
-    def test_rejoined_sensor_relays_a_flood_it_missed(self):
+    def test_rejoined_sensor_relays_a_flood_it_missed(self, monkeypatch):
         # The first leaver comes back while a flood that passed it is still in
         # the air around it, and relays that flood: a departed sensor is not
         # recorded as reached by the floods it misses.
+        sent = record_transmissions(monkeypatch)
         world = churn_run(8)
         comeback = next(e["node"] for e in world.events if e["event"] == "left")
         last = {e["event"]: e["round"] for e in world.events if e["node"] == comeback}
@@ -462,11 +466,11 @@ class TestDelivery:
         listeners, adversaries = world.radio_index().neighbors[comeback]
         # Copies sent from round ``gone`` to ``back - 2`` arrived while it was away.
         missed = {
-            flood_key(env) for r, env in world.archive
+            flood_key(env) for r, env in sent
             if gone <= r <= back - 2 and env.kind in FLOOD_KINDS
             and (env.transmitter in listeners or env.transmitter in adversaries)
         }
-        relayed = {flood_key(env) for r, env in world.archive if r >= back and env.transmitter == comeback}
+        relayed = {flood_key(env) for r, env in sent if r >= back and env.transmitter == comeback}
         assert missed & relayed
 
     @settings(max_examples=6, deadline=None)
@@ -479,36 +483,54 @@ class TestDelivery:
         twin_runs(lambda: simulate(config)[0])
 
 
+class TestRecorder:
+    """The test recorder agrees with the counts the world keeps itself."""
+
+    @pytest.mark.parametrize("name", [*GOLDEN_CASES, "churn"])
+    def test_matches_counters(self, monkeypatch, name):
+        sent = record_transmissions(monkeypatch)
+        if name == "churn":
+            world = churn_world()
+        else:
+            world = simulate(RunConfig.from_dict(GOLDEN_CASES[name]))[0]
+        kinds = Counter(
+            ("ADV_" if env.transmitter < BS_ID else "") + env.kind.name for _, env in sent
+        )
+        assert sent and kinds == world.counters
+
+
 class TestOsRelay:
-    def test_command_for_another_sensor_is_relayed_once(self):
+    def test_command_for_another_sensor_is_relayed_once(self, monkeypatch):
         # BS - 1 - 2 in a line, their dominator out of range: both orphan and
         # are promoted. Sensor 1 hears 2's command from the base station and
         # again from 2, and relays it once.
         m = provision([2])
         w = line_world(m, {0: (60.0, 60.0), 1: (10.0, 0.0), 2: (20.0, 0.0)})
+        sent = record_transmissions(monkeypatch)
         run(w)
         assert assemble_outcome(w).orphan_log == ((1, "promoted"), (2, "promoted"))
         own = m.individual_keys[2].id
-        sent = [
-            env.transmitter for _, env in w.archive
+        transmitters = [
+            env.transmitter for _, env in sent
             if env.kind is MessageKind.PROMOTE_CMD and env.ciphertext.key_id == own
         ]
-        assert sent == [BS_ID, 1, 2]
+        assert transmitters == [BS_ID, 1, 2]
 
 
 class TestGdRelay:
-    def test_dominator_relays_a_passing_orphan_error_once_ahead_of_its_report(self):
+    def test_dominator_relays_a_passing_orphan_error_once_ahead_of_its_report(self, monkeypatch):
         # BS - 2 - 1 in a line, sensor 1's own dominator 0 out of range.
         # Dominator 2 hears 1's orphan error at one hop and, in the same turn,
         # relays it once and then reports it.
         m = provision([1, 1])
         w = line_world(m, {0: (60.0, 60.0), 1: (20.0, 0.0), 2: (10.0, 0.0), 3: (10.0, 8.0)})
+        sent = record_transmissions(monkeypatch)
         run(w)
         assert assemble_outcome(w).orphan_log == ((1, "adopted"),)
         errors = (MessageKind.GD_ERR, MessageKind.ORP_ERR)
-        sent = [(r, env.kind, env.sender) for r, env in w.archive if env.transmitter == 2 and env.kind in errors]
-        r = sent[0][0]
-        assert sent == [(r, MessageKind.GD_ERR, 1), (r, MessageKind.ORP_ERR, 2)]
+        mine = [(r, env.kind, env.sender) for r, env in sent if env.transmitter == 2 and env.kind in errors]
+        r = mine[0][0]
+        assert mine == [(r, MessageKind.GD_ERR, 1), (r, MessageKind.ORP_ERR, 2)]
 
 
 class TestIdleSkip:
@@ -554,18 +576,20 @@ class TestIdleSkip:
         assert calls == [(1, round_no)]
         assert w.states[1].phase is Phase.LEFT
         assert w.events[-1] == {"round": round_no, "node": 1, "event": "left", "detail": {}}
-        assert [(r, env.kind.name) for r, env in w.archive if env.transmitter == 1][-1] == (round_no, "LEAVE")
+        # The air holds exactly this round's transmissions.
+        assert [env.kind.name for env in w.inflight if env.transmitter == 1][-1] == "LEAVE"
 
     def test_skipped_nodes_leave_no_trace(self):
         w = line_world(provision([1, 1]), {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (10.0, 10.0), 3: (20.0, 10.0)})
         run(w)
-        events, archive, counters = len(w.events), len(w.archive), dict(w.counters)
+        events, counters = len(w.events), dict(w.counters)
         with pytest.MonkeyPatch.context() as m:
             calls = self.count_steps(m)
+            sent = record_transmissions(m)
             for _ in range(4):
-                step(w)
+                sim_module.step(w)
         assert calls == []
-        assert len(w.events) == events and len(w.archive) == archive and w.counters == counters
+        assert len(w.events) == events and sent == [] and w.counters == counters
 
 
 def step_counts(m):
@@ -596,12 +620,13 @@ def quiet_twin(drive):
                     lambda w: sim_module._BUSY if real_pending(w) == sim_module._QUIET else real_pending(w),
                 )
             calls = step_counts(m)
+            sent = record_transmissions(m)
             world = drive()
-        runs.append((world, len(calls)))
-    (fast, fast_steps), (slow, slow_steps) = runs
+        runs.append((world, len(calls), sent))
+    (fast, fast_steps, fast_sent), (slow, slow_steps, slow_sent) = runs
     assert fast.round == slow.round
     assert fast.events == slow.events
-    assert fast.archive == slow.archive
+    assert fast_sent == slow_sent
     assert fast.counters == slow.counters
     assert fast.formation_complete == slow.formation_complete
     assert {v: st.post_formation for v, st in fast.states.items()} == {
@@ -730,6 +755,21 @@ class TestChurn:
         run(w)
         assert w.states[1].phase is Phase.JOINED
         assert w.states[0].subordinates == {1, 2}
+
+    def test_rejoin_elsewhere_forgets_the_old_neighbour_dominators(self):
+        # Member 1 forms between its dominator 0 and foreign dominator 2, then
+        # comes back where only group 4 is in range, and orphans there.
+        m = provision([1, 1, 1])
+        spots = {0: (10.0, 0.0), 1: (15.0, 0.0), 2: (20.0, 0.0), 3: (30.0, 0.0), 4: (5.0, 40.0), 5: (5.0, 50.0)}
+        w = line_world(m, spots)
+        run(w)
+        assert w.states[1].neighbor_dominators == {2}
+        leave(w, 1)
+        run(w)
+        late_join(w, 1, position=(5.0, 45.0))
+        run(w)
+        orphaned = [e for e in w.events if e["node"] == 1 and e["event"] == "orphaned"]
+        assert len(orphaned) == 1 and 2 not in orphaned[0]["detail"]["observed"]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_join_and_leave_in_one_group_in_one_round(self, seed):
