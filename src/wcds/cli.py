@@ -200,15 +200,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_curves(args) -> int:
+    if args.eta_max < 0:
+        raise ValueError("need --eta-max >= 0")
     kbits = args.kbits or [64, 128, 256]
     pcs = args.pc or [0.9, 0.99, 0.999]
     out = args.out_dir
+    # Every curve is computed before any file is written, so a bad value leaves no files.
+    curves = {
+        "distinct_keys.csv": distinct_key_curve(range(0, 201, 5), args.eta),
+        "gd_storage.csv": gd_storage_curve(range(0, args.eta_max + 1), kbits),
+        "er_degree.csv": er_degree_curve(range(20, 201, 10), pcs),
+    }
     os.makedirs(out, exist_ok=True)
-
-    write_csv(os.path.join(out, "distinct_keys.csv"), distinct_key_curve(range(0, 201, 5), args.eta))
-    write_csv(os.path.join(out, "gd_storage.csv"), gd_storage_curve(range(0, args.eta_max + 1), kbits))
-    write_csv(os.path.join(out, "er_degree.csv"), er_degree_curve(range(20, 201, 10), pcs))
-    print(f"wrote distinct_keys.csv, gd_storage.csv, er_degree.csv under {out}")
+    for name, rows in curves.items():
+        write_csv(os.path.join(out, name), rows)
+    print(f"wrote {', '.join(curves)} under {out}")
     return 0
 
 

@@ -117,8 +117,8 @@ def from_pairs(
 
 def unit_disk_graph(positions: Sequence[tuple[float, float]], radius: float) -> Graph:
     """Build the unit-disk graph over explicit, finite positions."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:  # NaN fails too
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     pos = tuple((float(x), float(y)) for x, y in positions)
     if not pos:
         return from_pairs((), radius, np.empty(0, np.int64), np.empty(0, np.int64))
@@ -128,12 +128,16 @@ def unit_disk_graph(positions: Sequence[tuple[float, float]], radius: float) -> 
     return from_pairs(pos, radius, *_disk_pairs(xy, radius))
 
 
+def _check_plane(width: float, height: float) -> None:
+    if not (0 < width < math.inf and 0 < height < math.inf):  # NaN fails too
+        raise ValueError(f"plane dimensions must be positive and finite, got {width!r} x {height!r}")
+
+
 def gen_udg(n: int, width: float, height: float, radius: float, seed: int) -> Graph:
     """Sample n node positions uniformly on a width x height plane and connect by disk."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if width <= 0 or height <= 0:
-        raise ValueError("plane dimensions must be positive")
+    _check_plane(width, height)
     rng = random.Random(seed)
     positions = [(rng.uniform(0.0, width), rng.uniform(0.0, height)) for _ in range(n)]
     return unit_disk_graph(positions, radius)
@@ -176,10 +180,9 @@ def radius_for_expected_degree(n: int, width: float, height: float, degree: floa
     """
     if n < 2:
         raise ValueError("need at least two nodes for a mean degree")
-    if width <= 0 or height <= 0:
-        raise ValueError("plane dimensions must be positive")
-    if degree <= 0:
-        raise ValueError("degree must be positive")
+    _check_plane(width, height)
+    if not 0 < degree < math.inf:
+        raise ValueError(f"degree must be positive and finite, got {degree!r}")
     return math.sqrt(degree * width * height / (math.pi * (n - 1)))
 
 

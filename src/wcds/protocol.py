@@ -168,30 +168,16 @@ def _hop1(env: Envelope) -> bool:
     return env.transmitter == env.sender
 
 
-#: What identifies one flood across all its relayed copies: its origin, the
-#: origin's sequence number and the kind (an IntEnum, so it keys like an int).
-flood_key = attrgetter("sender", "seq", "kind")
+#: What identifies one flood across all its relayed copies: its kind, its
+#: origin and the origin's sequence number. That is ``_inbox_key`` without the
+#: transmitter, so flood keys sort in inbox order.
+flood_key = attrgetter("kind", "sender", "seq")
 
 
 def _send(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
     """A transmission ``state`` originates, under its next sequence number."""
     state.seq += 1
     return Envelope(state.id, kind, ct, state.seq, state.id)
-
-
-#: The kinds each step acts on, by the rank of the sensor stepped or
-#: ``BS_ID`` for the base station, and so the only kinds the simulator puts
-#: in its inbox. Relaying floods is not a step's work: the simulator sends
-#: every sensor's relays.
-_DOMINATOR_KINDS = frozenset(
-    {MessageKind.ADOPT_CMD, MessageKind.JOIN_REQ, MessageKind.GD_ERR, MessageKind.LEAVE}
-)
-STEP_KINDS = {
-    Rank.OS: frozenset({MessageKind.REKEY, MessageKind.JOIN_APRV, MessageKind.PROMOTE_CMD}),
-    Rank.GD: _DOMINATOR_KINDS,
-    Rank.GD_OS: _DOMINATOR_KINDS,
-    BS_ID: frozenset({MessageKind.GD_ERR, MessageKind.ORP_ERR}),
-}
 
 
 # ---------------------------------------------------------------- ordinary sensor
@@ -226,13 +212,11 @@ def os_step(
         state.phase = Phase.AWAITING
         _note(events, round_no, state.id, "join_request")
 
+    handlers = HANDLERS[Rank.OS]
     for env in sorted(inbox, key=_inbox_key):
-        if env.kind is MessageKind.REKEY:
-            _os_rekey(state, env, round_no, events)
-        elif env.kind is MessageKind.JOIN_APRV:
-            _os_approval(state, env, round_no, events)
-        elif env.kind is MessageKind.PROMOTE_CMD:
-            _os_promote(state, env, round_no, events)
+        handler = handlers.get(env.kind)
+        if handler is not None:
+            handler(state, env, round_no, events)
 
     if state.phase is Phase.AWAITING and round_no >= state.join_round + APPROVAL_TIMEOUT:
         state.phase = Phase.ORPHAN
@@ -316,15 +300,11 @@ def gd_step(
     replaced. Each keeps its place and sequence number.
     """
     out: list[Envelope] = []
+    handlers = HANDLERS[state.rank]
     for env in sorted(inbox, key=_inbox_key):
-        if env.kind is MessageKind.JOIN_REQ:
-            _gd_join_req(state, env, round_no, material, out, events)
-        elif env.kind is MessageKind.GD_ERR:
-            _gd_orphan_heard(state, env, round_no, out, events)
-        elif env.kind is MessageKind.ADOPT_CMD:
-            _gd_adopt(state, env, round_no, material, out, events)
-        elif env.kind is MessageKind.LEAVE:
-            _gd_leave(state, env, round_no, material, out, events)
+        handler = handlers.get(env.kind)
+        if handler is not None:
+            handler(state, env, round_no, material, out, events)
     key = state.ring.group
     return state, [
         env._replace(ciphertext=encrypt(key, env.kind, env.ciphertext))
@@ -369,7 +349,7 @@ def _gd_join_req(state, env, round_no, material, out, events) -> None:
         out.append(_approve_envelope(state, env.sender))
 
 
-def _gd_orphan_heard(state, env, round_no, out, events) -> None:
+def _gd_orphan_heard(state, env, round_no, material, out, events) -> None:
     if not _hop1(env):
         return
     if state.rank is not Rank.GD:
@@ -427,11 +407,11 @@ def bs_step(
     terminates at it or starts from it.
     """
     out: list[Envelope] = []
+    handlers = HANDLERS[BS_ID]
     for env in sorted(inbox, key=_inbox_key):
-        if env.kind is MessageKind.GD_ERR:
-            _bs_gd_err(bs, env, round_no, material, events)
-        elif env.kind is MessageKind.ORP_ERR:
-            _bs_orp_err(bs, env, round_no, material, events)
+        handler = handlers.get(env.kind)
+        if handler is not None:
+            handler(bs, env, round_no, material, events)
 
     for os_id in sorted(bs.orphans):
         rec = bs.orphans[os_id]
@@ -501,3 +481,25 @@ def _bs_orp_err(bs, env, round_no, material, events) -> None:
         return
     if rec.resolution is None:
         rec.reports.add(env.sender)
+
+
+#: Each step's handlers, by the rank of the sensor stepped or ``BS_ID`` for
+#: the base station: the kinds a step acts on and what it does with each. The
+#: simulator puts only these kinds in a radio's inbox. Relaying floods is not
+#: a step's work: the simulator sends every sensor's relays.
+_DOMINATOR_HANDLERS = {
+    MessageKind.JOIN_REQ: _gd_join_req,
+    MessageKind.GD_ERR: _gd_orphan_heard,
+    MessageKind.ADOPT_CMD: _gd_adopt,
+    MessageKind.LEAVE: _gd_leave,
+}
+HANDLERS = {
+    Rank.OS: {
+        MessageKind.REKEY: _os_rekey,
+        MessageKind.JOIN_APRV: _os_approval,
+        MessageKind.PROMOTE_CMD: _os_promote,
+    },
+    Rank.GD: _DOMINATOR_HANDLERS,
+    Rank.GD_OS: _DOMINATOR_HANDLERS,
+    BS_ID: {MessageKind.GD_ERR: _bs_gd_err, MessageKind.ORP_ERR: _bs_orp_err},
+}

@@ -17,13 +17,14 @@ through its sorted inbox would act on, and every other copy is one it would
 drop as a duplicate. Departed sensors get nothing and are not recorded, so a
 sensor that comes back while a flood is passing still gets it.
 
-Relaying is the radio layer's work, not a step's: each sensor's relays go
-out at its turn in step order, ahead of its own sends, in inbox order. An
-inbox gets only the kinds its radio's step acts on (``protocol.STEP_KINDS``):
-REKEY, JOIN_APRV and PROMOTE_CMD for ordinary sensors, ADOPT_CMD, JOIN_REQ,
-GD_ERR and LEAVE for dominators, GD_ERR and ORP_ERR for the base station. Of
-a flood it gets the winning copy, of any other kind every copy in range.
-Adversaries overhear every copy in transmission order, floods included.
+Relaying is the radio layer's work, not a step's: delivery hands each
+sensor its relays, in inbox order, and they go out at its turn in step
+order, ahead of its own sends. An inbox gets only the kinds its radio's step
+has a handler for (``protocol.HANDLERS``): REKEY, JOIN_APRV and PROMOTE_CMD
+for ordinary sensors, ADOPT_CMD, JOIN_REQ, GD_ERR and LEAVE for dominators,
+GD_ERR and ORP_ERR for the base station. Of a flood it gets the winning copy,
+of any other kind every copy in range. Adversaries overhear every copy in
+transmission order, floods included.
 
 A sensor with an empty inbox that has nothing due (a dominator, or an
 ordinary sensor not due to announce, time out its approval wait or leave) is
@@ -45,9 +46,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, deque
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -68,9 +69,9 @@ from .protocol import (
     BSState,
     ClusterOutcome,
     Envelope,
+    HANDLERS,
     NodeState,
     Phase,
-    STEP_KINDS,
     bs_step,
     flood_key,
     gd_step,
@@ -89,8 +90,6 @@ _COUNTERS = {
 
 _TRANSMITTER = attrgetter("transmitter")
 _KIND = attrgetter("kind")
-#: Flood keys (sender, seq, kind) in the order of ``protocol._inbox_key``.
-_INBOX_ORDER = itemgetter(2, 0, 1)
 
 #: The nested config objects RunConfig.from_dict accepts, each mapping its
 #: keys to the flat fields they set.
@@ -243,14 +242,14 @@ def deploy(
     )
 
 
-def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
+def _deliver(world: World) -> tuple[dict[int, list[Envelope]], dict[int, list[Envelope]]]:
     """Empty the air, by the rule in the module docstring, into the inboxes
-    of the radios whose steps read each copy, and the relays the sensors
-    owe, sorted by relaying sensor and then in inbox order. Departed sensors
-    receive nothing."""
+    of the radios whose steps read each copy, and the relays each sensor
+    owes, in inbox order, by relaying sensor. Departed sensors receive
+    nothing."""
     neighbors = world.radio_index().neighbors
-    # The radios each ``STEP_KINDS`` entry covers, then the radios that read each kind.
-    members: dict = {reader: set() for reader in STEP_KINDS}
+    # The radios each ``HANDLERS`` table covers, then the radios that read each kind.
+    members: dict = {reader: set() for reader in HANDLERS}
     members[BS_ID].add(BS_ID)
     left: set[int] = set()
     for v, st in world.states.items():
@@ -259,7 +258,7 @@ def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
         else:
             members[st.rank].add(v)
     reads = {
-        kind: set().union(*(members[r] for r, kinds in STEP_KINDS.items() if kind in kinds))
+        kind: set().union(*(members[r] for r, table in HANDLERS.items() if kind in table))
         for kind in MessageKind
     }
     inboxes: dict[int, list[Envelope]] = {}
@@ -273,8 +272,8 @@ def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
             continue
         for rcv in listeners & reads[env.kind]:
             inboxes.setdefault(rcv, []).append(env)
-    relays: list[Envelope] = []
-    for key in sorted(floods, key=_INBOX_ORDER):
+    relays: dict[int, list[Envelope]] = {}
+    for key in sorted(floods):
         copies = floods[key]
         reached = world.reached.get(key)
         if reached is None:  # the flood's first round in the air: only its origin sent it
@@ -290,8 +289,9 @@ def _deliver(world: World) -> tuple[dict[int, list[Envelope]], list[Envelope]]:
             for rcv in fresh & reads[env.kind]:
                 inboxes.setdefault(rcv, []).append(env)
             sender, kind, ct, seq, _ = env
-            relays += [Envelope(sender, kind, ct, seq, rcv) for rcv in fresh if rcv != BS_ID]
-    relays.sort(key=_TRANSMITTER)  # stable: each sensor's relays stay in inbox order
+            for rcv in fresh:
+                if rcv != BS_ID:
+                    relays.setdefault(rcv, []).append(Envelope(sender, kind, ct, seq, rcv))
     world.inflight = []
     return inboxes, relays
 
@@ -341,11 +341,8 @@ def step(world: World) -> None:
 
     world.inflight += bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1]
 
-    # Each sensor's relays go out at its turn in id order, ahead of its own
-    # sends. Relays of sensors that send nothing of their own go out
-    # together, ahead of the next sensor that does.
-    done = 0  # relays before this index are on the air
     for node in sorted(world.states):
+        world.inflight += relays.get(node, ())  # ahead of the sensor's own sends
         st = world.states[node]
         inbox = inboxes.get(node)
         if st.rank is not Rank.OS:
@@ -356,12 +353,7 @@ def step(world: World) -> None:
             continue  # nothing heard and nothing due: the step would be a no-op
         else:
             out = os_step(st, inbox or [], round_no, events)[1]
-        if not out:
-            continue
-        end = bisect_right(relays, node, done, key=_TRANSMITTER)
-        world.inflight += relays[done:end] + out
-        done = end
-    world.inflight += relays[done:]
+        world.inflight += out
 
     victims = []
     if round_no % 2 and any(adv.behavior == "forge_join" for adv in world.adversaries):
@@ -587,9 +579,10 @@ class RunConfig:
     """One simulated deployment, end to end.
 
     Construction checks the numeric fields' types, that the real ones are
-    finite, that ``groups`` and ``max_rounds`` are at least 1 and that ``eta``
-    and ``adversary_count`` are not negative, and raises ``ValueError``
-    naming the field.
+    finite, that ``groups`` and ``max_rounds`` are at least 1, that ``eta``
+    and ``adversary_count`` are not negative and that ``adversary_behavior``
+    is one of ``ADVERSARY_BEHAVIORS``, and raises ``ValueError`` naming the
+    field.
     """
 
     groups: int
@@ -628,6 +621,10 @@ class RunConfig:
             if value < least:
                 bound = f"be at least {least}" if least else "not be negative"
                 raise ValueError(f"{name} must {bound}, got {value}")
+        if self.adversary_behavior not in ADVERSARY_BEHAVIORS:
+            raise ValueError(
+                f"adversary_behavior must be one of {ADVERSARY_BEHAVIORS}, got {self.adversary_behavior!r}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

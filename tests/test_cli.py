@@ -6,6 +6,8 @@ import statistics
 import subprocess
 import sys
 
+import pytest
+
 import wcds
 from conftest import child_env
 from wcds.graph import read_graph
@@ -78,6 +80,48 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "--retry-budget" in proc.stderr
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_negative_eta_max_is_two(self, tmp_path):
+        proc = run_cli("curves", "--out-dir", "curves", "--eta-max", "-1", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "--eta-max" in proc.stderr
+        assert not (tmp_path / "curves").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--kbits", "0", "key width must be positive"), ("--pc", "1.5", "pc must lie strictly between 0 and 1")],
+        ids=["kbits-0", "pc-1.5"],
+    )
+    def test_bad_curve_value_writes_no_file(self, tmp_path, flag, value, message):
+        proc = run_cli("curves", "--out-dir", "curves", flag, value, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "curves").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--radius", "nan"), "radius must be positive and finite, got nan"),
+            (("--radius", "inf"), "radius must be positive and finite, got inf"),
+            (("--degree", "nan"), "degree must be positive and finite, got nan"),
+            (("--degree", "6", "--width", "nan"), "plane dimensions must be positive and finite, got nan x 100.0"),
+        ],
+        ids=["radius-nan", "radius-inf", "degree-nan", "width-nan"],
+    )
+    def test_non_finite_gen_input_is_two(self, tmp_path, flags, message):
+        proc = run_cli("gen", "--n", "10", *flags, "--out", "g.txt", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "g.txt").exists()
+
+    def test_non_finite_compare_degree_is_two(self, tmp_path):
+        proc = run_cli(
+            "compare", "--nmin", "20", "--nmax", "20", "--seeds", "1", "--degree", "nan",
+            "--retry-budget", "3", "--out", "c.csv", cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "degree must be positive and finite, got nan" in proc.stderr
         assert not (tmp_path / "c.csv").exists()
 
 
@@ -162,11 +206,15 @@ class TestSim:
         assert "radios" in proc.stderr
 
     def test_bad_config_value_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, adversaries=True)
-        proc = run_cli("sim", "--config", str(cfg), "--out", "out.json", cwd=tmp_path)
-        assert proc.returncode == 2
-        assert "adversary_count" in proc.stderr
-        assert not (tmp_path / "out.json").exists()
+        for adversaries, named in [
+            (True, "adversary_count"),
+            ({"count": 0, "behavior": "bogus"}, "adversary_behavior"),
+        ]:
+            cfg = write_config(tmp_path, adversaries=adversaries)
+            proc = run_cli("sim", "--config", str(cfg), "--out", "out.json", cwd=tmp_path)
+            assert proc.returncode == 2
+            assert named in proc.stderr
+            assert not (tmp_path / "out.json").exists()
 
     def test_nan_literal_rejected(self, tmp_path):
         cfg = write_config(tmp_path, radius=float("nan"))

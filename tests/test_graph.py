@@ -83,6 +83,16 @@ class TestUnitDisk:
             gen_udg(5, 10.0, 10.0, -1.0, seed=0)
         with pytest.raises(ValueError):
             gen_udg(-1, 10.0, 10.0, 1.0, seed=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"plane dimensions must be positive and finite, got {bad}"):
+                gen_udg(5, bad, 10.0, 1.0, seed=0)
+            with pytest.raises(ValueError, match=f"plane dimensions must be positive and finite, got 10.0 x {bad}"):
+                gen_udg(5, 10.0, bad, 1.0, seed=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"radius must be positive and finite, got {bad}"):
+                gen_udg(5, 10.0, 10.0, bad, seed=0)
+            with pytest.raises(ValueError, match=f"radius must be positive and finite, got {bad}"):
+                unit_disk_graph([(0.0, 0.0), (1.0, 1.0)], bad)
         with pytest.raises(ValueError, match="n must be non-negative"):
             from_edges(-1, [])
         with pytest.raises(ValueError, match="positions length"):
@@ -213,6 +223,13 @@ class TestRadiusForDegree:
             radius_for_expected_degree(10, 10.0, 0.0, 2.0)
         with pytest.raises(ValueError, match="degree must be positive"):
             radius_for_expected_degree(10, 10.0, 10.0, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"degree must be positive and finite, got {bad}"):
+                radius_for_expected_degree(10, 10.0, 10.0, bad)
+            with pytest.raises(ValueError, match=f"plane dimensions must be positive and finite, got {bad}"):
+                radius_for_expected_degree(10, bad, 10.0, 2.0)
+            with pytest.raises(ValueError, match=f"plane dimensions must be positive and finite, got 10.0 x {bad}"):
+                radius_for_expected_degree(10, 10.0, bad, 2.0)
 
 
 class TestPredicates:

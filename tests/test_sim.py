@@ -12,7 +12,7 @@ from wcds.keys import Rank, provision
 from wcds.protocol import (
     APPROVAL_TIMEOUT,
     BS_ID,
-    STEP_KINDS,
+    HANDLERS,
     Envelope,
     Phase,
     _inbox_key,
@@ -203,6 +203,12 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({**self.BASE, "groups": 1, "eta": 0})
         assert (cfg.groups, cfg.eta) == (1, 0)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("behavior", ["bogus", ["replay"], None])
+    def test_unknown_adversary_behavior_rejected(self, count, behavior):
+        with pytest.raises(ValueError, match="adversary_behavior must be one of"):
+            RunConfig.from_dict({**self.BASE, "adversaries": {"count": count, "behavior": behavior}})
+
 
 class TestRunControl:
     def material(self):
@@ -302,7 +308,7 @@ def fan_out_deliver(world):
     radio layer to send: the reference step relays for itself."""
     inboxes = fan_out(world)
     world.inflight = []
-    return inboxes, []
+    return inboxes, {}
 
 
 def relaying(step_fn, seen, sends_relays=True):
@@ -340,7 +346,7 @@ class DeliveryCheck:
     that adversaries overhear exactly the reference fan-out's copies, that
     every protocol radio's inbox holds only copies the fan-out gave it and of
     kinds its step reads, and that only sensors on the field relay, each a
-    flood the fan-out gave it, in id and then inbox order."""
+    flood the fan-out gave it, in inbox order."""
 
     deliver = staticmethod(sim_module._deliver)
 
@@ -358,14 +364,16 @@ class DeliveryCheck:
             if rcv < BS_ID:
                 assert have == want, (world.round, rcv)
                 continue
-            reads = STEP_KINDS[BS_ID if rcv == BS_ID else world.states[rcv].rank]
+            reads = HANDLERS[BS_ID if rcv == BS_ID else world.states[rcv].rank]
             assert all(env in want and env.kind in reads for env in have), (world.round, rcv)
             self.skipped_copies += len(want) - len(have)
-        assert relays == sorted(relays, key=lambda env: (env.transmitter, *_inbox_key(env)))
-        for env in relays:
-            assert world.states[env.transmitter].phase is not Phase.LEFT
-            assert env.kind in FLOOD_KINDS
-            assert payload(env) in map(payload, expected[env.transmitter]), (world.round, env)
+        for relayer, mine in relays.items():
+            assert mine == sorted(mine, key=_inbox_key), (world.round, relayer)
+            for env in mine:
+                assert env.transmitter == relayer, (world.round, env)
+                assert world.states[relayer].phase is not Phase.LEFT
+                assert env.kind in FLOOD_KINDS
+                assert payload(env) in map(payload, expected[relayer]), (world.round, env)
         # A replayed copy sorts ahead of every legitimate one, so a radio in
         # its range that the flood reached this round was reached by a replay.
         neighbors = world.radio_index().neighbors
