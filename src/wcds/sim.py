@@ -17,14 +17,23 @@ through its sorted inbox would act on, and every other copy is one it would
 drop as a duplicate. Departed sensors get nothing and are not recorded, so a
 sensor that comes back while a flood is passing still gets it.
 
-Relaying is the radio layer's work, not a step's: delivery hands each
-sensor its relays, in inbox order, and they go out at its turn in step
-order, ahead of its own sends. An inbox gets only the kinds its radio's step
+Relaying is the radio layer's work, not a step's. The air holds a round's
+transmissions in two parts. ``World.sends`` lists the copies that sensors,
+the base station and adversaries originate or replay, in the order sent.
+``World.relayed`` has one record per flood, in flood-key order: one copy of
+the flood and the ascending ids of the sensors relaying it. A relay stays an
+id until it reaches a radio whose step reads its kind; only then does
+delivery build it an envelope. An inbox gets only the kinds its radio's step
 has a handler for (``protocol.HANDLERS``): REKEY, JOIN_APRV and PROMOTE_CMD
 for ordinary sensors, ADOPT_CMD, JOIN_REQ, GD_ERR and LEAVE for dominators,
 GD_ERR and ORP_ERR for the base station. Of a flood it gets the winning copy,
 of any other kind every copy in range. Adversaries overhear every copy in
-transmission order, floods included.
+their range in transmission order, floods included.
+
+The transmission order is: the base station's sends; then, sensor by sensor
+in id order, its relays in flood-key order and then its own sends; then the
+adversaries' sends. ``World.inflight`` builds that list on demand for
+readers outside the round loop.
 
 A sensor with an empty inbox that has nothing due (a dominator, or an
 ordinary sensor not due to announce, time out its approval wait or leave) is
@@ -158,8 +167,12 @@ class World:
     rng: random.Random
     adversaries: list[Adversary] = field(default_factory=list)
     round: int = 0
-    #: The last round's transmissions in the order sent, until delivered.
-    inflight: list[Envelope] = field(default_factory=list)
+    #: The air, until delivered (see the module docstring). ``sends``: the
+    #: copies originated or replayed this round, in the order sent.
+    #: ``relayed``: per flood key, in key order, one copy of the flood and
+    #: the ascending ids of the sensors relaying it.
+    sends: list[Envelope] = field(default_factory=list)
+    relayed: dict[tuple, tuple[Envelope, list[int]]] = field(default_factory=dict)
     counters: Counter[str] = field(default_factory=Counter)
     events: list[dict] = field(default_factory=list)
     #: Per flood key, the protocol radios the flood has reached: its origin
@@ -188,6 +201,11 @@ class World:
             }
             self._radio = RadioIndex(ids, graph, neighbors)
         return self._radio
+
+    @property
+    def inflight(self) -> list[Envelope]:
+        """The air as one list of transmissions, in transmission order."""
+        return _transmissions(self.sends, self.relayed)
 
     def _place(self, radio: int, position: tuple[float, float]) -> None:
         """Put a radio on the field, or move it, and drop the radio index."""
@@ -242,11 +260,36 @@ def deploy(
     )
 
 
-def _deliver(world: World) -> tuple[dict[int, list[Envelope]], dict[int, list[Envelope]]]:
+def _transmissions(
+    sends: list[Envelope], relayed: dict[tuple, tuple[Envelope, list[int]]], heard=None
+) -> list[Envelope]:
+    """The air as one list in transmission order (see the module docstring),
+    or only the copies whose transmitter is in ``heard``."""
+    owed: dict[int, list[Envelope]] = {}
+    for (sender, kind, ct, seq, _), ids in relayed.values():
+        for r in ids if heard is None else heard.intersection(ids):
+            owed.setdefault(r, []).append(Envelope(sender, kind, ct, seq, r))
+    queue = sorted(owed, reverse=True)
+    out: list[Envelope] = []
+    for env in sends:
+        t = env.transmitter
+        if heard is not None and t not in heard:
+            continue
+        # A sensor's relays go ahead of its own sends and of every later
+        # sender's; adversaries (ids below the base station's) send last.
+        while queue and (t < BS_ID or t >= queue[-1]):
+            out += owed[queue.pop()]
+        out.append(env)
+    for r in reversed(queue):
+        out += owed[r]
+    return out
+
+
+def _deliver(world: World) -> dict[int, list[Envelope]]:
     """Empty the air, by the rule in the module docstring, into the inboxes
-    of the radios whose steps read each copy, and the relays each sensor
-    owes, in inbox order, by relaying sensor. Departed sensors receive
-    nothing."""
+    of the radios whose steps read each copy, and record in
+    ``World.relayed`` the sensors that relay each flood this round.
+    Departed sensors receive nothing."""
     neighbors = world.radio_index().neighbors
     # The radios each ``HANDLERS`` table covers, then the radios that read each kind.
     members: dict = {reader: set() for reader in HANDLERS}
@@ -261,39 +304,59 @@ def _deliver(world: World) -> tuple[dict[int, list[Envelope]], dict[int, list[En
         kind: set().union(*(members[r] for r, table in HANDLERS.items() if kind in table))
         for kind in MessageKind
     }
+    sends, relayed = world.sends, world.relayed
+    world.sends, world.relayed = [], {}
     inboxes: dict[int, list[Envelope]] = {}
+    for adv in world.adversaries:
+        listeners, adversaries = neighbors[adv.id]
+        inboxes[adv.id] = _transmissions(sends, relayed, listeners.union(adversaries))
     floods: dict[tuple, list[Envelope]] = {}
-    for env in world.inflight:
-        listeners, adversaries = neighbors[env.transmitter]
-        for adv in adversaries:
-            inboxes.setdefault(adv, []).append(env)
+    for env in sends:
         if env.kind in FLOOD_KINDS:
             floods.setdefault(flood_key(env), []).append(env)
             continue
-        for rcv in listeners & reads[env.kind]:
+        for rcv in neighbors[env.transmitter][0] & reads[env.kind]:
             inboxes.setdefault(rcv, []).append(env)
-    relays: dict[int, list[Envelope]] = {}
-    for key in sorted(floods):
-        copies = floods[key]
+    for key in sorted(floods.keys() | relayed.keys()):
+        copies = floods.get(key, [])
         reached = world.reached.get(key)
         if reached is None:  # the flood's first round in the air: only its origin sent it
             reached = world.reached[key] = {e.sender for e in copies if e.transmitter == e.sender}
+        readers = reads[key[0]]
+        relaying: set[int] = set()
+        # Copies sent as such (the origin's, replays) come from the origin or
+        # an adversary, whose ids sort ahead of every sensor relaying the flood.
         copies.sort(key=_TRANSMITTER)
         for env in copies:
             fresh = neighbors[env.transmitter][0] - reached
-            if not fresh:
-                continue
             if left:
                 fresh -= left
             reached |= fresh
-            for rcv in fresh & reads[env.kind]:
+            relaying |= fresh
+            for rcv in fresh & readers:
                 inboxes.setdefault(rcv, []).append(env)
-            sender, kind, ct, seq, _ = env
-            for rcv in fresh:
-                if rcv != BS_ID:
-                    relays.setdefault(rcv, []).append(Envelope(sender, kind, ct, seq, rcv))
-    world.inflight = []
-    return inboxes, relays
+        if key in relayed:
+            copy, ids = relayed[key]
+            fresh = set()
+            for r in ids:
+                fresh |= neighbors[r][0]
+            fresh -= reached
+            if left:
+                fresh -= left
+            reached |= fresh
+            relaying |= fresh
+            relayers = set(ids)
+            sender, kind, ct, seq, _ = copy
+            # Of the copies a reader hears, the smallest relayer's wins.
+            for rcv in fresh & readers:
+                winner = min(relayers.intersection(neighbors[rcv][0]))
+                inboxes.setdefault(rcv, []).append(Envelope(sender, kind, ct, seq, winner))
+        else:
+            copy = copies[0]
+        relaying.discard(BS_ID)
+        if relaying:
+            world.relayed[key] = (copy, sorted(relaying))
+    return inboxes
 
 
 def _adversary_step(
@@ -334,15 +397,14 @@ def _adversary_step(
 
 def step(world: World) -> None:
     """Advance the whole field by one round."""
-    inboxes, relays = _deliver(world)
+    inboxes = _deliver(world)
     material = world.material
     events = world.events
     round_no = world.round
 
-    world.inflight += bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1]
+    world.sends += bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1]
 
     for node in sorted(world.states):
-        world.inflight += relays.get(node, ())  # ahead of the sensor's own sends
         st = world.states[node]
         inbox = inboxes.get(node)
         if st.rank is not Rank.OS:
@@ -353,18 +415,21 @@ def step(world: World) -> None:
             continue  # nothing heard and nothing due: the step would be a no-op
         else:
             out = os_step(st, inbox or [], round_no, events)[1]
-        world.inflight += out
+        world.sends += out
 
     victims = []
     if round_no % 2 and any(adv.behavior == "forge_join" for adv in world.adversaries):
         victims = sorted(n for n, st in world.states.items() if st.rank is Rank.OS)
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
-        world.inflight += _adversary_step(world, adv, inboxes.get(adv.id, []), victims)
+        world.sends += _adversary_step(world, adv, inboxes.get(adv.id, []), victims)
 
     # Everything in the air went up this round. Adversary ids are below the
-    # base station's.
-    hostile = map(BS_ID.__gt__, map(_TRANSMITTER, world.inflight))
-    world.counters.update(map(_COUNTERS.__getitem__, zip(map(_KIND, world.inflight), hostile)))
+    # base station's; relays are sensors'.
+    counters = world.counters
+    hostile = map(BS_ID.__gt__, map(_TRANSMITTER, world.sends))
+    counters.update(map(_COUNTERS.__getitem__, zip(map(_KIND, world.sends), hostile)))
+    for copy, ids in world.relayed.values():
+        counters[_COUNTERS[copy.kind, False]] += len(ids)
 
     world.round += 1
     if not world.formation_complete and _pending(world) == _SETTLED:
@@ -389,7 +454,9 @@ def _pending(world: World) -> str:
     then deliver nothing and step nobody.
     """
     stuck = False
-    for env in world.inflight:
+    if world.relayed:  # sensors' relays
+        return _BUSY
+    for env in world.sends:
         if env.transmitter >= BS_ID:
             return _BUSY
     for st in world.states.values():
@@ -404,7 +471,7 @@ def _pending(world: World) -> str:
             return _BUSY
     if not stuck:
         return _SETTLED
-    return _QUIET if not world.inflight and not world.adversaries else _BUSY
+    return _QUIET if not world.sends and not world.adversaries else _BUSY
 
 
 def run(world: World, max_rounds: int = 64) -> World:
@@ -540,7 +607,9 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
 
     The graph is the world's radio graph restricted to sensors still on the
     field; the base station and adversaries are not part of the dominating
-    structure.
+    structure. A dominating set's closed neighbourhood is the whole graph, so
+    its weak connectivity is the graph's connectivity: the field is walked
+    once either way.
     """
     if outcome is None:
         outcome = assemble_outcome(world)
@@ -555,12 +624,14 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     g = from_pairs(positions, radio.radius, renumber[src[both]], renumber[dst[both]])
     index = {v: k for k, v in enumerate(v for v, k in zip(ids, on_field) if k)}
     chosen = {index[d] for d in outcome.dominator_set if d in index}
+    dominating = is_dominating(g, chosen)
+    weakly_connected = is_wcds(g, chosen)
     return VerifyReport(
         node_count=g.n,
         dominator_count=len(chosen),
-        dominating=is_dominating(g, chosen),
-        weakly_connected=is_wcds(g, chosen),
-        graph_connected=is_connected(g),
+        dominating=dominating,
+        weakly_connected=weakly_connected,
+        graph_connected=weakly_connected if dominating else is_connected(g),
         fully_resolved=not outcome.coverage_failures,
     )
 

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -7,19 +10,19 @@ from hypothesis import given, settings, strategies
 import wcds.sim as sim_module
 from conftest import make_world, record_transmissions
 from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
-from wcds.graph import radius_for_expected_degree
+from wcds.graph import is_connected, radius_for_expected_degree, unit_disk_graph
 from wcds.keys import Rank, provision
 from wcds.protocol import (
     APPROVAL_TIMEOUT,
     BS_ID,
     HANDLERS,
-    Envelope,
     Phase,
     _inbox_key,
     flood_key,
 )
 from wcds.sim import (
     ADVERSARY_BEHAVIORS,
+    PLACEMENT_MODES,
     PlacementModel,
     RunConfig,
     assemble_outcome,
@@ -307,8 +310,8 @@ def fan_out_deliver(world):
     """The reference fan-out in ``_deliver``'s shape, with no relays for the
     radio layer to send: the reference step relays for itself."""
     inboxes = fan_out(world)
-    world.inflight = []
-    return inboxes, {}
+    world.sends, world.relayed = [], {}
+    return inboxes
 
 
 def relaying(step_fn, seen, sends_relays=True):
@@ -345,8 +348,9 @@ class DeliveryCheck:
     """Stands in for sim._deliver: delivers for real, and asserts each round
     that adversaries overhear exactly the reference fan-out's copies, that
     every protocol radio's inbox holds only copies the fan-out gave it and of
-    kinds its step reads, and that only sensors on the field relay, each a
-    flood the fan-out gave it, in inbox order."""
+    kinds its step reads, and that the relay records come in flood-key
+    order, each naming in ascending order sensors on the field that the
+    fan-out gave that flood."""
 
     deliver = staticmethod(sim_module._deliver)
 
@@ -355,9 +359,9 @@ class DeliveryCheck:
 
     def __call__(self, world):
         expected = fan_out(world)
-        replayed = [env for env in world.inflight if env.kind in FLOOD_KINDS and env.transmitter < BS_ID]
+        replayed = [env for env in world.sends if env.kind in FLOOD_KINDS and env.transmitter < BS_ID]
         before = {flood_key(env): set(world.reached[flood_key(env)]) for env in replayed}
-        inboxes, relays = self.deliver(world)
+        inboxes = self.deliver(world)
         self.rounds += 1
         for rcv in set(expected) | set(inboxes):
             want, have = expected.get(rcv, []), inboxes.get(rcv, [])
@@ -367,13 +371,13 @@ class DeliveryCheck:
             reads = HANDLERS[BS_ID if rcv == BS_ID else world.states[rcv].rank]
             assert all(env in want and env.kind in reads for env in have), (world.round, rcv)
             self.skipped_copies += len(want) - len(have)
-        for relayer, mine in relays.items():
-            assert mine == sorted(mine, key=_inbox_key), (world.round, relayer)
-            for env in mine:
-                assert env.transmitter == relayer, (world.round, env)
+        assert list(world.relayed) == sorted(world.relayed), world.round
+        for key, (copy, ids) in world.relayed.items():
+            assert ids and ids == sorted(set(ids)), (world.round, key)
+            assert flood_key(copy) == key and copy.kind in FLOOD_KINDS
+            for relayer in ids:
                 assert world.states[relayer].phase is not Phase.LEFT
-                assert env.kind in FLOOD_KINDS
-                assert payload(env) in map(payload, expected[relayer]), (world.round, env)
+                assert payload(copy) in map(payload, expected[relayer]), (world.round, key, relayer)
         # A replayed copy sorts ahead of every legitimate one, so a radio in
         # its range that the flood reached this round was reached by a replay.
         neighbors = world.radio_index().neighbors
@@ -381,7 +385,7 @@ class DeliveryCheck:
             key = flood_key(env)
             if (world.reached[key] - before[key]) & neighbors[env.transmitter][0]:
                 self.replayed_floods_kept += 1
-        return inboxes, relays
+        return inboxes
 
 
 def twin_runs(drive):
@@ -491,20 +495,56 @@ class TestDelivery:
         twin_runs(lambda: simulate(config)[0])
 
 
-class TestRecorder:
-    """The test recorder agrees with the counts the world keeps itself."""
+def recorded_run(monkeypatch, name):
+    """A golden ``wcds sim`` config's world (one per adversary behaviour
+    among them), ``churn_world()`` or ``churn_run(8)``, with every
+    transmission recorded."""
+    sent = record_transmissions(monkeypatch)
+    if name == "churn":
+        world = churn_world()
+    elif name == "churn_run":
+        world = churn_run(8)
+    else:
+        world = simulate(RunConfig.from_dict(GOLDEN_CASES[name]))[0]
+    return world, sent
 
-    @pytest.mark.parametrize("name", [*GOLDEN_CASES, "churn"])
+
+RECORDED_RUNS = [*GOLDEN_CASES, "churn", "churn_run"]
+
+
+class TestRecorder:
+    """The transmissions recorded through ``World.inflight`` are what the
+    world counts, in the transmission order the module docstring gives."""
+
+    @pytest.mark.parametrize("name", RECORDED_RUNS)
     def test_matches_counters(self, monkeypatch, name):
-        sent = record_transmissions(monkeypatch)
-        if name == "churn":
-            world = churn_world()
-        else:
-            world = simulate(RunConfig.from_dict(GOLDEN_CASES[name]))[0]
+        world, sent = recorded_run(monkeypatch, name)
         kinds = Counter(
             ("ADV_" if env.transmitter < BS_ID else "") + env.kind.name for _, env in sent
         )
-        assert sent and kinds == world.counters
+        assert sent and assemble_outcome(world).message_count == tuple(sorted(kinds.items()))
+
+    @pytest.mark.parametrize("name", RECORDED_RUNS)
+    def test_transmission_order(self, monkeypatch, name):
+        # Per round: the base station, then each sensor in id order with its
+        # relays (sender not itself) in flood-key order ahead of its own
+        # sends, then the adversaries -2, -3, ...
+        world, sent = recorded_run(monkeypatch, name)
+        relays = 0
+        for _, air in groupby(sent, key=itemgetter(0)):
+            order, mine = [], {}
+            for _, env in air:
+                t = env.transmitter
+                own = env.sender == t
+                order.append((0, 0, 0) if t == BS_ID else (1, t, own) if t >= 0 else (2, -t, 0))
+                if t >= 0 and not own:
+                    assert env.kind in FLOOD_KINDS
+                    mine.setdefault(t, []).append(flood_key(env))
+            assert order == sorted(order)
+            for keys in mine.values():
+                assert keys == sorted(set(keys))
+                relays += len(keys)
+        assert relays > 0
 
 
 class TestOsRelay:
@@ -863,6 +903,33 @@ class TestAdversaries:
         run(w, max_rounds=50)
         assert w.formation_complete
         assert w.round < 50
+
+
+class TestVerify:
+    def test_graph_connected_is_the_on_field_graphs(self):
+        # verify_outcome reads the graph's connectivity off the weak
+        # connectivity of a dominating set; on random fields at degree 5,
+        # split ones included and after two leaves, with the real dominator
+        # set and with one dominator dropped, it must agree with a walk of
+        # the on-field graph built afresh.
+        seen = set()
+        for seed in range(12):
+            for mode in PLACEMENT_MODES:
+                world = simulate(RunConfig(
+                    groups=4, eta=6, mode=mode, width=80.0, height=80.0, target_degree=5.0, seed=seed,
+                ))[0]
+                joined = sorted(v for v, st in world.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED)
+                for v in joined[:2]:
+                    leave(world, v)
+                run(world)
+                on_field = sorted(v for v, st in world.states.items() if st.phase is not Phase.LEFT)
+                connected = is_connected(unit_disk_graph([world.positions[v] for v in on_field], world.radius))
+                outcome = assemble_outcome(world)
+                for chosen in (outcome, dataclasses.replace(outcome, dominator_set=outcome.dominator_set[1:])):
+                    report = verify_outcome(world, chosen)
+                    assert report.graph_connected == connected, (seed, mode)
+                    seen.add((report.dominating, connected))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestEndToEnd:
