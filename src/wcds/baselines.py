@@ -12,6 +12,8 @@ realization beyond what is stated here.
 
 from __future__ import annotations
 
+import heapq
+
 from .graph import Graph, InfeasibleError, component, is_connected
 
 
@@ -38,6 +40,7 @@ def cds_alg1(g: Graph) -> frozenset[int]:
     white = set(range(g.n))
     gray: set[int] = set()
     black: set[int] = set()
+    grayed: list[int] = []
 
     def blacken(v: int) -> None:
         black.add(v)
@@ -47,26 +50,36 @@ def cds_alg1(g: Graph) -> frozenset[int]:
             if u in white:
                 white.remove(u)
                 gray.add(u)
+                grayed.append(u)
+
+    def gain(u: int, w: int) -> int:
+        return len(white & (adj[u] if w < 0 else adj[u] | adj[w]))
 
     start = min(range(g.n), key=lambda v: (-len(adj[v]), v))
     blacken(start)
 
+    # Lazy greedy over (-gain, u, w), w = -1 for singles. Every candidate is
+    # pushed when u turns gray; a candidate's gain only falls, and once u is
+    # black or w is no longer white it never comes back. So a popped live
+    # entry whose gain still holds is the least candidate of the full scan.
+    heap: list[tuple[int, int, int]] = []
     while white:
-        best: tuple[int, int, int] | None = None  # (-gain, u, w) with w=-1 for singles
-        for u in sorted(gray):
-            wn = white & adj[u]
-            if not wn:
+        for u in grayed:
+            near = white & adj[u]
+            if u in gray and near:
+                for w in (-1, *near):
+                    heapq.heappush(heap, (-gain(u, w), u, w))
+        grayed.clear()
+        while True:
+            assert heap, "connected graph must expose a gray-white frontier"
+            stored, u, w = heapq.heappop(heap)
+            if u not in gray or (w >= 0 and w not in white):
                 continue
-            cand = (-len(wn), u, -1)
-            if best is None or cand < best:
-                best = cand
-            for w in sorted(wn):
-                gain = len(white & (adj[u] | adj[w]))
-                cand = (-gain, u, w)
-                if cand < best:
-                    best = cand
-        assert best is not None, "connected graph must expose a gray-white frontier"
-        _, u, w = best
+            now = gain(u, w)
+            if now == -stored:
+                break
+            if now:
+                heapq.heappush(heap, (-now, u, w))
         blacken(u)
         if w >= 0:
             blacken(w)
@@ -89,8 +102,18 @@ def cds_alg2(g: Graph) -> frozenset[int]:
 
     uncovered = set(range(g.n))
     chosen: set[int] = set()
+    # Lazy greedy (Minoux 1978): a node's gain only falls as nodes get
+    # covered, so a stored gain bounds the true one. A popped entry whose
+    # gain still holds is the least (-gain, v) of all, ties to the lower id.
+    heap = [(-len(closed[v]), v) for v in range(g.n)]
+    heapq.heapify(heap)
     while uncovered:
-        v = min(range(g.n), key=lambda v: (-len(uncovered & closed[v]), v))
+        stored, v = heapq.heappop(heap)
+        gain = len(uncovered & closed[v])
+        if gain != -stored:
+            if gain:
+                heapq.heappush(heap, (-gain, v))
+            continue
         chosen.add(v)
         uncovered -= closed[v]
 

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -25,7 +26,7 @@ class InfeasibleError(ValueError):
     """No vertex set with the requested property exists for this graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph with planar positions and a shared radio radius.
 
@@ -33,16 +34,36 @@ class Graph:
     dist(i, j) <= radius, decided on squared distances with no tolerance.
     ``from_edges`` builds arbitrary adjacency for parsers and tests; the
     geometric rule is guaranteed only for gen_udg / unit_disk_graph output.
-    Every constructor goes through ``from_pairs``.
+    Every constructor goes through ``from_pairs``. Two graphs are equal when
+    their node counts, positions, radii and edges are.
     """
 
     n: int
     positions: tuple[tuple[float, float], ...]
     radius: float
-    adj: tuple[frozenset[int], ...]
-    #: The edge arrays ``adj`` came from, each edge in both directions,
-    #: sorted by src then dst.
-    pairs: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    #: The edges as int64 arrays, each edge in both directions, sorted by
+    #: src then dst.
+    pairs: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Each node's neighbours, built from ``pairs`` on first use."""
+        src, dst = self.pairs
+        bounds = [0] + np.cumsum(np.bincount(src, minlength=self.n)).tolist()
+        near = dst.tolist()
+        return tuple(frozenset(near[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            (self.n, self.positions, self.radius) == (other.n, other.positions, other.radius)
+            and np.array_equal(self.pairs[0], other.pairs[0])
+            and np.array_equal(self.pairs[1], other.pairs[1])
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.positions, self.radius, self.edge_count))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (i, j) with i < j, in sorted order."""
@@ -109,10 +130,7 @@ def from_pairs(
     """Build a graph from ordered edge arrays sorted by src, then dst, each
     edge present in both directions. The graph keeps the arrays as ``pairs``."""
     pos = tuple(positions)
-    bounds = [0] + np.cumsum(np.bincount(src, minlength=len(pos))).tolist()
-    near = dst.tolist()
-    adj = tuple(frozenset(near[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return Graph(len(pos), pos, float(radius), adj, (src, dst))
+    return Graph(len(pos), pos, float(radius), (src, dst))
 
 
 def unit_disk_graph(positions: Sequence[tuple[float, float]], radius: float) -> Graph:
@@ -240,7 +258,36 @@ def is_wcds(g: Graph, members: Iterable[int]) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    return _connected_within(g, frozenset(range(g.n)))
+    """True iff every node reaches every other; graphs of at most one node
+    count as connected.
+
+    Runs on the edge arrays, so a split draw is rejected without building
+    ``adj``. Every node carries a label, at first its own id. Each round,
+    every label takes the smallest label found across an edge from a node
+    that carries it, then each node's label jumps to its label's label until
+    none changes. A label only falls and always names a node of the same
+    component, so when a round changes nothing every node carries the
+    smallest id of its component.
+    """
+    n = g.n
+    if n <= 1:
+        return True
+    src, dst = g.pairs
+    if len(src) < 2 * (n - 1) or not np.bincount(src, minlength=n).all():
+        return False  # fewer than n - 1 edges, or an isolated node
+    label = np.arange(n)
+    while label.any():
+        low = label.copy()
+        np.minimum.at(low, label[src], label[dst])
+        while True:
+            jumped = low[low]
+            if np.array_equal(jumped, low):
+                break
+            low = jumped
+        if np.array_equal(low, label):
+            return False
+        label = low
+    return True
 
 
 #: The exact solver's modes, each with the predicate its answer must satisfy.

@@ -51,6 +51,12 @@ class Ciphertext:
     key_id: int
     payload: bytes
     auth_tag: bytes
+    #: ``open_as``'s results on this copy, by key bits: the decrypted
+    #: (kind, body), or None when the key failed. Every receiver of a
+    #: broadcast holds the same object, so each key opens it once.
+    _opened: dict[bytes, tuple[MessageKind, bytes] | None] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
 
 def _keystream(key: Key, length: int) -> bytes:
@@ -108,14 +114,20 @@ def decrypt(key: Key, ct: Ciphertext) -> tuple[MessageKind, bytes]:
 
 def open_as(key: Key | None, ct: Ciphertext, kind: MessageKind) -> bytes | None:
     """The body of ``ct`` if ``key`` sealed it as ``kind``, else None. No key, or
-    a clear key id naming another key, returns None without running the cipher."""
+    a clear key id naming another key, returns None without running the cipher.
+    The cipher runs once per key bits on each ciphertext object; a forged or
+    altered copy is a new object and gets its own tag check."""
     if key is None or ct.key_id != key.id:
         return None
     try:
-        sealed, body = decrypt(key, ct)
-    except (AuthenticationFailure, MalformedCiphertext):
-        return None
-    return body if sealed is kind else None
+        opened = ct._opened[key.bits]
+    except KeyError:
+        try:
+            opened = decrypt(key, ct)
+        except (AuthenticationFailure, MalformedCiphertext):
+            opened = None
+        ct._opened[key.bits] = opened
+    return opened[1] if opened is not None and opened[0] is kind else None
 
 
 class KeyFountain:

@@ -15,6 +15,7 @@ import time
 import mpmath
 import pytest
 
+import wcds.analysis
 from conftest import can_decrypt, child_env, record_transmissions
 from wcds.analysis import compare_ds_sizes, expected_gd_degree, ideal_ds_size
 from wcds.baselines import cds_alg1, cds_alg2
@@ -23,7 +24,6 @@ from wcds.graph import (
     gen_udg,
     is_cds,
     is_connected,
-    radius_for_expected_degree,
 )
 from wcds.keys import Rank, provision, storage_bits, uniform_storage_bits
 from wcds.sim import (
@@ -131,8 +131,17 @@ def test_criterion_4_degree_curve():
     )
 
 
-def test_criterion_5_protocol_beats_greedy_baselines():
+def test_criterion_5_protocol_beats_greedy_baselines(monkeypatch):
     t0 = time.perf_counter()
+    # Every baseline set the sweeps compare against, with the graph it was built on.
+    built = {}
+    for name, baseline in (("cds_alg1", cds_alg1), ("cds_alg2", cds_alg2)):
+        def recorded(g, baseline=baseline, out=built.setdefault(name, [])):
+            chosen = baseline(g)
+            out.append((g, chosen))
+            return chosen
+
+        monkeypatch.setattr(wcds.analysis, name, recorded)
     sweeps = ((6.0, list(range(20, 201, 20))), (12.0, list(range(40, 201, 20))))
     losses = []
     for degree, ns in sweeps:
@@ -146,13 +155,10 @@ def test_criterion_5_protocol_beats_greedy_baselines():
             a2 = rep.mean("cds_alg2", n)
             if not (ours < a1 and ours < a2):
                 losses.append((degree, n, ours, a1, a2))
-    for degree, ns in sweeps:
-        for n in ns:
-            radius = radius_for_expected_degree(n, 100.0, 100.0, degree)
-            for seed in range(30):
-                g = connected_udg(n, 100.0, 100.0, radius, seed)
-                assert is_cds(g, cds_alg1(g)), f"criterion 5: alg1 invalid at n={n} seed={seed}"
-                assert is_cds(g, cds_alg2(g)), f"criterion 5: alg2 invalid at n={n} seed={seed}"
+    for name, pairs in built.items():
+        assert len(pairs) == 570, f"criterion 5: {len(pairs)} {name} sets for 19 sizes x 30 seeds"
+        for g, chosen in pairs:
+            assert is_cds(g, chosen), f"criterion 5: {name} invalid at n={g.n}"
     elapsed = time.perf_counter() - t0
     ok = not losses and elapsed < 300.0
     detail = f"means below both baselines for all n >= 100, baselines valid, {elapsed:.0f}s"

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wcds.baselines import cds_alg1, cds_alg2
+from wcds.baselines import _fragments, _shortest_escape, cds_alg1, cds_alg2
 from wcds.graph import (
     InfeasibleError,
     brute_min_ds,
@@ -8,6 +10,7 @@ from wcds.graph import (
     gen_udg,
     is_cds,
     is_connected,
+    radius_for_expected_degree,
     unit_disk_graph,
 )
 
@@ -107,3 +110,92 @@ class TestRandomGraphs:
         h = connected_udg(40, 25.0, seed=99)
         assert cds_alg1(g) == cds_alg1(h)
         assert cds_alg2(g) == cds_alg2(h)
+
+
+def rescan_alg1(g):
+    """cds_alg1 as a full rescan of every gray node and gray-white pair on
+    each pick: the reference for the lazy heap."""
+    if g.n == 1:
+        return frozenset({0})
+    adj = g.adj
+    white = set(range(g.n))
+    gray, black = set(), set()
+
+    def blacken(v):
+        black.add(v)
+        gray.discard(v)
+        white.discard(v)
+        for u in adj[v]:
+            if u in white:
+                white.remove(u)
+                gray.add(u)
+
+    blacken(min(range(g.n), key=lambda v: (-len(adj[v]), v)))
+    while white:
+        best = None
+        for u in sorted(gray):
+            wn = white & adj[u]
+            if not wn:
+                continue
+            cand = (-len(wn), u, -1)
+            if best is None or cand < best:
+                best = cand
+            for w in sorted(wn):
+                cand = (-len(white & (adj[u] | adj[w])), u, w)
+                if cand < best:
+                    best = cand
+        _, u, w = best
+        blacken(u)
+        if w >= 0:
+            blacken(w)
+    return frozenset(black)
+
+
+def rescan_alg2(g):
+    """cds_alg2 with phase one as a rescan of every node on each pick: the
+    reference for the lazy heap. Phase two is the module's own."""
+    closed = [g.adj[v] | {v} for v in range(g.n)]
+    uncovered = set(range(g.n))
+    chosen = set()
+    while uncovered:
+        v = min(range(g.n), key=lambda v: (-len(uncovered & closed[v]), v))
+        chosen.add(v)
+        uncovered -= closed[v]
+    while len(fragments := _fragments(g, chosen)) > 1:
+        core = next(f for f in fragments if min(chosen) in f)
+        chosen.update(_shortest_escape(g, core, chosen))
+    return frozenset(chosen)
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random spanning tree on up to 12 nodes plus random extra edges."""
+    n = draw(st.integers(1, 12))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    if n > 1:
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    return from_edges(n, [(i, j) for i, j in edges if i != j])
+
+
+class TestLazyGreedy:
+    """The lazy heaps pick what a rescan of every candidate picks."""
+
+    def test_connected_udgs(self):
+        checked = 0
+        for n in (2, 5, 10, 20, 40, 60, 80):
+            for degree in (3.0, 6.0, 12.0):
+                radius = radius_for_expected_degree(n, 100.0, 100.0, degree)
+                for seed in range(40):
+                    g = gen_udg(n, 100.0, 100.0, radius, seed=seed)
+                    if not is_connected(g):
+                        continue
+                    assert cds_alg1(g) == rescan_alg1(g), (n, degree, seed)
+                    assert cds_alg2(g) == rescan_alg2(g), (n, degree, seed)
+                    checked += 1
+        assert checked > 300
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=small_connected_graphs())
+    def test_small_graphs(self, g):
+        assert cds_alg1(g) == rescan_alg1(g)
+        assert cds_alg2(g) == rescan_alg2(g)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from wcds.graph import (
     InfeasibleError,
     SizeLimitError,
     brute_min_ds,
+    component,
     from_edges,
     gen_udg,
     is_cds,
@@ -383,3 +385,133 @@ class TestConnectivity:
         assert is_connected(path(4))
         assert not is_connected(from_edges(3, [(0, 1)]))
         assert is_connected(gen_udg(0, 1.0, 1.0, 1.0, seed=0))
+
+
+def eager_adj(n, edge_list):
+    """Each node's neighbours, straight from an edge list."""
+    adj = [set() for _ in range(n)]
+    for i, j in edge_list:
+        adj[i].add(j)
+        adj[j].add(i)
+    return tuple(frozenset(s) for s in adj)
+
+
+@st.composite
+def edge_lists(draw, max_n=25):
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=3 * n))
+
+
+@st.composite
+def any_graphs(draw):
+    """Random unit-disk graphs and random ``from_edges`` graphs."""
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), max_size=30))
+        return unit_disk_graph(points, draw(st.sampled_from([0.5, 1.5, 3.0, 6.0])))
+    return from_edges(*draw(edge_lists()))
+
+
+def round_trip(g):
+    out = io.StringIO()
+    write_graph(g, out)
+    return read_graph(io.StringIO(out.getvalue()))
+
+
+class TestEquality:
+    """Graphs are equal when their nodes, positions, radius and edges are."""
+
+    def test_other_edges_same_positions_are_unequal(self):
+        a = from_edges(4, [(0, 1), (2, 3)])
+        b = from_edges(4, [(0, 2), (1, 3)])
+        assert a.n == b.n and a.positions == b.positions and a.radius == b.radius
+        assert a.edge_count == b.edge_count
+        assert a != b
+        assert from_edges(3, [(0, 1)]) != from_edges(3, [])
+
+    def test_same_edges_in_any_order_are_equal(self):
+        a = from_edges(4, [(0, 1), (2, 3)])
+        b = from_edges(4, [(3, 2), (1, 0), (0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert a != from_edges(4, [(0, 1), (2, 3)], radius=2.0)
+        assert a != from_edges(4, [(0, 1), (2, 3)], positions=[(0.0, 0.0)] * 3 + [(1.0, 0.0)])
+
+    def test_file_round_trip_is_equal(self):
+        graphs = [star(8), from_edges(0, []), from_edges(3, [])]
+        graphs += [gen_udg(n, 40.0, 40.0, 12.0, seed=n) for n in (1, 2, 15, 60)]
+        for g in graphs:
+            h = round_trip(g)
+            assert h == g and hash(h) == hash(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=edge_lists())
+    def test_lazy_adj_is_the_edge_list(self, edges):
+        g = from_edges(*edges)
+        assert g.adj == eager_adj(*edges)
+        assert g == from_edges(g.n, list(g.edges()))
+
+    def test_lazy_adj_is_the_pair_loop(self):
+        for seed in range(20):
+            g = gen_udg(80, 100.0, 100.0, 15.0, seed=seed)
+            assert g.adj == pair_loop(g.positions, 15.0)
+            assert g.adj is g.adj  # built once
+
+
+def walk_connected(g):
+    """The reference: one ``component`` walk from node 0 covers every node."""
+    return g.n == 0 or len(component(g, 0, range(g.n))) == g.n
+
+
+def shuffled_path(n, seed, closed=False):
+    """A path (or cycle) through all n nodes in a random id order: the worst
+    case for label propagation, since neighbouring ids are far apart."""
+    order = random.Random(seed).sample(range(n), n)
+    return list(zip(order, order[1:] + order[:1] if closed else order[1:]))
+
+
+class TestEdgeArrayConnectivity:
+    """``is_connected`` on the edge arrays agrees with the ``component`` walk."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(g=any_graphs())
+    def test_random_graphs(self, g):
+        assert is_connected(g) == walk_connected(g)
+
+    def test_tiny_graphs(self):
+        for g, want in (
+            (from_edges(0, []), True),
+            (from_edges(1, []), True),
+            (from_edges(2, []), False),
+            (from_edges(2, [(0, 1)]), True),
+        ):
+            assert is_connected(g) is want and walk_connected(g) is want
+
+    def test_isolated_nodes(self):
+        clique = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        for lone in (0, 3, 6):
+            edges = [(i + (i >= lone), j + (j >= lone)) for i, j in clique]
+            g = from_edges(7, edges)
+            assert not is_connected(g) and not walk_connected(g)
+
+    def test_two_clusters(self):
+        # Enough edges and no isolated node, so only the labels can tell.
+        left = [(i, j) for i in range(0, 10, 2) for j in range(i + 2, 10, 2)]
+        right = [(i, j) for i in range(1, 10, 2) for j in range(i + 2, 10, 2)]
+        assert not is_connected(from_edges(10, left + right))
+        assert is_connected(from_edges(10, left + right + [(8, 1)]))
+
+    def test_long_paths(self):
+        n = 3000
+        for seed in range(3):
+            path_edges = shuffled_path(n, seed)
+            assert is_connected(from_edges(n, path_edges))
+            assert is_connected(from_edges(n, shuffled_path(n, seed, closed=True)))
+            # Two cycles of half the nodes each: n edges, no isolated node.
+            half = [(a + n // 2, b + n // 2) for a, b in shuffled_path(n // 2, seed + 10, closed=True)]
+            both = shuffled_path(n // 2, seed + 20, closed=True) + half
+            assert not is_connected(from_edges(n, both))
+            assert is_connected(from_edges(n, both + [(0, n - 1)]))
+        ascending = from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        assert is_connected(ascending) and walk_connected(ascending)

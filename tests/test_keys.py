@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from wcds.keys import (
     storage_bits,
     uniform_storage_bits,
 )
+from wcds.sim import PlacementModel, assemble_outcome, deploy, late_join, leave, run, step
 from wcds.wire import (
     FLOOD_KINDS,
     MessageKind,
@@ -174,6 +177,99 @@ class TestOpenAs:
         k = self.key()
         assert open_as(k, Ciphertext(k.id, b"", b""), MessageKind.LEAVE) is None
         assert open_as(k, encrypt(k, MessageKind.JOIN_REQ, b"body"), MessageKind.LEAVE) is None
+
+
+class TestOpenMemo:
+    """``open_as`` runs the cipher once per key bits on one ciphertext
+    object; what it remembers never opens anything else."""
+
+    def key(self, ident=0, seed=0):
+        return TestCipher().key(ident, seed)
+
+    def opened(self, k, kind=MessageKind.LEAVE, body=b"body"):
+        ct = encrypt(k, kind, body)
+        assert open_as(k, ct, kind) == body
+        return ct
+
+    def test_each_key_runs_the_cipher_once_per_copy(self, monkeypatch):
+        k, other = self.key(0, seed=1), self.key(0, seed=2)
+        ct = encrypt(k, MessageKind.LEAVE, b"body")
+        calls = []
+        real = wcds.keys.decrypt
+
+        def counted(key, c):
+            calls.append(key)
+            return real(key, c)
+
+        monkeypatch.setattr(wcds.keys, "decrypt", counted)
+        for _ in range(3):
+            assert open_as(k, ct, MessageKind.LEAVE) == b"body"
+            assert open_as(k, ct, MessageKind.JOIN_REQ) is None
+            assert open_as(other, ct, MessageKind.LEAVE) is None
+        assert calls == [k, other]
+        # An equal copy that is another object runs the cipher again.
+        assert open_as(k, encrypt(k, MessageKind.LEAVE, b"body"), MessageKind.LEAVE) == b"body"
+        assert calls == [k, other, k]
+
+    def test_flipped_bit_after_an_open_still_fails(self):
+        k = self.key()
+        ct = self.opened(k)
+        for field_name in ("payload", "auth_tag"):
+            data = getattr(ct, field_name)
+            for bit in range(8 * len(data)):
+                bent = bytearray(data)
+                bent[bit // 8] ^= 1 << (bit % 8)
+                parts = {"payload": ct.payload, "auth_tag": ct.auth_tag, field_name: bytes(bent)}
+                copy = Ciphertext(ct.key_id, **parts)
+                assert open_as(k, copy, MessageKind.LEAVE) is None, (field_name, bit)
+        assert open_as(k, ct, MessageKind.LEAVE) == b"body"
+
+    def test_same_id_other_bits_after_an_open_still_fails(self):
+        k, forged = self.key(0, seed=1), self.key(0, seed=2)
+        assert forged.id == k.id and forged.bits != k.bits
+        ct = self.opened(k)
+        assert open_as(forged, ct, MessageKind.LEAVE) is None
+        # A failure remembered for the forged key does not shadow the real one.
+        assert open_as(k, ct, MessageKind.LEAVE) == b"body"
+        assert open_as(forged, ct, MessageKind.LEAVE) is None
+
+    def test_wrong_kind_after_an_open_still_fails(self):
+        k = self.key()
+        ct = self.opened(k)
+        for kind in MessageKind:
+            if kind is not MessageKind.LEAVE:
+                assert open_as(k, ct, kind) is None
+        assert open_as(k, ct, MessageKind.LEAVE) == b"body"
+
+    def test_memo_is_invisible_to_equality_and_hash(self):
+        k, forged = self.key(0, seed=1), self.key(0, seed=2)
+        opened = self.opened(k)
+        failed, fresh = (encrypt(k, MessageKind.LEAVE, b"body") for _ in range(2))
+        assert open_as(forged, failed, MessageKind.LEAVE) is None
+        assert opened == failed == fresh
+        assert hash(opened) == hash(failed) == hash(fresh)
+        assert len({opened, failed, fresh}) == 1
+        assert "_opened" not in repr(opened)
+        # The memo is no constructor argument, and a replaced copy starts empty.
+        assert dataclasses.replace(opened, auth_tag=bytes(8))._opened == {}
+
+    def test_pickled_world_runs_to_the_same_outcome(self):
+        material = provision([9] * 4, reserve_fraction=0.2, seed=5)
+        world = deploy(material, PlacementModel("group_clustered", 70.0, 70.0, 25.0), seed=6)
+        for _ in range(5):
+            step(world)
+        in_air = [env.ciphertext for env in world.inflight if isinstance(env.ciphertext, Ciphertext)]
+        assert any(ct._opened for ct in in_air)
+        twin = pickle.loads(pickle.dumps(world))
+        for w in (world, twin):
+            run(w)
+            for v in sorted(v for v, st in w.states.items() if st.rank is Rank.OS)[:2]:
+                leave(w, v)
+            for v in sorted(material.reserve)[:3]:
+                late_join(w, v)
+            run(w)
+        assert twin.events == world.events
+        assert assemble_outcome(twin) == assemble_outcome(world)
 
 
 class TestFountain:
