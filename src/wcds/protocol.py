@@ -260,17 +260,18 @@ def _os_approval(state: NodeState, env: Envelope, round_no: int, events) -> None
             state.neighbor_dominators.add(env.sender)
             _note(events, round_no, state.id, "neighbor_dominator", gd=env.sender)
         return
+    if state.dominator is not None or state.phase not in (Phase.AWAITING, Phase.ORPHAN):
+        return  # it opened, so it is no neighbour's; and it cannot change this state
     try:
         approver, _member = unpack_ids(body)
     except ValueError:
         return
     if approver != env.sender:
         return
-    if state.dominator is None and state.phase in (Phase.AWAITING, Phase.ORPHAN):
-        event = "adopted" if state.phase is Phase.ORPHAN else "joined"
-        state.dominator = env.sender
-        state.phase = Phase.JOINED
-        _note(events, round_no, state.id, event, gd=env.sender)
+    event = "adopted" if state.phase is Phase.ORPHAN else "joined"
+    state.dominator = env.sender
+    state.phase = Phase.JOINED
+    _note(events, round_no, state.id, event, gd=env.sender)
 
 
 def _os_promote(state: NodeState, env: Envelope, round_no: int, events) -> None:

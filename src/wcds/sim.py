@@ -35,15 +35,23 @@ in id order, its relays in flood-key order and then its own sends; then the
 adversaries' sends. ``World.inflight`` builds that list on demand for
 readers outside the round loop.
 
-A sensor with an empty inbox that has nothing due (a dominator, or an
-ordinary sensor not due to announce, time out its approval wait or leave) is
-not stepped; its relays still go out. A run whose only open work is orphans
-that nothing can reach any more (nothing in flight, no adversary, nothing
-due) is not stepped at all: its remaining rounds are counted as spent, which
-leaves the world as stepping them would have.
+Each round steps only the sensors that may have work: those with an inbox,
+and the ordinary sensors that have not announced, await an approval or have
+a leave pending, in id order. ``leave`` and ``late_join`` add a sensor to that
+set, and a step that leaves it with none of those drops it; one not yet due
+to announce, time out its approval wait or leave is passed over
+(``protocol.os_idle``). The relays of a sensor that is not stepped still go
+out. Who reads which kind, who has left and who a ``forge_join`` adversary may
+impersonate are kept the same way, changed only where a sensor leaves, is
+promoted or joins. A run whose only open work is orphans that nothing can
+reach any more (nothing in flight, no adversary, nothing due) is not stepped
+at all: its remaining rounds are counted as spent, which leaves the world as
+stepping them would have.
 
-The radio graph is built once from a cell grid and cached with each radio's
-neighbour sets until a radio comes onto the field or moves.
+The radio graph is built once from a cell grid, with each radio's neighbour
+sets. A radio that comes onto the field or moves is spliced in: one distance
+pass finds its neighbours, by the same rule as the grid, and only their
+entries and the edge arrays change.
 
 The envelope's ``transmitter`` field is the radio that emitted the copy.
 Each emitter sets it to its own id, on the copies it relays or replays too,
@@ -67,8 +75,6 @@ from .graph import (
     Graph,
     from_pairs,
     is_connected,
-    is_dominating,
-    is_wcds,
     radius_for_expected_degree,
     unit_disk_graph,
 )
@@ -154,6 +160,23 @@ class RadioIndex(NamedTuple):
     neighbors: dict[int, tuple[frozenset[int], tuple[int, ...]]]
 
 
+class _Roles(NamedTuple):
+    """The part each sensor plays, kept in step with ``World.states``: the
+    radios whose steps read each kind (``protocol.HANDLERS``), the departed
+    sensors, and the ordinary sensors, departed ones included, in id order:
+    the ids a ``forge_join`` adversary may claim."""
+
+    reads: dict[MessageKind, set[int]]
+    left: set[int]
+    victims: list[int]
+
+
+def _may_work(st: NodeState) -> bool:
+    """Whether an ordinary sensor may act on an empty inbox: it has not
+    announced, awaits an approval, or has a leave pending."""
+    return st.rank is Rank.OS and (st.pending_leave or st.phase is Phase.IDLE or st.phase is Phase.AWAITING)
+
+
 @dataclass
 class World:
     material: KeyMaterial
@@ -179,9 +202,13 @@ class World:
     #: and every radio delivered a copy. Departed sensors are never added.
     reached: dict[tuple, set[int]] = field(default_factory=dict)
     formation_complete: bool = False
-    #: The radio index, built on first use from ``positions``; ``_place``
-    #: clears it whenever a radio comes onto the field or moves.
+    #: Indices built on first use, from ``positions`` and ``states``, and
+    #: then kept up to date in place: the radio index (``_place`` splices
+    #: each radio that comes onto the field or moves), the ordinary sensors
+    #: that may have work (``_may_work``) and the part each sensor plays.
     _radio: RadioIndex | None = None
+    _busy: set[int] | None = None
+    _roles: _Roles | None = None
 
     def radio_index(self) -> RadioIndex:
         """The radio index of the field as it stands, built on first use."""
@@ -202,15 +229,109 @@ class World:
             self._radio = RadioIndex(ids, graph, neighbors)
         return self._radio
 
+    def _busy_sensors(self) -> set[int]:
+        """The ordinary sensors that may act on an empty inbox."""
+        if self._busy is None:
+            self._busy = {v for v, st in self.states.items() if _may_work(st)}
+        return self._busy
+
+    def _role_index(self) -> _Roles:
+        """The part each sensor plays, built on first use."""
+        if self._roles is None:
+            self._roles = _Roles({kind: set() for kind in MessageKind}, set(), [])
+            for kind in HANDLERS[BS_ID]:
+                self._roles.reads[kind].add(BS_ID)
+            for v in sorted(self.states):
+                self._recast(v, None)
+        return self._roles
+
+    def _recast(self, node: int, was: Rank | None) -> None:
+        """Move a sensor in the role index from the part it played, ``was``
+        (its rank, or None when departed or not yet on the field), to the
+        part its state gives it now."""
+        reads, left, victims = self._role_index()
+        st = self.states[node]
+        now = None if st.phase is Phase.LEFT else st.rank
+        for kind in HANDLERS.get(was, ()):
+            reads[kind].discard(node)
+        for kind in HANDLERS.get(now, ()):
+            reads[kind].add(node)
+        if now is None:
+            left.add(node)
+        else:
+            left.discard(node)
+        k = bisect_left(victims, node)
+        listed = k < len(victims) and victims[k] == node
+        if st.rank is Rank.OS and not listed:
+            victims.insert(k, node)
+        elif listed and st.rank is not Rank.OS:
+            del victims[k]
+
     @property
     def inflight(self) -> list[Envelope]:
         """The air as one list of transmissions, in transmission order."""
         return _transmissions(self.sends, self.relayed)
 
     def _place(self, radio: int, position: tuple[float, float]) -> None:
-        """Put a radio on the field, or move it, and drop the radio index."""
+        """Put a radio on the field, or move it, and splice it into the radio
+        index if one is built."""
+        if self._radio is not None:
+            self._radio = _splice(self._radio, radio, position)
         self.positions[radio] = position
-        self._radio = None
+
+
+def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> RadioIndex:
+    """``index`` with ``radio`` taken off the field, if it is on it, and put
+    at ``position``. Only the radio's neighbours' entries change; the edge
+    arrays are renumbered and stay sorted by src, then dst. The neighbours
+    are found in one distance pass under ``graph._disk_pairs``'s rule,
+    ``dx*dx + dy*dy <= r*r`` in float64, so the result equals a rebuild."""
+    x, y = float(position[0]), float(position[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("positions must be finite")
+    ids, graph, neighbors = index
+    src, dst = graph.pairs
+    spots = graph.positions
+    k = bisect_left(ids, radio)
+    if k < len(ids) and ids[k] == radio:  # a move: off the field first
+        listeners, adversaries = neighbors.pop(radio)
+        for u in (*adversaries, *listeners):
+            near, advs = neighbors[u]
+            if radio < BS_ID:
+                neighbors[u] = (near, tuple(a for a in advs if a != radio))
+            else:
+                neighbors[u] = (near - {radio}, advs)
+        keep = (src != k) & (dst != k)
+        src, dst = src[keep], dst[keep]
+        src -= src > k
+        dst -= dst > k
+        del ids[k]
+        spots = spots[:k] + spots[k + 1 :]
+    xy = np.array(spots, dtype=np.float64).reshape(-1, 2)
+    r = graph.radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = xy[:, 0] - x
+        dy = xy[:, 1] - y
+        hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
+    near = [ids[j] for j in hit.tolist()]
+    split = bisect_left(near, BS_ID)
+    for u in near:
+        listeners, adversaries = neighbors[u]
+        if radio < BS_ID:
+            neighbors[u] = (listeners, tuple(sorted((*adversaries, radio))))
+        else:
+            neighbors[u] = (listeners | {radio}, adversaries)
+    neighbors[radio] = (frozenset(near[split:]), tuple(near[:split]))
+    ids.insert(k, radio)
+    n = len(ids)
+    hit += hit >= k
+    src = src + (src >= k)
+    dst = dst + (dst >= k)
+    keys = src * n + dst
+    added = np.sort(np.concatenate((k * n + hit, hit * n + k)))
+    keys = np.insert(keys, np.searchsorted(keys, added), added)
+    spots = spots[:k] + ((x, y),) + spots[k:]
+    return RadioIndex(ids, from_pairs(spots, r, *np.divmod(keys, n)), neighbors)
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -291,19 +412,7 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
     ``World.relayed`` the sensors that relay each flood this round.
     Departed sensors receive nothing."""
     neighbors = world.radio_index().neighbors
-    # The radios each ``HANDLERS`` table covers, then the radios that read each kind.
-    members: dict = {reader: set() for reader in HANDLERS}
-    members[BS_ID].add(BS_ID)
-    left: set[int] = set()
-    for v, st in world.states.items():
-        if st.phase is Phase.LEFT:
-            left.add(v)
-        else:
-            members[st.rank].add(v)
-    reads = {
-        kind: set().union(*(members[r] for r, table in HANDLERS.items() if kind in table))
-        for kind in MessageKind
-    }
+    reads, left, _ = world._role_index()
     sends, relayed = world.sends, world.relayed
     world.sends, world.relayed = [], {}
     inboxes: dict[int, list[Envelope]] = {}
@@ -364,7 +473,8 @@ def _adversary_step(
 ) -> list[Envelope]:
     """One adversary's round. ``victims`` are the ordinary sensors a
     ``forge_join`` adversary may impersonate this round, in id order; empty
-    on even rounds, which never impersonate."""
+    on even rounds, which never impersonate. It is the world's own roster,
+    read and not changed."""
     adv.captured.extend(inbox)
     out: list[Envelope] = []
     if adv.behavior == "forge_join":
@@ -404,22 +514,27 @@ def step(world: World) -> None:
 
     world.sends += bs_step(world.bs, inboxes.get(BS_ID, []), round_no, material, events)[1]
 
-    for node in sorted(world.states):
-        st = world.states[node]
+    # Sensors that heard something or may have work, in id order; the base
+    # station and adversaries (negative ids) step on their own.
+    states = world.states
+    busy = world._busy_sensors()
+    order = sorted(busy.union(inboxes))
+    for node in order[bisect_left(order, 0) :]:
+        st = states[node]
         inbox = inboxes.get(node)
-        if st.rank is not Rank.OS:
-            if inbox is None:
-                continue
+        if st.rank is not Rank.OS:  # a dominator, here for its inbox
             out = gd_step(st, inbox, round_no, material, events)[1]
         elif inbox is None and os_idle(st, round_no):
             continue  # nothing heard and nothing due: the step would be a no-op
         else:
             out = os_step(st, inbox or [], round_no, events)[1]
+            if not _may_work(st):
+                busy.discard(node)
+            if st.rank is not Rank.OS or st.phase is Phase.LEFT:  # promoted or departed
+                world._recast(node, Rank.OS)
         world.sends += out
 
-    victims = []
-    if round_no % 2 and any(adv.behavior == "forge_join" for adv in world.adversaries):
-        victims = sorted(n for n, st in world.states.items() if st.rank is Rank.OS)
+    victims = world._role_index().victims if round_no % 2 else []
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
         world.sends += _adversary_step(world, adv, inboxes.get(adv.id, []), victims)
 
@@ -513,8 +628,8 @@ def inject_adversary(
             pos = positions[i]
         else:
             pos = (world.rng.uniform(0.0, world.width), world.rng.uniform(0.0, world.height))
-        world.adversaries.append(Adversary(aid, behavior))
         world._place(aid, pos)
+        world.adversaries.append(Adversary(aid, behavior))
         ids.append(aid)
     return ids
 
@@ -525,18 +640,20 @@ def late_join(world: World, node: int, position: tuple[float, float] | None = No
     if st is not None:
         if st.phase is not Phase.LEFT:
             raise ValueError(f"{node} is already deployed")
+        if position is not None:
+            world._place(node, position)
         st.phase = Phase.IDLE
         st.dominator = None
         st.join_round = None
         st.neighbor_dominators.clear()  # what it heard before it left
-        if position is not None:
-            world._place(node, position)
-        return
-    if node not in world.material.reserve:
+    elif node in world.material.reserve:
+        world._place(node, position if position is not None else world.planned[node])
+        world.states[node] = _fresh_state(world.material, node)
+        world.states[node].post_formation = world.formation_complete
+    else:
         raise ValueError(f"{node} is neither departed nor held in reserve")
-    world.states[node] = _fresh_state(world.material, node)
-    world.states[node].post_formation = world.formation_complete
-    world._place(node, position if position is not None else world.planned[node])
+    world._busy_sensors().add(node)
+    world._recast(node, None)
 
 
 def leave(world: World, node: int) -> None:
@@ -547,37 +664,34 @@ def leave(world: World, node: int) -> None:
     if st.phase is Phase.LEFT:
         raise ValueError(f"{node} already left")
     st.pending_leave = True
+    world._busy_sensors().add(node)
 
 
 def assemble_outcome(world: World) -> ClusterOutcome:
     """Fold final node states and base-station records into one summary."""
     states = world.states
-    dominators = sorted(n for n, st in states.items() if st.rank in (Rank.GD, Rank.GD_OS))
-    membership = sorted(
-        (n, st.dominator)
-        for n, st in states.items()
-        if st.rank is Rank.OS and st.phase is Phase.JOINED and st.dominator is not None
-    )
-    home = {n: st.dominator for n, st in states.items()}
+    dominators, membership, failures = [], [], []
+    for n in sorted(states):
+        st = states[n]
+        if st.rank is not Rank.OS:
+            dominators.append(n)
+        elif st.phase is Phase.JOINED:
+            if st.dominator is not None:
+                membership.append((n, st.dominator))
+        elif st.phase is not Phase.LEFT:
+            failures.append(n)
     mediators = []
-    for gd, st in states.items():
-        if st.rank not in (Rank.GD, Rank.GD_OS):
-            continue
-        for os_id in st.mediators:
+    for gd in dominators:
+        for os_id in states[gd].mediators:
             if os_id < 0 or os_id not in states:
                 continue
-            own = home.get(os_id)
+            own = states[os_id].dominator
             if own is not None and own != gd:
                 mediators.append((os_id, own, gd))
     orphan_log = []
     for os_id in sorted(world.bs.orphans):
         rec = world.bs.orphans[os_id]
         orphan_log.append((os_id, rec.resolution[0] if rec.resolution else "pending"))
-    failures = sorted(
-        n
-        for n, st in states.items()
-        if st.rank is Rank.OS and st.phase not in (Phase.JOINED, Phase.LEFT)
-    )
     return ClusterOutcome(
         dominator_set=tuple(dominators),
         membership=tuple(membership),
@@ -607,9 +721,11 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
 
     The graph is the world's radio graph restricted to sensors still on the
     field; the base station and adversaries are not part of the dominating
-    structure. A dominating set's closed neighbourhood is the whole graph, so
-    its weak connectivity is the graph's connectivity: the field is walked
-    once either way.
+    structure. The check runs on the radio index's edge arrays: a sensor is
+    covered when it is a dominator or has an edge to one, and the set is
+    dominating when every sensor on the field is covered. A dominating set's
+    closed neighbourhood is the whole graph, so its weak connectivity (what
+    ``graph.is_wcds`` checks) is the graph's connectivity.
     """
     if outcome is None:
         outcome = assemble_outcome(world)
@@ -617,21 +733,21 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     ids, radio, _ = world.radio_index()
     on_field = [v in states and states[v].phase is not Phase.LEFT for v in ids]
     keep = np.array(on_field, dtype=bool)
-    renumber = np.cumsum(keep) - 1
+    chosen = np.isin(ids, outcome.dominator_set) & keep
     src, dst = radio.pairs
     both = keep[src] & keep[dst]
+    covered = chosen.copy()
+    covered[dst[both & chosen[src]]] = True
+    dominating = np.array_equal(covered, keep)
+    renumber = np.cumsum(keep) - 1
     positions = [p for p, k in zip(radio.positions, on_field) if k]
-    g = from_pairs(positions, radio.radius, renumber[src[both]], renumber[dst[both]])
-    index = {v: k for k, v in enumerate(v for v, k in zip(ids, on_field) if k)}
-    chosen = {index[d] for d in outcome.dominator_set if d in index}
-    dominating = is_dominating(g, chosen)
-    weakly_connected = is_wcds(g, chosen)
+    connected = is_connected(from_pairs(positions, radio.radius, renumber[src[both]], renumber[dst[both]]))
     return VerifyReport(
-        node_count=g.n,
-        dominator_count=len(chosen),
+        node_count=len(positions),
+        dominator_count=int(chosen.sum()),
         dominating=dominating,
-        weakly_connected=weakly_connected,
-        graph_connected=weakly_connected if dominating else is_connected(g),
+        weakly_connected=dominating and connected,
+        graph_connected=connected,
         fully_resolved=not outcome.coverage_failures,
     )
 

@@ -41,13 +41,32 @@ def test_traced_simulation_runs():
         importlib.import_module(f"wcds.{module}")
     import wcds.sim
 
+    from wcds.keys import Rank
+    from wcds.protocol import Phase
+
     instrument = tracing.Instrument(tracing=True)
     config = wcds.sim.RunConfig(groups=3, eta=5, radius=30.0, mode="group_clustered", seed=1)
     with instrument.active():
-        wcds.sim.simulate(config)
+        world = wcds.sim.simulate(config)[0]
+        # Churn on the formed field: each change is spliced into the radio
+        # index and the busy and role indices the steps read. The member
+        # leaves, then comes back at its dominator's spot.
+        member = min(v for v, st in world.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED)
+        home = world.states[member].dominator
+        wcds.sim.leave(world, member)
+        wcds.sim.run(world)
+        left = world.states[member].phase
+        wcds.sim.late_join(world, member, position=world.positions[home])
+        wcds.sim.inject_adversary(world, 1, "forge_join")
+        wcds.sim.run(world)
+        report = wcds.sim.verify_outcome(world)
+    assert left is Phase.LEFT and world.states[member].phase is not Phase.LEFT
+    assert report.node_count == len(world.states)
     counters = instrument.counter_values()
     assert counters["protocol.node_steps"] > 0 and counters["protocol.flood_receptions"] > 0
-    assert instrument.aggregate()["sim.step"][0] == counters["sim.rounds"]
+    spans = instrument.aggregate()
+    assert spans["sim.step"][0] == counters["sim.rounds"]
+    assert spans["sim.leave"][0] == spans["sim.late_join"][0] == 1
 
 
 def workload_names() -> list[str]:

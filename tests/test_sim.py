@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies
 import wcds.sim as sim_module
 from conftest import make_world, record_transmissions
 from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
-from wcds.graph import is_connected, radius_for_expected_degree, unit_disk_graph
+from wcds.graph import is_connected, is_dominating, is_wcds, radius_for_expected_degree, unit_disk_graph
 from wcds.keys import Rank, provision
 from wcds.protocol import (
     APPROVAL_TIMEOUT,
@@ -25,6 +26,7 @@ from wcds.sim import (
     PLACEMENT_MODES,
     PlacementModel,
     RunConfig,
+    VerifyReport,
     assemble_outcome,
     deploy,
     form_deployment,
@@ -43,6 +45,14 @@ def line_world(material, spots, radius=12.0):
     positions = {BS_ID: (0.0, 0.0)}
     positions.update(spots)
     return make_world(material, positions, radius=radius)
+
+
+def rebuilt(world):
+    """A copy of ``world`` sharing its state but none of its indices, so each
+    is built afresh from ``positions`` and ``states`` on first use."""
+    twin = copy.copy(world)
+    twin._radio = twin._busy = twin._roles = None
+    return twin
 
 
 class TestPlacement:
@@ -290,6 +300,70 @@ class TestRadioIndex:
         assert w.positions[1] == (10.0, 80.0) and w.states[1].phase is Phase.IDLE
         self.check(w)
 
+    # Spots on a 2-unit grid with radius 10 give coincident radios and pairs
+    # exactly 10 apart (6-8 and 10-0 offsets); free spots give the rest.
+    SPOT = strategies.one_of(
+        strategies.tuples(strategies.integers(0, 20), strategies.integers(0, 20)).map(
+            lambda p: (2.0 * p[0], 2.0 * p[1])
+        ),
+        strategies.tuples(*[strategies.floats(-5.0, 45.0, allow_nan=False)] * 2),
+    )
+    OPS = strategies.lists(
+        strategies.tuples(
+            strategies.sampled_from(["reserve", "rejoin", "adversary", "move"]),
+            strategies.integers(0, 10**6),
+            SPOT,
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=strategies.lists(SPOT, min_size=12, max_size=12), ops=OPS)
+    def test_spliced_index_equals_a_rebuild(self, start, ops):
+        m = provision([3, 3, 4], reserve_fraction=0.4)
+        deployed = m.deployed_nodes()
+        w = make_world(m, {BS_ID: (20.0, 20.0), **dict(zip(deployed, start))}, radius=10.0)
+        inject_adversary(w, 1, "replay", positions=[start[-1]])
+        w.radio_index()  # built before any change, so every change is spliced
+        for op, pick, spot in ops:
+            if op == "reserve":
+                spare = sorted(set(m.reserve) - set(w.states))
+                if not spare:
+                    continue
+                late_join(w, spare[pick % len(spare)], position=spot)
+            elif op == "rejoin":  # leave, step once to depart, come back elsewhere
+                active = sorted(v for v, st in w.states.items() if st.rank is Rank.OS and st.phase is not Phase.LEFT)
+                if not active:
+                    continue
+                v = active[pick % len(active)]
+                leave(w, v)
+                step(w)
+                assert w.states[v].phase is Phase.LEFT
+                late_join(w, v, position=spot)
+            elif op == "adversary":
+                inject_adversary(w, 1, "forge_join", positions=[spot])
+            else:  # any radio, the base station and adversaries included
+                radios = sorted(w.positions)
+                w._place(radios[pick % len(radios)], spot)
+            spliced, fresh = w.radio_index(), rebuilt(w).radio_index()
+            assert spliced.ids == fresh.ids == sorted(w.positions)
+            assert spliced.graph == fresh.graph
+            assert list(spliced.graph.edges()) == list(fresh.graph.edges())
+            assert spliced.neighbors == fresh.neighbors
+        self.check(w)
+
+    def test_splice_refuses_a_position_off_the_plane(self):
+        m = provision([2], reserve_fraction=0.5)
+        w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0)})
+        before = w.radio_index()
+        with pytest.raises(ValueError, match="finite"):
+            late_join(w, 2, position=(math.inf, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            inject_adversary(w, 1, "replay", positions=[(0.0, math.nan)])
+        assert 2 not in w.positions and 2 not in w.states and not w.adversaries
+        assert w.radio_index() == before
+
 
 def fan_out(world):
     """Reference delivery: every in-flight copy, in transmission order, to every
@@ -406,6 +480,7 @@ def twin_runs(drive):
         m.setattr(sim_module, "gd_step", relaying(sim_module.gd_step, seen))
         m.setattr(sim_module, "bs_step", relaying(sim_module.bs_step, seen, sends_relays=False))
         m.setattr(sim_module, "os_idle", lambda state, round_no: False)
+        m.setattr(sim_module, "_may_work", lambda state: state.rank is Rank.OS)
         slow = drive()
     assert fast_sent == slow_sent
     assert fast.events == slow.events
@@ -842,6 +917,64 @@ class TestChurn:
             leave(w, 1)
 
 
+class TestStateIndices:
+    """The sensors that may have work and the part each sensor plays are kept
+    in place; after every change they equal indices rebuilt from the states."""
+
+    @staticmethod
+    def check(world):
+        twin = rebuilt(world)
+        assert world._busy_sensors() == twin._busy_sensors(), world.round
+        assert world._role_index() == twin._role_index(), world.round
+
+    @staticmethod
+    def lonely_spot(world):
+        """A spot in range of the base station and of no GD-rank sensor."""
+        (bx, by), r = world.positions[BS_ID], world.radius
+        heads = [world.positions[v] for v, st in world.states.items() if st.rank is Rank.GD]
+        for dx in range(-int(r), int(r) + 1):
+            for dy in range(-int(r), int(r) + 1):
+                x, y = bx + dx, by + dy
+                if math.hypot(dx, dy) <= r and all(math.hypot(x - hx, y - hy) > r for hx, hy in heads):
+                    return (x, y)
+        raise AssertionError("every spot near the base station has a dominator in range")
+
+    def test_indices_match_the_states_through_churn(self, monkeypatch):
+        real = sim_module.step
+        rounds = []
+
+        def checked(world):
+            real(world)
+            self.check(world)
+            rounds.append(world.round)
+
+        monkeypatch.setattr(sim_module, "step", checked)
+        m = provision([9] * 6, reserve_fraction=0.3, seed=2)
+        w = deploy(m, PlacementModel("group_clustered", 90.0, 90.0, 18.0), seed=4)
+        inject_adversary(w, 3, "forge_join")
+        run(w)
+        self.check(w)
+        spare = sorted(m.reserve)
+        for epoch in range(4):
+            joined = sorted(v for v, st in w.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED)
+            for v in joined[epoch :: 9]:
+                leave(w, v)
+                self.check(w)
+            # One reserve where its group is, one in the base station's range
+            # but out of every adopting dominator's, which orphans and is promoted.
+            late_join(w, spare.pop())
+            late_join(w, spare.pop(), position=self.lonely_spot(w))
+            self.check(w)
+            run(w)
+            departed = sorted(v for v, st in w.states.items() if st.phase is Phase.LEFT)
+            late_join(w, departed[0], position=w.positions[departed[-1]])
+            self.check(w)
+            run(w)
+        promoted = [v for v, st in w.states.items() if st.rank is Rank.GD_OS]
+        assert len(promoted) >= 3 and set(promoted).isdisjoint(w._role_index().victims)
+        assert len(rounds) > 40 and not w._busy_sensors()
+
+
 class TestAdversaries:
     def joined_line(self):
         m = provision([1])
@@ -930,6 +1063,68 @@ class TestVerify:
                     assert report.graph_connected == connected, (seed, mode)
                     seen.add((report.dominating, connected))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @staticmethod
+    def by_predicates(world, outcome):
+        """The report built with the graph predicates on the on-field graph,
+        built afresh."""
+        on_field = sorted(v for v, st in world.states.items() if st.phase is not Phase.LEFT)
+        g = unit_disk_graph([world.positions[v] for v in on_field], world.radius)
+        index = {v: i for i, v in enumerate(on_field)}
+        chosen = {index[d] for d in outcome.dominator_set if d in index}
+        return VerifyReport(
+            node_count=len(on_field),
+            dominator_count=len(chosen),
+            dominating=is_dominating(g, chosen),
+            weakly_connected=is_wcds(g, chosen),
+            graph_connected=is_connected(g),
+            fully_resolved=not outcome.coverage_failures,
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        groups=strategies.lists(strategies.integers(0, 4), min_size=1, max_size=5),
+        data=strategies.data(),
+    )
+    def test_report_equals_the_graph_predicates(self, groups, data):
+        # Random layouts, split ones included, a random subset of departed
+        # sensors (all of them: no sensor on the field) and a random dominator
+        # set, empty and off-field ids included.
+        m = provision(groups)
+        nodes = m.all_nodes()
+        spot = strategies.tuples(*[strategies.floats(0.0, 60.0, allow_nan=False)] * 2)
+        spots = data.draw(strategies.lists(spot, min_size=len(nodes), max_size=len(nodes)))
+        w = make_world(m, {BS_ID: (30.0, 30.0), **dict(zip(nodes, spots))}, radius=15.0)
+        for v in data.draw(strategies.sets(strategies.sampled_from(nodes))):
+            w.states[v].phase = Phase.LEFT
+        dominators = data.draw(strategies.sets(strategies.integers(-3, len(nodes) + 2)))
+        outcome = dataclasses.replace(assemble_outcome(w), dominator_set=tuple(sorted(dominators)))
+        assert verify_outcome(w, outcome) == self.by_predicates(w, outcome)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_report_equals_the_graph_predicates_on_formed_fields(self, seed):
+        world = simulate(RunConfig(
+            groups=4, eta=6, mode="uniform", width=80.0, height=80.0, target_degree=5.0,
+            reserve_fraction=0.3, seed=seed,
+        ))[0]
+        for v in sorted(world.material.reserve)[:2]:
+            late_join(world, v)
+        run(world)
+        outcome = assemble_outcome(world)
+        for dominators in (outcome.dominator_set, outcome.dominator_set[1:], ()):
+            chosen = dataclasses.replace(outcome, dominator_set=dominators)
+            assert verify_outcome(world, chosen) == self.by_predicates(world, chosen)
+
+    def test_edge_fields(self):
+        lone = line_world(provision([0]), {0: (5.0, 0.0)})
+        empty = make_world(provision([0]), {BS_ID: (0.0, 0.0)}, radius=12.0)
+        for world in (lone, empty):
+            for dominators in ((), (0,)):
+                outcome = dataclasses.replace(assemble_outcome(world), dominator_set=dominators)
+                assert verify_outcome(world, outcome) == self.by_predicates(world, outcome)
+        assert verify_outcome(empty).node_count == 0 and verify_outcome(empty).ok
+        lone.states[0].phase = Phase.LEFT
+        assert verify_outcome(lone) == VerifyReport(0, 0, True, True, True, True)
 
 
 class TestEndToEnd:
