@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import heapq
 
-from .graph import Graph, InfeasibleError, component, is_connected
+import numpy as np
+
+from .graph import Graph, InfeasibleError, components, is_connected
 
 
 def _check(g: Graph) -> None:
@@ -117,23 +119,21 @@ def cds_alg2(g: Graph) -> frozenset[int]:
         chosen.add(v)
         uncovered -= closed[v]
 
-    while True:
-        fragments = _fragments(g, chosen)
-        if len(fragments) <= 1:
-            break
-        core = next(f for f in fragments if min(chosen) in f)
+    # Label the fragments once: a path joins the core with every fragment its
+    # nodes touch, and fragments are maximal, so no other fragment joins.
+    label = components(g, np.isin(np.arange(g.n), list(chosen))).tolist()
+    fragments: dict[int, set[int]] = {}
+    for v in chosen:
+        fragments.setdefault(label[v], set()).add(v)
+    core = fragments.pop(label[min(chosen)])
+    while fragments:
         path = _shortest_escape(g, core, chosen)
         chosen.update(path)
+        core.update(path)
+        for v in path:
+            for u in adj[v]:
+                core.update(fragments.pop(label[u], ()))
     return frozenset(chosen)
-
-
-def _fragments(g: Graph, members: set[int]) -> list[set[int]]:
-    left = set(members)
-    out = []
-    while left:
-        out.append(component(g, min(left), left))
-        left -= out[-1]
-    return out
 
 
 def _shortest_escape(g: Graph, core: set[int], members: set[int]) -> list[int]:

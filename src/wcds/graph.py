@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -204,78 +204,34 @@ def radius_for_expected_degree(n: int, width: float, height: float, degree: floa
     return math.sqrt(degree * width * height / (math.pi * (n - 1)))
 
 
-def _vertex_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
-    s = frozenset(int(v) for v in members)
-    for v in s:
+def _mask(g: Graph, members: Iterable[int]) -> np.ndarray:
+    """The boolean node mask of ``members``. Each id must name a node of g:
+    numpy would wrap a negative index silently."""
+    ids = [int(v) for v in members]
+    for v in ids:
         if not 0 <= v < g.n:
             raise ValueError(f"node {v} outside 0..{g.n - 1}")
-    return s
+    mask = np.zeros(g.n, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
-def _cover(g: Graph, s: frozenset[int]) -> set[int]:
-    """The closed neighbourhood of ``s``: its members and all their neighbours."""
-    cover = set(s)
-    for v in s:
-        cover.update(g.adj[v])
-    return cover
+def components(g: Graph, within: np.ndarray) -> np.ndarray:
+    """Label each node with the smallest id of its component in the subgraph
+    that the boolean node mask ``within`` induces; a node outside the mask is
+    its own component.
 
-
-def component(g: Graph, start: int, within: Collection[int]) -> set[int]:
-    """The nodes of ``within`` that ``start``, itself in ``within``, reaches
-    through edges between nodes of ``within``."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u in within and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
-def _connected_within(g: Graph, keep: Collection[int]) -> bool:
-    # Empty and singleton sets count as connected.
-    return len(keep) <= 1 or len(component(g, min(keep), keep)) == len(keep)
-
-
-def is_dominating(g: Graph, members: Iterable[int]) -> bool:
-    """True iff every node is in the set or adjacent to a member."""
-    return len(_cover(g, _vertex_set(g, members))) == g.n
-
-
-def is_cds(g: Graph, members: Iterable[int]) -> bool:
-    """True iff the set dominates g and induces a connected subgraph."""
-    s = _vertex_set(g, members)
-    return is_dominating(g, s) and _connected_within(g, s)
-
-
-def is_wcds(g: Graph, members: Iterable[int]) -> bool:
-    """True iff the set dominates g and the union of its closed neighborhoods
-    induces a connected subgraph."""
-    cover = _cover(g, _vertex_set(g, members))
-    return len(cover) == g.n and _connected_within(g, cover)
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff every node reaches every other; graphs of at most one node
-    count as connected.
-
-    Runs on the edge arrays, so a split draw is rejected without building
-    ``adj``. Every node carries a label, at first its own id. Each round,
-    every label takes the smallest label found across an edge from a node
-    that carries it, then each node's label jumps to its label's label until
-    none changes. A label only falls and always names a node of the same
-    component, so when a round changes nothing every node carries the
-    smallest id of its component.
+    Runs on the edge arrays. Every node carries a label, at first its own id.
+    Each round, every label takes the smallest label found across an edge
+    from a node that carries it, then each node's label jumps to its label's
+    label until none changes. A label only falls and always names a node of
+    the same component, so when a round changes nothing every node carries
+    the smallest id of its component.
     """
-    n = g.n
-    if n <= 1:
-        return True
     src, dst = g.pairs
-    if len(src) < 2 * (n - 1) or not np.bincount(src, minlength=n).all():
-        return False  # fewer than n - 1 edges, or an isolated node
-    label = np.arange(n)
+    both = within[src] & within[dst]
+    src, dst = src[both], dst[both]
+    label = np.arange(g.n)
     while label.any():
         low = label.copy()
         np.minimum.at(low, label[src], label[dst])
@@ -285,9 +241,52 @@ def is_connected(g: Graph) -> bool:
                 break
             low = jumped
         if np.array_equal(low, label):
-            return False
+            break
         label = low
-    return True
+    return label
+
+
+def _covers(g: Graph, mask: np.ndarray) -> bool:
+    """True iff the nodes of ``mask`` and their neighbours are every node."""
+    src, dst = g.pairs
+    covered = mask.copy()
+    covered[dst[mask[src]]] = True
+    return bool(covered.all())
+
+
+def is_dominating(g: Graph, members: Iterable[int]) -> bool:
+    """True iff every node is in the set or adjacent to a member."""
+    return _covers(g, _mask(g, members))
+
+
+def is_cds(g: Graph, members: Iterable[int]) -> bool:
+    """True iff the set dominates g and induces a connected subgraph."""
+    s = _mask(g, members)
+    return _covers(g, s) and len(set(components(g, s)[s].tolist())) <= 1
+
+
+def is_wcds(g: Graph, members: Iterable[int]) -> bool:
+    """True iff the set dominates g and the union of its closed neighborhoods
+    induces a connected subgraph. The closed neighbourhood of a dominating
+    set is every node, so that union is g itself."""
+    return is_dominating(g, members) and is_connected(g)
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every node reaches every other; graphs of at most one node
+    count as connected.
+
+    Runs on the edge arrays, so a split draw is rejected without building
+    ``adj``: too few edges or an isolated node settle it at once, and
+    otherwise every node must carry label 0 in ``components``.
+    """
+    n = g.n
+    if n <= 1:
+        return True
+    src, dst = g.pairs
+    if len(src) < 2 * (n - 1) or not np.bincount(src, minlength=n).all():
+        return False  # fewer than n - 1 edges, or an isolated node
+    return not components(g, np.ones(n, dtype=bool)).any()
 
 
 #: The exact solver's modes, each with the predicate its answer must satisfy.

@@ -75,6 +75,7 @@ from .graph import (
     Graph,
     from_pairs,
     is_connected,
+    is_dominating,
     radius_for_expected_degree,
     unit_disk_graph,
 )
@@ -721,30 +722,28 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
 
     The graph is the world's radio graph restricted to sensors still on the
     field; the base station and adversaries are not part of the dominating
-    structure. The check runs on the radio index's edge arrays: a sensor is
-    covered when it is a dominator or has an edge to one, and the set is
-    dominating when every sensor on the field is covered. A dominating set's
-    closed neighbourhood is the whole graph, so its weak connectivity (what
-    ``graph.is_wcds`` checks) is the graph's connectivity.
+    structure. The on-field graph is cut from the radio index's edge arrays,
+    and the graph predicates answer on it: ``is_dominating`` for the
+    dominators on the field and ``is_connected`` for the graph. A dominating
+    set's closed neighbourhood is the whole graph, so its weak connectivity
+    (what ``graph.is_wcds`` checks) is the graph's connectivity.
     """
     if outcome is None:
         outcome = assemble_outcome(world)
     states = world.states
     ids, radio, _ = world.radio_index()
-    on_field = [v in states and states[v].phase is not Phase.LEFT for v in ids]
-    keep = np.array(on_field, dtype=bool)
-    chosen = np.isin(ids, outcome.dominator_set) & keep
+    keep = np.array([v in states and states[v].phase is not Phase.LEFT for v in ids], dtype=bool)
     src, dst = radio.pairs
     both = keep[src] & keep[dst]
-    covered = chosen.copy()
-    covered[dst[both & chosen[src]]] = True
-    dominating = np.array_equal(covered, keep)
     renumber = np.cumsum(keep) - 1
-    positions = [p for p, k in zip(radio.positions, on_field) if k]
-    connected = is_connected(from_pairs(positions, radio.radius, renumber[src[both]], renumber[dst[both]]))
+    positions = [p for p, k in zip(radio.positions, keep.tolist()) if k]
+    on_field = from_pairs(positions, radio.radius, renumber[src[both]], renumber[dst[both]])
+    chosen = np.flatnonzero(np.isin(ids, outcome.dominator_set)[keep])
+    dominating = is_dominating(on_field, chosen)
+    connected = is_connected(on_field)
     return VerifyReport(
         node_count=len(positions),
-        dominator_count=int(chosen.sum()),
+        dominator_count=len(chosen),
         dominating=dominating,
         weakly_connected=dominating and connected,
         graph_connected=connected,

@@ -1,6 +1,8 @@
 """Shared test helpers: the environment for tests that start `python -m wcds`
 as a child process, a world built from explicit positions, a recorder of
-every transmission, and a yes/no form of decryption."""
+every transmission, a yes/no form of decryption, and set walks over a
+graph's adjacency sets that serve as references for the edge-array
+predicates."""
 
 import os
 import random
@@ -76,3 +78,32 @@ def can_decrypt(key, ct):
     except (AuthenticationFailure, MalformedCiphertext):
         return False
     return True
+
+
+def component(g, start, within):
+    """The nodes of ``within`` that ``start``, itself in ``within``, reaches
+    through edges between nodes of ``within``: a walk over ``g.adj``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in g.adj[v]:
+            if u in within and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def cover(g, members):
+    """The closed neighbourhood of ``members``: the members and all their
+    neighbours."""
+    out = set(members)
+    for v in members:
+        out.update(g.adj[v])
+    return out
+
+
+def connected_within(g, keep):
+    """True iff ``keep`` induces a connected subgraph; the empty set and a
+    single node count as connected."""
+    return len(keep) <= 1 or len(component(g, min(keep), keep)) == len(keep)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcds.baselines import _fragments, _shortest_escape, cds_alg1, cds_alg2
+from conftest import component
+from wcds.baselines import _shortest_escape, cds_alg1, cds_alg2
 from wcds.graph import (
     InfeasibleError,
     brute_min_ds,
@@ -151,9 +152,9 @@ def rescan_alg1(g):
     return frozenset(black)
 
 
-def rescan_alg2(g):
-    """cds_alg2 with phase one as a rescan of every node on each pick: the
-    reference for the lazy heap. Phase two is the module's own."""
+def rescan_dominators(g):
+    """cds_alg2's phase one as a rescan of every node on each pick: the
+    reference for the lazy heap."""
     closed = [g.adj[v] | {v} for v in range(g.n)]
     uncovered = set(range(g.n))
     chosen = set()
@@ -161,8 +162,26 @@ def rescan_alg2(g):
         v = min(range(g.n), key=lambda v: (-len(uncovered & closed[v]), v))
         chosen.add(v)
         uncovered -= closed[v]
-    while len(fragments := _fragments(g, chosen)) > 1:
-        core = next(f for f in fragments if min(chosen) in f)
+    return chosen
+
+
+def fragments(g, members):
+    """The components of the subgraph ``members`` induces, each found by a
+    set walk."""
+    left = set(members)
+    out = []
+    while left:
+        out.append(component(g, min(left), left))
+        left -= out[-1]
+    return out
+
+
+def rescan_alg2(g):
+    """cds_alg2 by the reference phase one, with phase two finding every
+    fragment afresh after each path. The shortest path is the module's."""
+    chosen = rescan_dominators(g)
+    while len(split := fragments(g, chosen)) > 1:
+        core = next(f for f in split if min(chosen) in f)
         chosen.update(_shortest_escape(g, core, chosen))
     return frozenset(chosen)
 
@@ -199,3 +218,28 @@ class TestLazyGreedy:
     def test_small_graphs(self, g):
         assert cds_alg1(g) == rescan_alg1(g)
         assert cds_alg2(g) == rescan_alg2(g)
+
+
+def largest_component(g):
+    """The unit-disk graph over the nodes of g's largest component."""
+    big = max(fragments(g, range(g.n)), key=len)
+    return unit_disk_graph([g.positions[v] for v in sorted(big)], g.radius)
+
+
+class TestPhaseTwo:
+    """cds_alg2 labels the phase-one fragments once and merges into the core
+    the fragments each path touches; that connects the same set as finding
+    every fragment afresh after each path."""
+
+    def test_sparse_udgs_with_many_fragments(self):
+        # Uniform draws at degree 3-4 are almost never connected, so each
+        # case is the largest component of one.
+        many = 0
+        for n in range(40, 201, 20):
+            for degree in (3.0, 3.5, 4.0):
+                radius = radius_for_expected_degree(n, 100.0, 100.0, degree)
+                for seed in range(10):
+                    g = largest_component(gen_udg(n, 100.0, 100.0, radius, seed=seed))
+                    many += len(fragments(g, rescan_dominators(g))) >= 3
+                    assert cds_alg2(g) == rescan_alg2(g), (n, degree, seed)
+        assert many >= 200

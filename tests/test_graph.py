@@ -4,16 +4,17 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import connected_within, cover
 from wcds.graph import (
     EXHAUSTIVE_LIMIT,
     InfeasibleError,
     SizeLimitError,
     brute_min_ds,
-    component,
     from_edges,
     gen_udg,
     is_cds,
@@ -268,13 +269,26 @@ class TestPredicates:
         assert not is_cds(g, {0, 2})
 
     def test_invalid_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            is_dominating(path(3), {5})
+        # numpy would wrap -1 to the last node, so each predicate must refuse
+        # ids below 0 as well as ids of n or more, on the empty graph too.
+        for g in (path(3), from_edges(0, [])):
+            for predicate in (is_dominating, is_cds, is_wcds):
+                for bad in (-1, g.n, g.n + 2):
+                    with pytest.raises(ValueError, match=f"node {bad} outside"):
+                        predicate(g, {bad})
+                    with pytest.raises(ValueError, match=f"node {bad} outside"):
+                        predicate(g, [0, bad] if g.n else [bad])
+
+    def test_empty_set_on_empty_graph(self):
+        g = from_edges(0, [])
+        for predicate in (is_dominating, is_cds, is_wcds):
+            assert predicate(g, set()) is True
+            assert predicate(g, np.array([], dtype=np.int64)) is True
 
 
 @st.composite
 def graph_and_subset(draw):
-    n = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=0, max_value=9))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     radius = draw(st.floats(min_value=1.0, max_value=15.0))
     g = gen_udg(n, 10.0, 10.0, radius, seed=seed)
@@ -291,6 +305,20 @@ class TestDefinitionChain:
             assert is_wcds(g, s)
         if is_wcds(g, s):
             assert is_dominating(g, s)
+
+
+class TestSetWalkDefinitions:
+    """The edge-array predicates equal their definitions as set walks."""
+
+    @given(graph_and_subset())
+    @settings(max_examples=400, deadline=None)
+    def test_predicates_equal_the_walks(self, gs):
+        g, s = gs
+        closed = cover(g, s)
+        dominating = len(closed) == g.n
+        assert is_dominating(g, s) is dominating
+        assert is_cds(g, s) is (dominating and connected_within(g, s))
+        assert is_wcds(g, s) is (dominating and connected_within(g, closed))
 
 
 class TestBruteForce:
@@ -460,8 +488,8 @@ class TestEquality:
 
 
 def walk_connected(g):
-    """The reference: one ``component`` walk from node 0 covers every node."""
-    return g.n == 0 or len(component(g, 0, range(g.n))) == g.n
+    """The reference: one set walk from node 0 covers every node."""
+    return connected_within(g, range(g.n))
 
 
 def shuffled_path(n, seed, closed=False):
@@ -472,7 +500,7 @@ def shuffled_path(n, seed, closed=False):
 
 
 class TestEdgeArrayConnectivity:
-    """``is_connected`` on the edge arrays agrees with the ``component`` walk."""
+    """``is_connected`` on the edge arrays agrees with the set walk."""
 
     @settings(max_examples=400, deadline=None)
     @given(g=any_graphs())

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import wcds.sim as sim_module
-from conftest import make_world, record_transmissions
+from conftest import connected_within, cover, make_world, record_transmissions
 from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
-from wcds.graph import is_connected, is_dominating, is_wcds, radius_for_expected_degree, unit_disk_graph
+from wcds.graph import radius_for_expected_degree, unit_disk_graph
 from wcds.keys import Rank, provision
 from wcds.protocol import (
     APPROVAL_TIMEOUT,
@@ -1056,7 +1056,8 @@ class TestVerify:
                     leave(world, v)
                 run(world)
                 on_field = sorted(v for v, st in world.states.items() if st.phase is not Phase.LEFT)
-                connected = is_connected(unit_disk_graph([world.positions[v] for v in on_field], world.radius))
+                g = unit_disk_graph([world.positions[v] for v in on_field], world.radius)
+                connected = connected_within(g, range(g.n))
                 outcome = assemble_outcome(world)
                 for chosen in (outcome, dataclasses.replace(outcome, dominator_set=outcome.dominator_set[1:])):
                     report = verify_outcome(world, chosen)
@@ -1066,18 +1067,21 @@ class TestVerify:
 
     @staticmethod
     def by_predicates(world, outcome):
-        """The report built with the graph predicates on the on-field graph,
-        built afresh."""
+        """The report by the definitions, as set walks over the on-field
+        graph built afresh: the dominators' closed neighbourhood must be
+        every node and induce a connected subgraph."""
         on_field = sorted(v for v, st in world.states.items() if st.phase is not Phase.LEFT)
         g = unit_disk_graph([world.positions[v] for v in on_field], world.radius)
         index = {v: i for i, v in enumerate(on_field)}
         chosen = {index[d] for d in outcome.dominator_set if d in index}
+        closed = cover(g, chosen)
+        dominating = len(closed) == g.n
         return VerifyReport(
             node_count=len(on_field),
             dominator_count=len(chosen),
-            dominating=is_dominating(g, chosen),
-            weakly_connected=is_wcds(g, chosen),
-            graph_connected=is_connected(g),
+            dominating=dominating,
+            weakly_connected=dominating and connected_within(g, closed),
+            graph_connected=connected_within(g, range(g.n)),
             fully_resolved=not outcome.coverage_failures,
         )
 
