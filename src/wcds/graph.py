@@ -207,19 +207,23 @@ def radius_for_expected_degree(n: int, width: float, height: float, degree: floa
 def _mask(g: Graph, members: Iterable[int]) -> np.ndarray:
     """The boolean node mask of ``members``. Each id must name a node of g:
     numpy would wrap a negative index silently."""
-    ids = [int(v) for v in members]
-    for v in ids:
-        if not 0 <= v < g.n:
-            raise ValueError(f"node {v} outside 0..{g.n - 1}")
+    ids = members if isinstance(members, np.ndarray) else list(members)
+    try:
+        ids = np.asarray(ids, dtype=np.int64)
+    except OverflowError:  # an id past int64, the largest in size, names no node
+        raise ValueError(f"node {max(ids, key=abs)} outside 0..{g.n - 1}") from None
+    bad = np.flatnonzero((ids < 0) | (ids >= g.n))
+    if len(bad):
+        raise ValueError(f"node {ids[bad[0]]} outside 0..{g.n - 1}")
     mask = np.zeros(g.n, dtype=bool)
     mask[ids] = True
     return mask
 
 
-def components(g: Graph, within: np.ndarray) -> np.ndarray:
+def components(g: Graph, within: np.ndarray | None = None) -> np.ndarray:
     """Label each node with the smallest id of its component in the subgraph
-    that the boolean node mask ``within`` induces; a node outside the mask is
-    its own component.
+    that the boolean node mask ``within`` induces, or in g itself when it is
+    None; a node outside the mask is its own component.
 
     Runs on the edge arrays. Every node carries a label, at first its own id.
     Each round, every label takes the smallest label found across an edge
@@ -229,8 +233,9 @@ def components(g: Graph, within: np.ndarray) -> np.ndarray:
     the smallest id of its component.
     """
     src, dst = g.pairs
-    both = within[src] & within[dst]
-    src, dst = src[both], dst[both]
+    if within is not None:
+        both = within[src] & within[dst]
+        src, dst = src[both], dst[both]
     label = np.arange(g.n)
     while label.any():
         low = label.copy()
@@ -286,7 +291,7 @@ def is_connected(g: Graph) -> bool:
     src, dst = g.pairs
     if len(src) < 2 * (n - 1) or not np.bincount(src, minlength=n).all():
         return False  # fewer than n - 1 edges, or an isolated node
-    return not components(g, np.ones(n, dtype=bool)).any()
+    return not components(g).any()
 
 
 #: The exact solver's modes, each with the predicate its answer must satisfy.

@@ -7,26 +7,37 @@ and collects their outboxes for the next round. With the same provisioning
 and seed, runs are byte-for-byte reproducible. Past transmissions are not
 kept, only counted by kind in ``World.counters``.
 
+Every set of protocol radios (sensors and the base station) in the radio
+layer is one ``int`` bitmask: radio ``v`` is bit ``v + 1``, so the base
+station (-1) is bit 0 and id order is bit order. Adversaries stay outside the
+masks, in ascending tuples. The radio index keeps, per radio, the mask of
+protocol radios in its range; the role index keeps the mask of radios whose
+steps read each kind and the mask of departed sensors.
+
 Every sensor relays each flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD)
-once. The world keeps one record per flood, ``World.reached``: the protocol
-radios it has reached, starting with its origin. Each round the copies of a
-flood in the air are walked by transmitter id, ties in transmission order,
-and each copy reaches the radios in its range that the flood has not reached
-yet. So the smallest transmitter wins: that is the copy a step working
-through its sorted inbox would act on, and every other copy is one it would
-drop as a duplicate. Departed sensors get nothing and are not recorded, so a
-sensor that comes back while a flood is passing still gets it.
+once. The world keeps one record per flood, ``World.reached``: the mask of
+protocol radios it has reached, starting with its origin. Each round the
+copies of a flood in the air are walked by transmitter id, ties in
+transmission order, and each copy reaches the radios in its range that the
+flood has not reached yet. So the smallest transmitter wins: that is the
+copy a step working through its sorted inbox would act on, and every other
+copy is one it would drop as a duplicate. Departed sensors get nothing and
+are not recorded, so a sensor that comes back while a flood is passing still
+gets it.
 
 Relaying is the radio layer's work, not a step's. The air holds a round's
 transmissions in two parts. ``World.sends`` lists the copies that sensors,
 the base station and adversaries originate or replay, in the order sent.
 ``World.relayed`` has one record per flood, in flood-key order: one copy of
-the flood and the ascending ids of the sensors relaying it. A relay stays an
-id until it reaches a radio whose step reads its kind; only then does
-delivery build it an envelope. An inbox gets only the kinds its radio's step
-has a handler for (``protocol.HANDLERS``): REKEY, JOIN_APRV and PROMOTE_CMD
-for ordinary sensors, ADOPT_CMD, JOIN_REQ, GD_ERR and LEAVE for dominators,
-GD_ERR and ORP_ERR for the base station. Of a flood it gets the winning copy,
+the flood and the mask of the sensors relaying it, whose bits the message
+count adds. A flood's next layer is the union of the relayers'
+neighbourhoods less the radios it has reached and the departed ones. A relay
+stays a bit until it reaches a radio whose step reads its kind; only then
+does delivery build it an envelope, from the lowest relayer in that radio's
+range. An inbox gets only the kinds its radio's step has a handler for
+(``protocol.HANDLERS``): REKEY, JOIN_APRV and PROMOTE_CMD for ordinary
+sensors, ADOPT_CMD, JOIN_REQ, GD_ERR and LEAVE for dominators, GD_ERR and
+ORP_ERR for the base station. Of a flood it gets the winning copy,
 of any other kind every copy in range. Adversaries overhear every copy in
 their range in transmission order, floods included.
 
@@ -49,9 +60,11 @@ at all: its remaining rounds are counted as spent, which leaves the world as
 stepping them would have.
 
 The radio graph is built once from a cell grid, with each radio's neighbour
-sets. A radio that comes onto the field or moves is spliced in: one distance
-pass finds its neighbours, by the same rule as the grid, and only their
-entries and the edge arrays change.
+mask and adversary tuple. A radio that comes onto the field or moves is
+spliced in: one distance pass finds its neighbours, by the same rule as the
+grid, and only their entries and the edge arrays change. The unions of
+neighbourhoods a flood's relayers span are built a byte of the relayer mask
+at a time and kept until the next splice.
 
 The envelope's ``transmitter`` field is the radio that emitted the copy.
 Each emitter sets it to its own id, on the copies it relays or replays too,
@@ -67,7 +80,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from operator import attrgetter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,24 +164,69 @@ class Adversary:
     captured: deque = field(default_factory=lambda: deque(maxlen=512))
 
 
+#: The bit positions set in each byte value, ascending.
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def _mask_of(ids: Iterable[int]) -> int:
+    """The radio mask of the protocol radios ``ids``: bit ``v + 1`` per id."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << (v + 1)
+    return mask
+
+
+def _ids_of(mask: int) -> list[int]:
+    """The protocol radios of a radio mask, in ascending id order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 2)
+        mask ^= low
+    return out
+
+
 class RadioIndex(NamedTuple):
     """The unit-disk graph over every radio on the field (sensors, the base
-    station and adversaries) and, per radio, the protocol radios (sensors and
-    base station) and the adversaries in its range."""
+    station and adversaries) and, per radio, the mask of protocol radios
+    (sensors and base station) and the ascending adversary ids in its range.
+    ``unions`` caches ``reach``'s per-byte unions for this index only; a
+    splice makes a new index with none."""
 
     ids: list[int]  # graph node i is ids[i]
     graph: Graph
-    neighbors: dict[int, tuple[frozenset[int], tuple[int, ...]]]
+    neighbors: dict[int, tuple[int, tuple[int, ...]]]
+    unions: dict[int, int]
+
+    def reach(self, mask: int) -> int:
+        """The protocol radios in range of any radio of ``mask``. Each
+        non-zero byte ``b`` at byte ``i`` of the mask adds the union of its
+        radios' neighbourhoods, built on first use and kept under
+        ``i << 8 | b``."""
+        neighbors, unions = self.neighbors, self.unions
+        out = 0
+        for i, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+            if b:
+                key = i << 8 | b
+                union = unions.get(key)
+                if union is None:
+                    union = 0
+                    for j in _BYTE_BITS[b]:
+                        union |= neighbors[8 * i + j - 1][0]
+                    unions[key] = union
+                out |= union
+        return out
 
 
-class _Roles(NamedTuple):
+@dataclass
+class _Roles:
     """The part each sensor plays, kept in step with ``World.states``: the
-    radios whose steps read each kind (``protocol.HANDLERS``), the departed
-    sensors, and the ordinary sensors, departed ones included, in id order:
-    the ids a ``forge_join`` adversary may claim."""
+    mask of radios whose steps read each kind (``protocol.HANDLERS``), the
+    mask of departed sensors, and the ordinary sensors, departed ones
+    included, in id order: the ids a ``forge_join`` adversary may claim."""
 
-    reads: dict[MessageKind, set[int]]
-    left: set[int]
+    reads: dict[MessageKind, int]
+    left: int
     victims: list[int]
 
 
@@ -194,14 +252,15 @@ class World:
     #: The air, until delivered (see the module docstring). ``sends``: the
     #: copies originated or replayed this round, in the order sent.
     #: ``relayed``: per flood key, in key order, one copy of the flood and
-    #: the ascending ids of the sensors relaying it.
+    #: the mask of the sensors relaying it.
     sends: list[Envelope] = field(default_factory=list)
-    relayed: dict[tuple, tuple[Envelope, list[int]]] = field(default_factory=dict)
+    relayed: dict[tuple, tuple[Envelope, int]] = field(default_factory=dict)
     counters: Counter[str] = field(default_factory=Counter)
     events: list[dict] = field(default_factory=list)
-    #: Per flood key, the protocol radios the flood has reached: its origin
-    #: and every radio delivered a copy. Departed sensors are never added.
-    reached: dict[tuple, set[int]] = field(default_factory=dict)
+    #: Per flood key, the mask of protocol radios the flood has reached: its
+    #: origin and every radio delivered a copy. Departed sensors are never
+    #: added.
+    reached: dict[tuple, int] = field(default_factory=dict)
     formation_complete: bool = False
     #: Indices built on first use, from ``positions`` and ``states``, and
     #: then kept up to date in place: the radio index (``_place`` splices
@@ -224,10 +283,10 @@ class World:
             lo = np.cumsum(count) - count
             mid = lo + np.bincount(src[dst < bisect_left(ids, BS_ID)], minlength=len(ids))
             neighbors = {
-                v: (frozenset(near[b:c]), tuple(near[a:b]))
+                v: (_mask_of(near[b:c]), tuple(near[a:b]))
                 for v, a, b, c in zip(ids, lo.tolist(), mid.tolist(), (lo + count).tolist())
             }
-            self._radio = RadioIndex(ids, graph, neighbors)
+            self._radio = RadioIndex(ids, graph, neighbors, {})
         return self._radio
 
     def _busy_sensors(self) -> set[int]:
@@ -239,9 +298,9 @@ class World:
     def _role_index(self) -> _Roles:
         """The part each sensor plays, built on first use."""
         if self._roles is None:
-            self._roles = _Roles({kind: set() for kind in MessageKind}, set(), [])
+            self._roles = _Roles({kind: 0 for kind in MessageKind}, 0, [])
             for kind in HANDLERS[BS_ID]:
-                self._roles.reads[kind].add(BS_ID)
+                self._roles.reads[kind] |= _mask_of((BS_ID,))
             for v in sorted(self.states):
                 self._recast(v, None)
         return self._roles
@@ -250,17 +309,19 @@ class World:
         """Move a sensor in the role index from the part it played, ``was``
         (its rank, or None when departed or not yet on the field), to the
         part its state gives it now."""
-        reads, left, victims = self._role_index()
+        roles = self._role_index()
+        reads, victims = roles.reads, roles.victims
         st = self.states[node]
         now = None if st.phase is Phase.LEFT else st.rank
+        bit = _mask_of((node,))
         for kind in HANDLERS.get(was, ()):
-            reads[kind].discard(node)
+            reads[kind] &= ~bit
         for kind in HANDLERS.get(now, ()):
-            reads[kind].add(node)
+            reads[kind] |= bit
         if now is None:
-            left.add(node)
+            roles.left |= bit
         else:
-            left.discard(node)
+            roles.left &= ~bit
         k = bisect_left(victims, node)
         listed = k < len(victims) and victims[k] == node
         if st.rank is Rank.OS and not listed:
@@ -284,24 +345,27 @@ class World:
 def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> RadioIndex:
     """``index`` with ``radio`` taken off the field, if it is on it, and put
     at ``position``. Only the radio's neighbours' entries change; the edge
-    arrays are renumbered and stay sorted by src, then dst. The neighbours
-    are found in one distance pass under ``graph._disk_pairs``'s rule,
-    ``dx*dx + dy*dy <= r*r`` in float64, so the result equals a rebuild."""
+    arrays are renumbered and stay sorted by src, then dst. The new index
+    starts with no per-byte unions: any of the old ones may hold a changed
+    neighbourhood. The neighbours are found in one distance pass under
+    ``graph._disk_pairs``'s rule, ``dx*dx + dy*dy <= r*r`` in float64, so the
+    result equals a rebuild."""
     x, y = float(position[0]), float(position[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("positions must be finite")
-    ids, graph, neighbors = index
+    ids, graph, neighbors, _ = index
     src, dst = graph.pairs
     spots = graph.positions
     k = bisect_left(ids, radio)
+    bit = 0 if radio < BS_ID else _mask_of((radio,))
     if k < len(ids) and ids[k] == radio:  # a move: off the field first
         listeners, adversaries = neighbors.pop(radio)
-        for u in (*adversaries, *listeners):
+        for u in (*adversaries, *_ids_of(listeners)):
             near, advs = neighbors[u]
             if radio < BS_ID:
                 neighbors[u] = (near, tuple(a for a in advs if a != radio))
             else:
-                neighbors[u] = (near - {radio}, advs)
+                neighbors[u] = (near & ~bit, advs)
         keep = (src != k) & (dst != k)
         src, dst = src[keep], dst[keep]
         src -= src > k
@@ -321,8 +385,8 @@ def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> Rad
         if radio < BS_ID:
             neighbors[u] = (listeners, tuple(sorted((*adversaries, radio))))
         else:
-            neighbors[u] = (listeners | {radio}, adversaries)
-    neighbors[radio] = (frozenset(near[split:]), tuple(near[:split]))
+            neighbors[u] = (listeners | bit, adversaries)
+    neighbors[radio] = (_mask_of(near[split:]), tuple(near[:split]))
     ids.insert(k, radio)
     n = len(ids)
     hit += hit >= k
@@ -332,7 +396,7 @@ def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> Rad
     added = np.sort(np.concatenate((k * n + hit, hit * n + k)))
     keys = np.insert(keys, np.searchsorted(keys, added), added)
     spots = spots[:k] + ((x, y),) + spots[k:]
-    return RadioIndex(ids, from_pairs(spots, r, *np.divmod(keys, n)), neighbors)
+    return RadioIndex(ids, from_pairs(spots, r, *np.divmod(keys, n)), neighbors, {})
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -383,19 +447,22 @@ def deploy(
 
 
 def _transmissions(
-    sends: list[Envelope], relayed: dict[tuple, tuple[Envelope, list[int]]], heard=None
+    sends: list[Envelope],
+    relayed: dict[tuple, tuple[Envelope, int]],
+    near: tuple[int, tuple[int, ...]] | None = None,
 ) -> list[Envelope]:
     """The air as one list in transmission order (see the module docstring),
-    or only the copies whose transmitter is in ``heard``."""
+    or only the copies whose transmitter is in ``near``, one radio's entry of
+    ``RadioIndex.neighbors``."""
     owed: dict[int, list[Envelope]] = {}
-    for (sender, kind, ct, seq, _), ids in relayed.values():
-        for r in ids if heard is None else heard.intersection(ids):
+    for (sender, kind, ct, seq, _), relayers in relayed.values():
+        for r in _ids_of(relayers if near is None else relayers & near[0]):
             owed.setdefault(r, []).append(Envelope(sender, kind, ct, seq, r))
     queue = sorted(owed, reverse=True)
     out: list[Envelope] = []
     for env in sends:
         t = env.transmitter
-        if heard is not None and t not in heard:
+        if near is not None and not (t in near[1] if t < BS_ID else near[0] >> (t + 1) & 1):
             continue
         # A sensor's relays go ahead of its own sends and of every later
         # sender's; adversaries (ids below the base station's) send last.
@@ -412,60 +479,56 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
     of the radios whose steps read each copy, and record in
     ``World.relayed`` the sensors that relay each flood this round.
     Departed sensors receive nothing."""
-    neighbors = world.radio_index().neighbors
-    reads, left, _ = world._role_index()
+    index = world.radio_index()
+    neighbors = index.neighbors
+    roles = world._role_index()
+    reads, left = roles.reads, roles.left
     sends, relayed = world.sends, world.relayed
     world.sends, world.relayed = [], {}
     inboxes: dict[int, list[Envelope]] = {}
     for adv in world.adversaries:
-        listeners, adversaries = neighbors[adv.id]
-        inboxes[adv.id] = _transmissions(sends, relayed, listeners.union(adversaries))
+        inboxes[adv.id] = _transmissions(sends, relayed, neighbors[adv.id])
     floods: dict[tuple, list[Envelope]] = {}
     for env in sends:
         if env.kind in FLOOD_KINDS:
             floods.setdefault(flood_key(env), []).append(env)
             continue
-        for rcv in neighbors[env.transmitter][0] & reads[env.kind]:
+        for rcv in _ids_of(neighbors[env.transmitter][0] & reads[env.kind]):
             inboxes.setdefault(rcv, []).append(env)
+    all_reached = world.reached
     for key in sorted(floods.keys() | relayed.keys()):
         copies = floods.get(key, [])
-        reached = world.reached.get(key)
+        reached = all_reached.get(key)
         if reached is None:  # the flood's first round in the air: only its origin sent it
-            reached = world.reached[key] = {e.sender for e in copies if e.transmitter == e.sender}
+            # (an adversary sending under its own id has no bit to set)
+            reached = _mask_of(e.sender for e in copies if e.transmitter == e.sender >= BS_ID)
+        start = reached
         readers = reads[key[0]]
-        relaying: set[int] = set()
         # Copies sent as such (the origin's, replays) come from the origin or
         # an adversary, whose ids sort ahead of every sensor relaying the flood.
         copies.sort(key=_TRANSMITTER)
         for env in copies:
-            fresh = neighbors[env.transmitter][0] - reached
-            if left:
-                fresh -= left
+            fresh = neighbors[env.transmitter][0] & ~(reached | left)
             reached |= fresh
-            relaying |= fresh
-            for rcv in fresh & readers:
+            for rcv in _ids_of(fresh & readers):
                 inboxes.setdefault(rcv, []).append(env)
         if key in relayed:
-            copy, ids = relayed[key]
-            fresh = set()
-            for r in ids:
-                fresh |= neighbors[r][0]
-            fresh -= reached
-            if left:
-                fresh -= left
+            copy, relayers = relayed[key]
+            fresh = index.reach(relayers) & ~(reached | left)
             reached |= fresh
-            relaying |= fresh
-            relayers = set(ids)
             sender, kind, ct, seq, _ = copy
-            # Of the copies a reader hears, the smallest relayer's wins.
-            for rcv in fresh & readers:
-                winner = min(relayers.intersection(neighbors[rcv][0]))
+            # Of the copies a reader hears, the smallest relayer's wins: the
+            # lowest bit of the relayers in its range.
+            for rcv in _ids_of(fresh & readers):
+                heard = relayers & neighbors[rcv][0]
+                winner = (heard & -heard).bit_length() - 2
                 inboxes.setdefault(rcv, []).append(Envelope(sender, kind, ct, seq, winner))
         else:
             copy = copies[0]
-        relaying.discard(BS_ID)
+        all_reached[key] = reached
+        relaying = (reached ^ start) & ~1  # newly reached, less the base station's bit 0
         if relaying:
-            world.relayed[key] = (copy, sorted(relaying))
+            world.relayed[key] = (copy, relaying)
     return inboxes
 
 
@@ -544,8 +607,8 @@ def step(world: World) -> None:
     counters = world.counters
     hostile = map(BS_ID.__gt__, map(_TRANSMITTER, world.sends))
     counters.update(map(_COUNTERS.__getitem__, zip(map(_KIND, world.sends), hostile)))
-    for copy, ids in world.relayed.values():
-        counters[_COUNTERS[copy.kind, False]] += len(ids)
+    for copy, relayers in world.relayed.values():
+        counters[_COUNTERS[copy.kind, False]] += relayers.bit_count()
 
     world.round += 1
     if not world.formation_complete and _pending(world) == _SETTLED:
@@ -575,6 +638,8 @@ def _pending(world: World) -> str:
     for env in world.sends:
         if env.transmitter >= BS_ID:
             return _BUSY
+    if world._busy_sensors():  # sensors the scan below would find with work
+        return _BUSY
     for st in world.states.values():
         if st.pending_leave:
             return _BUSY
@@ -731,7 +796,7 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     if outcome is None:
         outcome = assemble_outcome(world)
     states = world.states
-    ids, radio, _ = world.radio_index()
+    ids, radio, _, _ = world.radio_index()
     keep = np.array([v in states and states[v].phase is not Phase.LEFT for v in ids], dtype=bool)
     src, dst = radio.pairs
     both = keep[src] & keep[dst]

@@ -1,8 +1,8 @@
 """Shared test helpers: the environment for tests that start `python -m wcds`
 as a child process, a world built from explicit positions, a recorder of
-every transmission, a yes/no form of decryption, and set walks over a
-graph's adjacency sets that serve as references for the edge-array
-predicates."""
+every transmission, the ids of a radio mask, a yes/no form of decryption,
+and set walks over a graph's adjacency sets that serve as references for the
+edge-array predicates."""
 
 import os
 import random
@@ -69,6 +69,13 @@ def record_transmissions(monkeypatch):
 
     monkeypatch.setattr(wcds.sim, "step", recorded)
     return sent
+
+
+def radios(mask):
+    """The protocol radios of a radio mask, where radio ``v`` is bit
+    ``v + 1``, in ascending id order, read bit by bit."""
+    assert isinstance(mask, int) and mask >= 0, mask
+    return [i - 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def can_decrypt(key, ct):

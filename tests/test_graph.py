@@ -270,10 +270,11 @@ class TestPredicates:
 
     def test_invalid_vertex_rejected(self):
         # numpy would wrap -1 to the last node, so each predicate must refuse
-        # ids below 0 as well as ids of n or more, on the empty graph too.
+        # ids below 0 as well as ids of n or more (one past int64 too), on
+        # the empty graph too.
         for g in (path(3), from_edges(0, [])):
             for predicate in (is_dominating, is_cds, is_wcds):
-                for bad in (-1, g.n, g.n + 2):
+                for bad in (-1, g.n, g.n + 2, 2**70):
                     with pytest.raises(ValueError, match=f"node {bad} outside"):
                         predicate(g, {bad})
                     with pytest.raises(ValueError, match=f"node {bad} outside"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import wcds.sim as sim_module
-from conftest import connected_within, cover, make_world, record_transmissions
+from conftest import connected_within, cover, make_world, radios, record_transmissions
 from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
 from wcds.graph import radius_for_expected_degree, unit_disk_graph
 from wcds.keys import Rank, provision
@@ -277,11 +277,11 @@ class TestRadioIndex:
         table = self.pair_loop(world)
         assert radio_neighbors(world) == table
         split = {
-            v: (frozenset(u for u in near if u >= BS_ID), tuple(sorted(u for u in near if u < BS_ID)))
+            v: ([u for u in near if u >= BS_ID], tuple(sorted(u for u in near if u < BS_ID)))
             for v, near in table.items()
         }
         index = world.radio_index()
-        assert index.neighbors == split
+        assert {v: (radios(near), advs) for v, (near, advs) in index.neighbors.items()} == split
         assert index.ids == sorted(world.positions) and index.graph.n == len(world.positions)
 
     def test_neighbors_match_pair_loop_through_churn(self):
@@ -365,6 +365,59 @@ class TestRadioIndex:
         assert w.radio_index() == before
 
 
+class TestRadioMasks:
+    @pytest.mark.parametrize(
+        "ids, mask",
+        [
+            ([], 0),
+            ([BS_ID], 1),
+            ([6, 7, 8, 9], 0b1111 << 7),  # bits 7-10: both sides of a byte boundary
+            (list(range(BS_ID, 1999)), (1 << 2000) - 1),  # a 2,000-id field
+        ],
+        ids=["empty", "base station", "byte boundary", "2000 ids"],
+    )
+    def test_ids_and_masks_round_trip(self, ids, mask):
+        assert sim_module._mask_of(ids) == mask
+        assert sim_module._ids_of(mask) == radios(mask) == ids
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=strategies.lists(TestRadioIndex.SPOT, min_size=12, max_size=12),
+        ops=TestRadioIndex.OPS,
+        picks=strategies.lists(strategies.integers(0, 2**16 - 1), max_size=4),
+    )
+    def test_reach_is_the_union_of_neighbourhoods_through_splices(self, start, ops, picks):
+        m = provision([3, 3, 4], reserve_fraction=0.4)
+        w = make_world(m, {BS_ID: (20.0, 20.0), **dict(zip(m.deployed_nodes(), start))}, radius=10.0)
+
+        def check():
+            # Every radio alone, then masks over the protocol radios on the
+            # field, whose ids run past the first byte.
+            index = w.radio_index()
+            on = [v for v in index.ids if v >= BS_ID]
+            masks = [sim_module._mask_of([v]) for v in on]
+            masks += [sim_module._mask_of(v for j, v in enumerate(on) if p >> j & 1) for p in picks]
+            for mask in masks:
+                union = 0
+                for v in radios(mask):
+                    union |= index.neighbors[v][0]
+                assert index.reach(mask) == union
+
+        check()
+        for op, pick, spot in ops:
+            if op == "reserve":
+                spare = sorted(set(m.reserve) - set(w.states))
+                if not spare:
+                    continue
+                late_join(w, spare[pick % len(spare)], position=spot)
+            elif op == "adversary":
+                inject_adversary(w, 1, "forge_join", positions=[spot])
+            else:  # "rejoin" or "move": move any radio, adversaries included
+                radios_on = sorted(w.positions)
+                w._place(radios_on[pick % len(radios_on)], spot)
+            check()
+
+
 def fan_out(world):
     """Reference delivery: every in-flight copy, in transmission order, to every
     radio in range of its transmitter except departed sensors. Duplicate and
@@ -422,9 +475,9 @@ class DeliveryCheck:
     """Stands in for sim._deliver: delivers for real, and asserts each round
     that adversaries overhear exactly the reference fan-out's copies, that
     every protocol radio's inbox holds only copies the fan-out gave it and of
-    kinds its step reads, and that the relay records come in flood-key
-    order, each naming in ascending order sensors on the field that the
-    fan-out gave that flood."""
+    kinds its step reads, of a flood the one with the smallest transmitter,
+    and that the relay records come in flood-key order, each naming in
+    ascending order sensors on the field that the fan-out gave that flood."""
 
     deliver = staticmethod(sim_module._deliver)
 
@@ -434,7 +487,7 @@ class DeliveryCheck:
     def __call__(self, world):
         expected = fan_out(world)
         replayed = [env for env in world.sends if env.kind in FLOOD_KINDS and env.transmitter < BS_ID]
-        before = {flood_key(env): set(world.reached[flood_key(env)]) for env in replayed}
+        before = {flood_key(env): set(radios(world.reached[flood_key(env)])) for env in replayed}
         inboxes = self.deliver(world)
         self.rounds += 1
         for rcv in set(expected) | set(inboxes):
@@ -444,9 +497,14 @@ class DeliveryCheck:
                 continue
             reads = HANDLERS[BS_ID if rcv == BS_ID else world.states[rcv].rank]
             assert all(env in want and env.kind in reads for env in have), (world.round, rcv)
+            for env in have:  # of a flood's copies in range, the smallest transmitter's
+                if env.kind in FLOOD_KINDS:
+                    heard = [e.transmitter for e in want if flood_key(e) == flood_key(env)]
+                    assert env.transmitter == min(heard), (world.round, rcv)
             self.skipped_copies += len(want) - len(have)
         assert list(world.relayed) == sorted(world.relayed), world.round
-        for key, (copy, ids) in world.relayed.items():
+        for key, (copy, relayers) in world.relayed.items():
+            ids = radios(relayers)
             assert ids and ids == sorted(set(ids)), (world.round, key)
             assert flood_key(copy) == key and copy.kind in FLOOD_KINDS
             for relayer in ids:
@@ -457,9 +515,25 @@ class DeliveryCheck:
         neighbors = world.radio_index().neighbors
         for env in replayed:
             key = flood_key(env)
-            if (world.reached[key] - before[key]) & neighbors[env.transmitter][0]:
+            if (set(radios(world.reached[key])) - before[key]) & set(radios(neighbors[env.transmitter][0])):
                 self.replayed_floods_kept += 1
         return inboxes
+
+
+def pending_with_busy(pending, may_work):
+    """``pending`` as it answers when the world's busy set is the sensors
+    that ``may_work`` picks: the reference run keeps every ordinary sensor in
+    the busy set to step it, which ``_pending`` must not read as work."""
+
+    def answered(world):
+        kept = world._busy
+        world._busy = {v for v, st in world.states.items() if may_work(st)}
+        try:
+            return pending(world)
+        finally:
+            world._busy = kept
+
+    return answered
 
 
 def twin_runs(drive):
@@ -480,6 +554,7 @@ def twin_runs(drive):
         m.setattr(sim_module, "gd_step", relaying(sim_module.gd_step, seen))
         m.setattr(sim_module, "bs_step", relaying(sim_module.bs_step, seen, sends_relays=False))
         m.setattr(sim_module, "os_idle", lambda state, round_no: False)
+        m.setattr(sim_module, "_pending", pending_with_busy(sim_module._pending, sim_module._may_work))
         m.setattr(sim_module, "_may_work", lambda state: state.rank is Rank.OS)
         slow = drive()
     assert fast_sent == slow_sent
@@ -513,6 +588,7 @@ def churn_run(seed):
     missed = set()  # floods sent in its range since it left
     while True:
         listeners, adversaries = world.radio_index().neighbors[comeback]
+        listeners = radios(listeners)
         near = {
             flood_key(env) for env in world.inflight
             if env.kind in FLOOD_KINDS and (env.transmitter in listeners or env.transmitter in adversaries)
@@ -551,6 +627,7 @@ class TestDelivery:
         last = {e["event"]: e["round"] for e in world.events if e["node"] == comeback}
         gone, back = last["left"], last["join_request"]
         listeners, adversaries = world.radio_index().neighbors[comeback]
+        listeners = radios(listeners)
         # Copies sent from round ``gone`` to ``back - 2`` arrived while it was away.
         missed = {
             flood_key(env) for r, env in sent
