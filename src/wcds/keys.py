@@ -179,7 +179,10 @@ class KeyMaterial:
 
     ``group_keys`` tracks the live group key per dominator as rekeys happen.
     Individual node rings update only when the owning node processes the
-    corresponding rekey message.
+    corresponding rekey message. ``owners`` maps every key id to the node the
+    key belongs to: a sensor for its individual key, a dominator for each
+    group key it has held. Key ids travel in the clear, so a copy sealed
+    under one of these keys names the one node that can open it.
     """
 
     key_bits: int
@@ -191,6 +194,7 @@ class KeyMaterial:
     group_keys: dict[int, Key]
     fountain: KeyFountain
     group_key_history: dict[int, dict[int, Key]] = field(default_factory=dict)
+    owners: dict[int, int] = field(default_factory=dict)
 
     def group_key_for(self, gd: int, key_id: int) -> Key | None:
         """Look up a current or superseded group key of ``gd`` by id.
@@ -256,6 +260,7 @@ def provision(
     individual_keys: dict[int, Key] = {}
     group_keys: dict[int, Key] = {}
     history: dict[int, dict[int, Key]] = {}
+    owners: dict[int, int] = {}
     reserve: set[int] = set()
 
     node = 0
@@ -267,11 +272,13 @@ def provision(
         gkey = fountain.next_key()
         group_keys[gd] = gkey
         history[gd] = {gkey.id: gkey}
+        owners[gkey.id] = gd
         ranks[gd] = Rank.GD
         sub_keys: dict[int, Key] = {}
         for m in members:
             ikey = fountain.next_key()
             individual_keys[m] = ikey
+            owners[ikey.id] = m
             sub_keys[m] = ikey
             ranks[m] = Rank.OS
             rings[m] = KeyRing(individual=ikey, group=gkey)
@@ -294,6 +301,7 @@ def provision(
         group_keys=group_keys,
         fountain=fountain,
         group_key_history=history,
+        owners=owners,
     )
 
 
@@ -347,4 +355,5 @@ def rekey_group(
     material.group_keys[gd] = new
     material.rings[gd].group = new
     material.group_key_history.setdefault(gd, {})[new.id] = new
+    material.owners[new.id] = gd
     return new, sealed

@@ -485,9 +485,11 @@ def _bs_orp_err(bs, env, round_no, material, events) -> None:
 
 
 #: Each step's handlers, by the rank of the sensor stepped or ``BS_ID`` for
-#: the base station: the kinds a step acts on and what it does with each. The
-#: simulator puts only these kinds in a radio's inbox. Relaying floods is not
-#: a step's work: the simulator sends every sensor's relays.
+#: the base station: the kinds a step acts on and what it does with each.
+#: The simulator puts in a radio's inbox only the copies its step can act
+#: on: copies of these kinds, less those ``HOP1_ONLY`` and ``ADDRESSED``
+#: rule out. Relaying floods is not a step's work: the simulator sends every
+#: sensor's relays.
 _DOMINATOR_HANDLERS = {
     MessageKind.JOIN_REQ: _gd_join_req,
     MessageKind.GD_ERR: _gd_orphan_heard,
@@ -503,4 +505,27 @@ HANDLERS = {
     Rank.GD: _DOMINATOR_HANDLERS,
     Rank.GD_OS: _DOMINATOR_HANDLERS,
     BS_ID: {MessageKind.GD_ERR: _bs_gd_err, MessageKind.ORP_ERR: _bs_orp_err},
+}
+
+#: The kinds each step acts on only when heard at one hop: their handlers
+#: return at once on a copy whose transmitter is not its sender, so the
+#: simulator gives such a copy to none of these readers.
+_DOMINATOR_HOP1 = frozenset({MessageKind.JOIN_REQ, MessageKind.GD_ERR, MessageKind.LEAVE})
+HOP1_ONLY = {
+    Rank.OS: frozenset({MessageKind.JOIN_APRV}),
+    Rank.GD: _DOMINATOR_HOP1,
+    Rank.GD_OS: _DOMINATOR_HOP1,
+    BS_ID: frozenset(),
+}
+
+#: The kinds sealed for one reader: only the node owning the key a copy is
+#: sealed under (``KeyMaterial.owners``; the key id rides in the clear) can
+#: act on it, so the simulator gives the copy to that node alone, if its step
+#: reads the kind. The flag says whether a group key addresses the kind too.
+#: A REKEY is addressed only under an individual key: under a group key it is
+#: for every member holding that key.
+ADDRESSED = {
+    MessageKind.PROMOTE_CMD: True,
+    MessageKind.ADOPT_CMD: True,
+    MessageKind.REKEY: False,
 }

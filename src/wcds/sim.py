@@ -11,8 +11,9 @@ Every set of protocol radios (sensors and the base station) in the radio
 layer is one ``int`` bitmask: radio ``v`` is bit ``v + 1``, so the base
 station (-1) is bit 0 and id order is bit order. Adversaries stay outside the
 masks, in ascending tuples. The radio index keeps, per radio, the mask of
-protocol radios in its range; the role index keeps the mask of radios whose
-steps read each kind and the mask of departed sensors.
+protocol radios in its range; the role index keeps, per kind, the masks of
+radios whose steps read it at one hop and through a relay or a replay, and
+the mask of departed sensors.
 
 Every sensor relays each flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD)
 once. The world keeps one record per flood, ``World.reached``: the mask of
@@ -32,14 +33,30 @@ the base station and adversaries originate or replay, in the order sent.
 the flood and the mask of the sensors relaying it, whose bits the message
 count adds. A flood's next layer is the union of the relayers'
 neighbourhoods less the radios it has reached and the departed ones. A relay
-stays a bit until it reaches a radio whose step reads its kind; only then
+stays a bit until it reaches a radio whose step can act on it; only then
 does delivery build it an envelope, from the lowest relayer in that radio's
-range. An inbox gets only the kinds its radio's step has a handler for
-(``protocol.HANDLERS``): REKEY, JOIN_APRV and PROMOTE_CMD for ordinary
-sensors, ADOPT_CMD, JOIN_REQ, GD_ERR and LEAVE for dominators, GD_ERR and
-ORP_ERR for the base station. Of a flood it gets the winning copy,
-of any other kind every copy in range. Adversaries overhear every copy in
-their range in transmission order, floods included.
+range.
+
+An inbox gets only the copies its radio's step can act on. Of a flood it
+gets the winning copy, of any other kind every copy in range, less:
+- kinds the step has no handler for (``protocol.HANDLERS``). Ordinary
+  sensors read REKEY, JOIN_APRV and PROMOTE_CMD; dominators ADOPT_CMD,
+  JOIN_REQ, GD_ERR and LEAVE; the base station GD_ERR and ORP_ERR.
+- hop-1 kinds heard through a relay or a replay (``protocol.HOP1_ONLY``):
+  a copy whose transmitter is not its sender goes to no ordinary sensor as
+  JOIN_APRV and to no dominator as JOIN_REQ, GD_ERR or LEAVE. So relayed
+  GD_ERR copies reach only the base station.
+- key-addressed copies for another node (``protocol.ADDRESSED``): a
+  PROMOTE_CMD or ADOPT_CMD goes only to the owner of the key it is sealed
+  under (``KeyMaterial.owners``), and so does a REKEY sealed under an
+  individual key. A REKEY under a group key reaches every ordinary sensor
+  in range, since the members holding that key are not indexed.
+The handlers drop every such copy anyway and keep all their checks; the
+rules only spare building and stepping them. Each rule is a per-kind mask
+in the role index (``reads``, and ``reads_far`` for copies not heard at one
+hop) or one owner bit per copy. Only ``replay`` adversaries read what they
+overhear: each gets every copy in its range in transmission order, floods
+included; the other adversaries get nothing.
 
 The transmission order is: the base station's sends; then, sensor by sensor
 in id order, its relays in flood-key order and then its own sends; then the
@@ -94,11 +111,13 @@ from .graph import (
 )
 from .keys import Ciphertext, KeyMaterial, Rank, group_sizes_for, provision
 from .protocol import (
+    ADDRESSED,
     BS_ID,
     BSState,
     ClusterOutcome,
     Envelope,
     HANDLERS,
+    HOP1_ONLY,
     NodeState,
     Phase,
     bs_step,
@@ -220,12 +239,15 @@ class RadioIndex(NamedTuple):
 
 @dataclass
 class _Roles:
-    """The part each sensor plays, kept in step with ``World.states``: the
-    mask of radios whose steps read each kind (``protocol.HANDLERS``), the
-    mask of departed sensors, and the ordinary sensors, departed ones
-    included, in id order: the ids a ``forge_join`` adversary may claim."""
+    """The part each sensor plays, kept in step with ``World.states``: per
+    kind, the mask of radios whose steps read it (``protocol.HANDLERS``) and
+    the mask of those that read it on a copy whose transmitter is not its
+    sender too (less ``protocol.HOP1_ONLY``); the mask of departed sensors;
+    and the ordinary sensors, departed ones included, in id order: the ids a
+    ``forge_join`` adversary may claim."""
 
     reads: dict[MessageKind, int]
+    reads_far: dict[MessageKind, int]
     left: int
     victims: list[int]
 
@@ -298,26 +320,36 @@ class World:
     def _role_index(self) -> _Roles:
         """The part each sensor plays, built on first use."""
         if self._roles is None:
-            self._roles = _Roles({kind: 0 for kind in MessageKind}, 0, [])
-            for kind in HANDLERS[BS_ID]:
-                self._roles.reads[kind] |= _mask_of((BS_ID,))
+            self._roles = _Roles({kind: 0 for kind in MessageKind}, {kind: 0 for kind in MessageKind}, 0, [])
+            self._cast(BS_ID, BS_ID)
             for v in sorted(self.states):
                 self._recast(v, None)
         return self._roles
+
+    def _cast(self, radio: int, part: Rank | int | None) -> None:
+        """Add ``radio`` to the readers of the kinds its ``part`` (a rank,
+        ``BS_ID`` or None for no part) reads."""
+        roles = self._roles
+        bit = _mask_of((radio,))
+        near_only = HOP1_ONLY.get(part, ())
+        for kind in HANDLERS.get(part, ()):
+            roles.reads[kind] |= bit
+            if kind not in near_only:
+                roles.reads_far[kind] |= bit
 
     def _recast(self, node: int, was: Rank | None) -> None:
         """Move a sensor in the role index from the part it played, ``was``
         (its rank, or None when departed or not yet on the field), to the
         part its state gives it now."""
         roles = self._role_index()
-        reads, victims = roles.reads, roles.victims
+        victims = roles.victims
         st = self.states[node]
         now = None if st.phase is Phase.LEFT else st.rank
         bit = _mask_of((node,))
         for kind in HANDLERS.get(was, ()):
-            reads[kind] &= ~bit
-        for kind in HANDLERS.get(now, ()):
-            reads[kind] |= bit
+            roles.reads[kind] &= ~bit
+            roles.reads_far[kind] &= ~bit
+        self._cast(node, now)
         if now is None:
             roles.left |= bit
         else:
@@ -474,26 +506,49 @@ def _transmissions(
     return out
 
 
+def _addressees(material: KeyMaterial, env: Envelope) -> int:
+    """The radios that ``env``'s key lets it go to (``protocol.ADDRESSED``):
+    the owner of the key it is sealed under, none when no node owns that
+    key, and every radio (-1, all bits set) when its kind and key name no
+    one reader."""
+    group_too = ADDRESSED.get(env.kind)
+    if group_too is None:
+        return -1
+    key_id = env.ciphertext.key_id
+    owner = material.owners.get(key_id)
+    if owner is None:
+        return 0
+    if not group_too:
+        own = material.individual_keys.get(owner)
+        if own is None or own.id != key_id:  # a group key, held by members no index keeps
+            return -1
+    return 1 << (owner + 1)
+
+
 def _deliver(world: World) -> dict[int, list[Envelope]]:
     """Empty the air, by the rule in the module docstring, into the inboxes
-    of the radios whose steps read each copy, and record in
-    ``World.relayed`` the sensors that relay each flood this round.
-    Departed sensors receive nothing."""
+    of the radios whose steps can act on each copy, and into those of the
+    ``replay`` adversaries, and record in ``World.relayed`` the sensors that
+    relay each flood this round. Departed sensors receive nothing."""
+    material = world.material
     index = world.radio_index()
     neighbors = index.neighbors
     roles = world._role_index()
-    reads, left = roles.reads, roles.left
+    reads, reads_far, left = roles.reads, roles.reads_far, roles.left
     sends, relayed = world.sends, world.relayed
     world.sends, world.relayed = [], {}
     inboxes: dict[int, list[Envelope]] = {}
     for adv in world.adversaries:
-        inboxes[adv.id] = _transmissions(sends, relayed, neighbors[adv.id])
+        if adv.behavior == "replay":  # the only behaviour that reads what it overhears
+            inboxes[adv.id] = _transmissions(sends, relayed, neighbors[adv.id])
     floods: dict[tuple, list[Envelope]] = {}
     for env in sends:
-        if env.kind in FLOOD_KINDS:
+        kind = env.kind
+        if kind in FLOOD_KINDS:
             floods.setdefault(flood_key(env), []).append(env)
             continue
-        for rcv in _ids_of(neighbors[env.transmitter][0] & reads[env.kind]):
+        readers = (reads if env.transmitter == env.sender else reads_far)[kind] & _addressees(material, env)
+        for rcv in _ids_of(neighbors[env.transmitter][0] & readers):
             inboxes.setdefault(rcv, []).append(env)
     all_reached = world.reached
     for key in sorted(floods.keys() | relayed.keys()):
@@ -503,13 +558,14 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
             # (an adversary sending under its own id has no bit to set)
             reached = _mask_of(e.sender for e in copies if e.transmitter == e.sender >= BS_ID)
         start = reached
-        readers = reads[key[0]]
+        kind = key[0]
         # Copies sent as such (the origin's, replays) come from the origin or
         # an adversary, whose ids sort ahead of every sensor relaying the flood.
         copies.sort(key=_TRANSMITTER)
         for env in copies:
             fresh = neighbors[env.transmitter][0] & ~(reached | left)
             reached |= fresh
+            readers = (reads if env.transmitter == env.sender else reads_far)[kind] & _addressees(material, env)
             for rcv in _ids_of(fresh & readers):
                 inboxes.setdefault(rcv, []).append(env)
         if key in relayed:
@@ -517,9 +573,12 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
             fresh = index.reach(relayers) & ~(reached | left)
             reached |= fresh
             sender, kind, ct, seq, _ = copy
+            # A relayed copy is never heard at one hop: the flood reached its
+            # origin first, so the origin relays nothing.
+            readers = fresh & reads_far[kind] & _addressees(material, copy)
             # Of the copies a reader hears, the smallest relayer's wins: the
             # lowest bit of the relayers in its range.
-            for rcv in _ids_of(fresh & readers):
+            for rcv in _ids_of(readers):
                 heard = relayers & neighbors[rcv][0]
                 winner = (heard & -heard).bit_length() - 2
                 inboxes.setdefault(rcv, []).append(Envelope(sender, kind, ct, seq, winner))

@@ -450,6 +450,40 @@ class TestRekey:
             rekey_group(m, 1, [m.individual_keys[2]])
 
 
+def rebuilt_owners(m):
+    """``KeyMaterial.owners`` rebuilt from the individual keys and every group
+    key each dominator has held."""
+    owners = {key.id: node for node, key in m.individual_keys.items()}
+    for gd, history in m.group_key_history.items():
+        owners.update((key_id, gd) for key_id in history)
+    return owners
+
+
+class TestOwners:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        reserve=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 1000),
+        picks=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_owners_match_a_rebuild(self, sizes, reserve, seed, picks):
+        m = provision(sizes, reserve_fraction=reserve, seed=seed)
+        assert m.owners == rebuilt_owners(m)
+        assert len(m.owners) == len(m.all_nodes())  # one key per node, and ids never repeat
+        gds = [gd for gd, _ in m.groups]
+        for pick in picks:
+            gd, members = m.groups[pick % len(gds)]
+            rekey_group(m, gd, [m.individual_keys[v] for v in members[: pick % 3]])
+            assert m.owners == rebuilt_owners(m)
+        assert len(m.owners) == len(m.all_nodes()) + len(picks)
+        back = pickle.loads(pickle.dumps(m))
+        assert back.owners == m.owners == rebuilt_owners(back)
+        if picks:  # a copy keeps filling its own owners in
+            new, _ = rekey_group(back, gds[0], [])
+            assert back.owners[new.id] == gds[0] and new.id not in m.owners
+
+
 class TestCompromiseScope:
     def test_one_ring_opens_only_its_own_links(self):
         m = provision([2, 2])

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import random
 from collections import Counter
 from itertools import groupby
 from operator import itemgetter
@@ -12,11 +13,14 @@ import wcds.sim as sim_module
 from conftest import connected_within, cover, make_world, radios, record_transmissions
 from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
 from wcds.graph import radius_for_expected_degree, unit_disk_graph
-from wcds.keys import Rank, provision
+from wcds.keys import Rank, encrypt, provision
 from wcds.protocol import (
+    ADDRESSED,
     APPROVAL_TIMEOUT,
     BS_ID,
     HANDLERS,
+    HOP1_ONLY,
+    Envelope,
     Phase,
     _inbox_key,
     flood_key,
@@ -38,7 +42,7 @@ from wcds.sim import (
     step,
     verify_outcome,
 )
-from wcds.wire import FLOOD_KINDS, MessageKind
+from wcds.wire import FLOOD_KINDS, MessageKind, pack_id_key, pack_ids
 
 
 def line_world(material, spots, radius=12.0):
@@ -473,7 +477,8 @@ def payload(env):
 
 class DeliveryCheck:
     """Stands in for sim._deliver: delivers for real, and asserts each round
-    that adversaries overhear exactly the reference fan-out's copies, that
+    that ``replay`` adversaries overhear exactly the reference fan-out's
+    copies and the other adversaries get nothing, that
     every protocol radio's inbox holds only copies the fan-out gave it and of
     kinds its step reads, of a flood the one with the smallest transmitter,
     and that the relay records come in flood-key order, each naming in
@@ -490,10 +495,12 @@ class DeliveryCheck:
         before = {flood_key(env): set(radios(world.reached[flood_key(env)])) for env in replayed}
         inboxes = self.deliver(world)
         self.rounds += 1
+        replays = {adv.id for adv in world.adversaries if adv.behavior == "replay"}
         for rcv in set(expected) | set(inboxes):
             want, have = expected.get(rcv, []), inboxes.get(rcv, [])
             if rcv < BS_ID:
-                assert have == want, (world.round, rcv)
+                assert have == (want if rcv in replays else []), (world.round, rcv)
+                assert rcv in replays or rcv not in inboxes, (world.round, rcv)
                 continue
             reads = HANDLERS[BS_ID if rcv == BS_ID else world.states[rcv].rank]
             assert all(env in want and env.kind in reads for env in have), (world.round, rcv)
@@ -603,6 +610,61 @@ def churn_run(seed):
     return world
 
 
+COMMANDS = (MessageKind.ADOPT_CMD, MessageKind.PROMOTE_CMD)
+
+
+def command_field():
+    """The deployed field ``simulate`` makes of ``DELIVERY_FIELD``, before
+    it runs: a field whose formation ends in adoption and promotion
+    commands."""
+    config = RunConfig(**DELIVERY_FIELD)
+    material = provision([config.eta] * config.groups, seed=config.seed)
+    placement = PlacementModel(config.mode, config.width, config.height, config.resolve_radius())
+    return deploy(material, placement, seed=config.seed + 1)
+
+
+def command_replay_run(replayed):
+    """Form ``command_field()`` with two replaying adversaries beside the
+    base station that keep only the command floods they overhear, so they
+    replay adoption and promotion commands while those are still passing.
+    Each copy an adversary sends goes into ``replayed``."""
+    world = command_field()
+    inject_adversary(world, 2, "replay", positions=[(55.0, 50.0), (60.0, 55.0)])
+    real = sim_module._adversary_step
+
+    def commands_only(world, adv, inbox, victims):
+        out = real(world, adv, [env for env in inbox if env.kind in COMMANDS], victims)
+        replayed.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim_module, "_adversary_step", commands_only)
+        run(world)
+    return world
+
+
+def leave_under_command_run():
+    """Form ``command_field()``. When the first promotion command goes up,
+    the joined sensors in range of the orphan it promotes leave, so they
+    depart while the flood is passing them; run to quiescence."""
+    world = command_field()
+    while not any(env.kind is MessageKind.PROMOTE_CMD for env in world.sends):
+        assert world.round < 64, "no promotion command went up"
+        step(world)
+    env = next(env for env in world.sends if env.kind is MessageKind.PROMOTE_CMD)
+    target = world.material.owners[env.ciphertext.key_id]
+    states = world.states
+    leavers = [
+        v for v in radios(world.radio_index().neighbors[target][0])
+        if v >= 0 and states[v].rank is Rank.OS and states[v].phase is Phase.JOINED
+    ]
+    assert leavers
+    for v in leavers:
+        leave(world, v)
+    run(world)
+    return world
+
+
 class TestDelivery:
     @pytest.mark.parametrize("behavior", [None, *ADVERSARY_BEHAVIORS])
     def test_same_processed_inboxes_as_fan_out(self, behavior):
@@ -637,6 +699,16 @@ class TestDelivery:
         relayed = {flood_key(env) for r, env in sent if r >= back and env.transmitter == comeback}
         assert missed & relayed
 
+    def test_replayed_commands_same_as_fan_out(self):
+        replayed = []
+        check = twin_runs(lambda: command_replay_run(replayed))
+        assert check.replayed_floods_kept > 0
+        assert {env.kind for env in replayed} == set(COMMANDS)
+
+    def test_leave_while_a_promotion_passes_same_as_fan_out(self):
+        check = twin_runs(leave_under_command_run)
+        assert check.skipped_copies > 0
+
     @settings(max_examples=6, deadline=None)
     @given(seed=strategies.integers(0, 10**6), behavior=strategies.sampled_from(ADVERSARY_BEHAVIORS))
     def test_random_fields_same_as_fan_out(self, seed, behavior):
@@ -645,6 +717,261 @@ class TestDelivery:
             seed=seed, adversary_count=2, adversary_behavior=behavior,
         )
         twin_runs(lambda: simulate(config)[0])
+
+
+def withheld(material, part, node, env):
+    """Whether the delivery rules keep ``env`` from the step of ``node``,
+    which plays ``part`` (a rank, or ``BS_ID``): a copy not heard at one hop
+    of a kind the part reads only at one hop (``HOP1_ONLY``), or a
+    key-addressed copy (``ADDRESSED``) sealed under a key ``node`` does not
+    own."""
+    if env.transmitter != env.sender and env.kind in HOP1_ONLY[part]:
+        return True
+    group_too = ADDRESSED.get(env.kind)
+    if group_too is None:
+        return False
+    key_id = env.ciphertext.key_id
+    owner = material.owners.get(key_id)
+    own = material.individual_keys.get(owner)
+    addressed = group_too or owner is None or (own is not None and own.id == key_id)
+    return addressed and owner != node
+
+
+def record_deliveries(m):
+    """Record, for each round ``_deliver`` runs under the MonkeyPatch ``m``,
+    the reference fan-out, the inboxes delivered and the part each protocol
+    radio on the field plays then (its rank, ``BS_ID`` for the base
+    station)."""
+    rounds = []
+    real = sim_module._deliver
+
+    def recorded(world):
+        want = fan_out(world)
+        parts = {v: st.rank for v, st in world.states.items() if st.phase is not Phase.LEFT}
+        parts[BS_ID] = BS_ID
+        have = real(world)
+        rounds.append((want, have, parts))
+        return have
+
+    m.setattr(sim_module, "_deliver", recorded)
+    return rounds
+
+
+FORGE_FIELD = RunConfig(**DELIVERY_FIELD, adversary_count=3, adversary_behavior="forge_join")
+
+
+class TestDeliveryRules:
+    """An inbox gets only the copies its step can act on: the hop-1 and the
+    key-addressed rules, kind by kind, on a churned field with replaying
+    adversaries and on a formation under ``forge_join`` adversaries."""
+
+    DRIVES = {"churn": lambda: churn_run(8), "forge": lambda: simulate(FORGE_FIELD)[0]}
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The world and the recorded deliveries of a drive, each run once."""
+        done = {}
+
+        def get(name):
+            if name not in done:
+                with pytest.MonkeyPatch.context() as m:
+                    rounds = record_deliveries(m)
+                    done[name] = (self.DRIVES[name](), rounds)
+            return done[name]
+
+        return get
+
+    @staticmethod
+    def received(rounds, kind):
+        """Per copy of ``kind`` delivered to a protocol radio: the copy, the
+        radio, and that round's fan-out and parts."""
+        for want, have, parts in rounds:
+            for rcv, envs in have.items():
+                for env in envs:
+                    if env.kind is kind and rcv >= BS_ID:
+                        yield env, rcv, want, parts
+
+    @pytest.mark.parametrize("name", ["churn", "forge"])
+    @pytest.mark.parametrize(
+        "kind, event",
+        [(MessageKind.PROMOTE_CMD, "promoted"), (MessageKind.ADOPT_CMD, "adopting")],
+        ids=["promote", "adopt"],
+    )
+    def test_command_flood_reaches_exactly_its_target(self, runs, name, kind, event):
+        world, rounds = runs(name)
+        owners = world.material.owners
+        got = {}
+        for env, rcv, _, _ in self.received(rounds, kind):
+            got.setdefault(flood_key(env), []).append((rcv, owners[env.ciphertext.key_id]))
+        # One copy per flood, in its target's inbox alone: the orphan
+        # promoted, or the dominator whose group key seals the adoption.
+        assert got and all(len(pairs) == 1 and pairs[0][0] == pairs[0][1] for pairs in got.values())
+        acted = {e["node"] for e in world.events if e["event"] == event}
+        assert acted == {pairs[0][0] for pairs in got.values()}
+        others = sum(
+            env.kind is kind and rcv != owners[env.ciphertext.key_id]
+            for want, _, parts in rounds for rcv, envs in want.items() if rcv in parts for env in envs
+        )
+        assert others > 0  # copies the fan-out gave readers the key does not name
+
+    @pytest.mark.parametrize("name", ["churn", "forge"])
+    def test_rekey_by_its_key(self, runs, name):
+        # A REKEY under a sensor's individual key goes to that sensor alone;
+        # one under a group key to every ordinary sensor in range.
+        world, rounds = runs(name)
+        material = world.material
+        seen = Counter()
+        for want, have, parts in rounds:
+            readers = {rcv for rcv, part in parts.items() if part is Rank.OS}
+            for env in {e for envs in want.values() for e in envs if e.kind is MessageKind.REKEY}:
+                in_range = {rcv for rcv, envs in want.items() if env in envs} & readers
+                owner = material.owners[env.ciphertext.key_id]
+                individual = owner in material.individual_keys
+                expected = in_range & {owner} if individual else in_range
+                assert {rcv for rcv, envs in have.items() if rcv >= BS_ID and env in envs} == expected
+                seen[individual] += 1
+        assert seen[True] > 0 and seen[False] > 0
+
+    @pytest.mark.parametrize("name", ["churn", "forge"])
+    def test_orphan_error_relays_reach_only_the_base_station(self, runs, name):
+        _, rounds = runs(name)
+        relays = [
+            rcv for env, rcv, _, _ in self.received(rounds, MessageKind.GD_ERR) if env.transmitter != env.sender
+        ]
+        assert relays and set(relays) == {BS_ID}
+        at_dominators = sum(
+            env.kind is MessageKind.GD_ERR and env.transmitter != env.sender
+            for want, _, parts in rounds for rcv, envs in want.items()
+            if parts.get(rcv) in (Rank.GD, Rank.GD_OS) for env in envs
+        )
+        assert at_dominators > 0
+
+    def test_forged_join_under_a_victims_id_reaches_no_dominator(self, runs):
+        world, rounds = runs("forge")
+        forged = [
+            rcv for env, rcv, _, _ in self.received(rounds, MessageKind.JOIN_REQ)
+            if env.transmitter < BS_ID and env.sender != env.transmitter
+        ]
+        assert forged == []
+        in_range = sum(
+            env.kind is MessageKind.JOIN_REQ and env.transmitter < BS_ID and env.sender >= 0
+            for want, _, parts in rounds for rcv, envs in want.items()
+            if parts.get(rcv) in (Rank.GD, Rank.GD_OS) for env in envs
+        )
+        assert in_range > 0
+        assert any(e["event"] == "foreign_announce" for e in world.events)  # under its own id it still does
+
+    @pytest.mark.parametrize("name", ["churn", "forge"])
+    def test_nothing_withheld_is_delivered(self, runs, name):
+        world, rounds = runs(name)
+        kept = 0
+        for want, have, parts in rounds:
+            for rcv, envs in want.items():
+                if rcv not in parts:
+                    continue
+                part = parts[rcv]
+                delivered = have.get(rcv, [])
+                for env in envs:
+                    if env.kind in HANDLERS[part] and withheld(world.material, part, rcv, env):
+                        assert env not in delivered, (rcv, env)
+                        kept += 1
+        assert kept > 100
+
+
+def withheld_candidates(world, node, rng):
+    """Copies of every kind ``node``'s step reads, built to open where a key
+    allows: approvals, join requests, orphan errors and leaves as their
+    senders would seal them, commands and rekeys under other nodes' keys,
+    and the copies in the air; each both as heard at one hop and as relayed."""
+    material = world.material
+    states = world.states
+    st = states[node]
+    sensors = sorted(v for v, s in states.items() if s.rank is Rank.OS)
+    dominators = sorted(v for v, s in states.items() if s.rank is not Rank.OS)
+    picked = sorted(set(rng.sample(sensors, min(4, len(sensors)))) | st.subordinates)
+    near = sorted(st.neighbor_dominators | ({st.dominator} if st.dominator is not None else set()))
+    bodies = []
+    for gd in sorted(set(near) | set(rng.sample(dominators, min(3, len(dominators))))):
+        for key in (material.group_keys.get(gd), st.ring.group):
+            if key is not None:
+                bodies.append((gd, MessageKind.JOIN_APRV, key, pack_ids([gd, node])))
+    fresh = max(material.owners) + 1
+    for v in picked:
+        ikey = material.individual_keys[v]
+        bodies.append((v, MessageKind.JOIN_REQ, ikey, b""))
+        bodies.append((v, MessageKind.GD_ERR, ikey, pack_ids(near)))
+        bodies.append((v, MessageKind.LEAVE, ikey, b""))
+        bodies.append((BS_ID, MessageKind.PROMOTE_CMD, ikey, b""))
+        bodies.append((BS_ID, MessageKind.ADOPT_CMD, ikey, pack_id_key(v, ikey.id, ikey.bits)))
+        home = next(gd for gd, members in material.groups if v in members)
+        bodies.append((home, MessageKind.REKEY, ikey, pack_id_key(home, fresh, b"\x07" * 16)))
+    orphan = picked[0]
+    ikey = material.individual_keys[orphan]
+    for gd in dominators:
+        for key in material.group_key_history.get(gd, {}).values():
+            bodies.append((BS_ID, MessageKind.ADOPT_CMD, key, pack_id_key(orphan, ikey.id, ikey.bits)))
+            bodies.append((BS_ID, MessageKind.PROMOTE_CMD, key, b""))
+    out = list(world.inflight)
+    for sender, kind, key, body in bodies:
+        out.append(Envelope(sender, kind, encrypt(key, kind, body), 10**6, sender))
+    return out + [env._replace(transmitter=-2) for env in out]  # as an adversary replays them
+
+
+class TestWithheldCopiesChangeNothing:
+    """Every copy the delivery rules keep from a step is one its handler
+    drops: run on it, the handler leaves the state as it was, sends nothing
+    and notes no event. If a handler comes to act on such a copy, this fails
+    before the rules can change what a run does."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=strategies.integers(0, 10**4),
+        forming=strategies.integers(0, 12),
+        churning=strategies.integers(0, 6),
+    )
+    def test_handlers_drop_what_delivery_withholds(self, seed, forming, churning):
+        rng = random.Random(seed)
+        material = provision([7] * 5, reserve_fraction=0.2, seed=seed)
+        world = deploy(material, PlacementModel("group_clustered", 80.0, 80.0, 22.0), seed=seed + 1)
+        inject_adversary(world, 1, "replay")
+        for _ in range(forming):
+            step(world)
+        checked = self.check(world, rng)
+        run(world)
+        joined = sorted(v for v, st in world.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED)
+        for v in joined[:2]:
+            leave(world, v)
+        for v in sorted(material.reserve)[:2]:
+            late_join(world, v)
+        for _ in range(churning):
+            step(world)
+        checked += self.check(world, rng)
+        assert checked > 100
+
+    @staticmethod
+    def check(world, rng):
+        material = world.material
+        checked = 0
+        on_field = sorted(v for v, st in world.states.items() if st.phase is not Phase.LEFT)
+        for node in rng.sample(on_field, min(10, len(on_field))):
+            st = world.states[node]
+            part = st.rank
+            for env in withheld_candidates(world, node, rng):
+                if env.kind not in HANDLERS[part] or not withheld(material, part, node, env):
+                    continue
+                trial = copy.deepcopy(st)
+                keys = (dict(material.group_keys), dict(material.owners))
+                events, out = [], []
+                handler = HANDLERS[part][env.kind]
+                if part is Rank.OS:
+                    handler(trial, env, world.round, events)
+                else:
+                    handler(trial, env, world.round, material, out, events)
+                assert trial == st, (node, env)
+                assert not out and not events, (node, env)
+                assert (dict(material.group_keys), dict(material.owners)) == keys
+                checked += 1
+        return checked
 
 
 def recorded_run(monkeypatch, name):
