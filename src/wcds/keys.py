@@ -9,6 +9,12 @@ Encryption is modeled, not real cryptography: a keyed blake2b stream hides the
 body and an 8-byte keyed tag over (key id, payload) gates decryption. That
 gives the access-control semantics that matter here (right key or nothing,
 tampering detected) with deterministic bytes.
+
+Keys are assigned offline and reused for the whole run, so the keystream's
+first 64-byte block, which depends on the key alone and covers every message
+the protocol seals, is computed once per key object and kept on it. Each
+ciphertext object remembers what each key made of it (``open_as``), so every
+receiver of one broadcast shares one tag check.
 """
 
 from __future__ import annotations
@@ -44,6 +50,13 @@ class Rank(str, Enum):
 class Key:
     id: int
     bits: bytes
+    #: The first block of this key's keystream, computed on first use. It
+    #: depends on the key alone and holds every message the protocol seals,
+    #: so each key object runs the keystream hash once. Plain bytes, so a key
+    #: still pickles and deep-copies; not compared, hashed or shown.
+    _first_block: bytes | None = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -59,14 +72,27 @@ class Ciphertext:
     )
 
 
+#: Bytes per keystream block: one blake2b digest.
+_BLOCK_BYTES = 64
+
+
+def _keystream_block(key: Key, counter: int) -> bytes:
+    return hashlib.blake2b(
+        counter.to_bytes(8, "big"), key=key.bits[:64], digest_size=_BLOCK_BYTES
+    ).digest()
+
+
 def _keystream(key: Key, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
+    first = key._first_block
+    if first is None:
+        first = _keystream_block(key, 0)
+        object.__setattr__(key, "_first_block", first)
+    if length <= _BLOCK_BYTES:
+        return first[:length]
+    out = bytearray(first)
+    counter = 1
     while len(out) < length:
-        block = hashlib.blake2b(
-            counter.to_bytes(8, "big"), key=key.bits[:64], digest_size=64
-        ).digest()
-        out.extend(block)
+        out.extend(_keystream_block(key, counter))
         counter += 1
     return bytes(out[:length])
 

@@ -487,9 +487,9 @@ def _bs_orp_err(bs, env, round_no, material, events) -> None:
 #: Each step's handlers, by the rank of the sensor stepped or ``BS_ID`` for
 #: the base station: the kinds a step acts on and what it does with each.
 #: The simulator puts in a radio's inbox only the copies its step can act
-#: on: copies of these kinds, less those ``HOP1_ONLY`` and ``ADDRESSED``
-#: rule out. Relaying floods is not a step's work: the simulator sends every
-#: sensor's relays.
+#: on: copies of these kinds, less those ``HOP1_ONLY``, ``FIRST_PER_SENDER``
+#: and ``ADDRESSED`` rule out. Relaying floods is not a step's work: the
+#: simulator sends every sensor's relays.
 _DOMINATOR_HANDLERS = {
     MessageKind.JOIN_REQ: _gd_join_req,
     MessageKind.GD_ERR: _gd_orphan_heard,
@@ -517,6 +517,19 @@ HOP1_ONLY = {
     Rank.GD_OS: _DOMINATOR_HOP1,
     BS_ID: frozenset(),
 }
+
+#: The kinds of which a step acts on at most the first copy a sensor sends
+#: in one round, heard at one hop. A dominator approves all its waiting
+#: members in one step and seals every approval under the group key it holds
+#: when the step ends (``gd_step``), so a sensor's approvals of one round sit
+#: side by side in inbox order, lowest seq first, with one key id and one
+#: approver. If the first opens, the reader joins or could not change, and
+#: the rest find it joined or unchanged; if it does not open, its sender is
+#: now a neighbour dominator, and the rest note nothing. So the simulator
+#: gives each reader only the lowest-seq hop-1 copy each sensor sends per
+#: round. Copies claimed by adversaries (ids below ``BS_ID``), relays and
+#: replays are not covered.
+FIRST_PER_SENDER = frozenset({MessageKind.JOIN_APRV})
 
 #: The kinds sealed for one reader: only the node owning the key a copy is
 #: sealed under (``KeyMaterial.owners``; the key id rides in the clear) can

@@ -51,10 +51,16 @@ gets the winning copy, of any other kind every copy in range, less:
   under (``KeyMaterial.owners``), and so does a REKEY sealed under an
   individual key. A REKEY under a group key reaches every ordinary sensor
   in range, since the members holding that key are not indexed.
-The handlers drop every such copy anyway and keep all their checks; the
-rules only spare building and stepping them. Each rule is a per-kind mask
-in the role index (``reads``, and ``reads_far`` for copies not heard at one
-hop) or one owner bit per copy. Only ``replay`` adversaries read what they
+- all but the first of a sensor's hop-1 approvals of one round
+  (``protocol.FIRST_PER_SENDER``): a reader gets the lowest-seq JOIN_APRV
+  each dominator sent, the copy its sorted inbox would handle first, after
+  which the rest change nothing. Adversaries' approvals under their own ids
+  are all delivered.
+The handlers drop every such copy anyway, or act on none after the first,
+and keep all their checks; the rules only spare building and stepping them.
+Each rule is a per-kind mask in the role index (``reads``, and ``reads_far``
+for copies not heard at one hop), one owner bit per copy, or one set of the
+round's approving senders. Only ``replay`` adversaries read what they
 overhear: each gets every copy in its range in transmission order, floods
 included; the other adversaries get nothing.
 
@@ -69,19 +75,22 @@ a leave pending, in id order. ``leave`` and ``late_join`` add a sensor to that
 set, and a step that leaves it with none of those drops it; one not yet due
 to announce, time out its approval wait or leave is passed over
 (``protocol.os_idle``). The relays of a sensor that is not stepped still go
-out. Who reads which kind, who has left and who a ``forge_join`` adversary may
-impersonate are kept the same way, changed only where a sensor leaves, is
-promoted or joins. A run whose only open work is orphans that nothing can
-reach any more (nothing in flight, no adversary, nothing due) is not stepped
-at all: its remaining rounds are counted as spent, which leaves the world as
-stepping them would have.
+out. The ORPHAN sensors, who reads which kind, who has left and who a
+``forge_join`` adversary may impersonate are kept the same way, changed only
+where a step settles a sensor, or where it leaves, is promoted or joins. A
+run whose only open work is orphans that nothing can reach any more (nothing
+in flight, no adversary, nothing due) is not stepped at all: its remaining
+rounds are counted as spent, which leaves the world as stepping them would
+have. Whether work is open is read off the kept sets, not the states.
 
 The radio graph is built once from a cell grid, with each radio's neighbour
 mask and adversary tuple. A radio that comes onto the field or moves is
 spliced in: one distance pass finds its neighbours, by the same rule as the
-grid, and only their entries and the edge arrays change. The unions of
-neighbourhoods a flood's relayers span are built a byte of the relayer mask
-at a time and kept until the next splice.
+grid, and only their entries and the edge arrays change. The union of
+neighbourhoods a flood's relayers span is kept under the whole relayer mask,
+since the floods from one origin cross the field in the same layers; a new
+mask's union is built a byte of the mask at a time, from per-byte unions
+kept too. Both live on the radio index, so a splice drops them.
 
 The envelope's ``transmitter`` field is the radio that emitted the copy.
 Each emitter sets it to its own id, on the copies it relays or replays too,
@@ -116,6 +125,7 @@ from .protocol import (
     BSState,
     ClusterOutcome,
     Envelope,
+    FIRST_PER_SENDER,
     HANDLERS,
     HOP1_ONLY,
     NodeState,
@@ -209,19 +219,25 @@ class RadioIndex(NamedTuple):
     """The unit-disk graph over every radio on the field (sensors, the base
     station and adversaries) and, per radio, the mask of protocol radios
     (sensors and base station) and the ascending adversary ids in its range.
-    ``unions`` caches ``reach``'s per-byte unions for this index only; a
-    splice makes a new index with none."""
+    ``reaches`` keeps ``reach``'s answers by whole mask and ``unions`` its
+    per-byte unions, for this index only; a splice makes a new index with
+    neither."""
 
     ids: list[int]  # graph node i is ids[i]
     graph: Graph
     neighbors: dict[int, tuple[int, tuple[int, ...]]]
+    reaches: dict[int, int]
     unions: dict[int, int]
 
     def reach(self, mask: int) -> int:
-        """The protocol radios in range of any radio of ``mask``. Each
-        non-zero byte ``b`` at byte ``i`` of the mask adds the union of its
-        radios' neighbourhoods, built on first use and kept under
-        ``i << 8 | b``."""
+        """The protocol radios in range of any radio of ``mask``, kept under
+        the mask: the floods from one origin cross the field in the same
+        layers. A new mask is built from its non-zero bytes: byte ``b`` at
+        byte ``i`` adds the union of its radios' neighbourhoods, built on
+        first use and kept under ``i << 8 | b``."""
+        out = self.reaches.get(mask)
+        if out is not None:
+            return out
         neighbors, unions = self.neighbors, self.unions
         out = 0
         for i, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
@@ -234,6 +250,7 @@ class RadioIndex(NamedTuple):
                         union |= neighbors[8 * i + j - 1][0]
                     unions[key] = union
                 out |= union
+        self.reaches[mask] = out
         return out
 
 
@@ -287,9 +304,11 @@ class World:
     #: Indices built on first use, from ``positions`` and ``states``, and
     #: then kept up to date in place: the radio index (``_place`` splices
     #: each radio that comes onto the field or moves), the ordinary sensors
-    #: that may have work (``_may_work``) and the part each sensor plays.
+    #: that may have work (``_may_work``), the ORPHAN ordinary sensors and
+    #: the part each sensor plays.
     _radio: RadioIndex | None = None
     _busy: set[int] | None = None
+    _orphans: set[int] | None = None
     _roles: _Roles | None = None
 
     def radio_index(self) -> RadioIndex:
@@ -308,7 +327,7 @@ class World:
                 v: (_mask_of(near[b:c]), tuple(near[a:b]))
                 for v, a, b, c in zip(ids, lo.tolist(), mid.tolist(), (lo + count).tolist())
             }
-            self._radio = RadioIndex(ids, graph, neighbors, {})
+            self._radio = RadioIndex(ids, graph, neighbors, {}, {})
         return self._radio
 
     def _busy_sensors(self) -> set[int]:
@@ -316,6 +335,14 @@ class World:
         if self._busy is None:
             self._busy = {v for v, st in self.states.items() if _may_work(st)}
         return self._busy
+
+    def _orphan_sensors(self) -> set[int]:
+        """The ordinary sensors in the ORPHAN phase. Only ``os_step`` moves a
+        sensor into or out of it (``late_join`` brings one back IDLE), so the
+        round loop keeps the set."""
+        if self._orphans is None:
+            self._orphans = {v for v, st in self.states.items() if st.phase is Phase.ORPHAN}
+        return self._orphans
 
     def _role_index(self) -> _Roles:
         """The part each sensor plays, built on first use."""
@@ -378,14 +405,14 @@ def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> Rad
     """``index`` with ``radio`` taken off the field, if it is on it, and put
     at ``position``. Only the radio's neighbours' entries change; the edge
     arrays are renumbered and stay sorted by src, then dst. The new index
-    starts with no per-byte unions: any of the old ones may hold a changed
-    neighbourhood. The neighbours are found in one distance pass under
+    starts with no kept reaches or unions: any of the old ones may hold a
+    changed neighbourhood. The neighbours are found in one distance pass under
     ``graph._disk_pairs``'s rule, ``dx*dx + dy*dy <= r*r`` in float64, so the
     result equals a rebuild."""
     x, y = float(position[0]), float(position[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("positions must be finite")
-    ids, graph, neighbors, _ = index
+    ids, graph, neighbors = index.ids, index.graph, index.neighbors
     src, dst = graph.pairs
     spots = graph.positions
     k = bisect_left(ids, radio)
@@ -428,7 +455,7 @@ def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> Rad
     added = np.sort(np.concatenate((k * n + hit, hit * n + k)))
     keys = np.insert(keys, np.searchsorted(keys, added), added)
     spots = spots[:k] + ((x, y),) + spots[k:]
-    return RadioIndex(ids, from_pairs(spots, r, *np.divmod(keys, n)), neighbors, {})
+    return RadioIndex(ids, from_pairs(spots, r, *np.divmod(keys, n)), neighbors, {}, {})
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -542,12 +569,19 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
         if adv.behavior == "replay":  # the only behaviour that reads what it overhears
             inboxes[adv.id] = _transmissions(sends, relayed, neighbors[adv.id])
     floods: dict[tuple, list[Envelope]] = {}
+    firsts: set[tuple[MessageKind, int]] = set()  # FIRST_PER_SENDER copies delivered
     for env in sends:
         kind = env.kind
         if kind in FLOOD_KINDS:
             floods.setdefault(flood_key(env), []).append(env)
             continue
-        readers = (reads if env.transmitter == env.sender else reads_far)[kind] & _addressees(material, env)
+        hop1 = env.transmitter == env.sender
+        if hop1 and kind in FIRST_PER_SENDER and env.sender >= 0:
+            # A sensor's sends are in seq order, so its first copy is its lowest.
+            if (kind, env.sender) in firsts:
+                continue
+            firsts.add((kind, env.sender))
+        readers = (reads if hop1 else reads_far)[kind] & _addressees(material, env)
         for rcv in _ids_of(neighbors[env.transmitter][0] & readers):
             inboxes.setdefault(rcv, []).append(env)
     all_reached = world.reached
@@ -641,6 +675,7 @@ def step(world: World) -> None:
     # station and adversaries (negative ids) step on their own.
     states = world.states
     busy = world._busy_sensors()
+    orphans = world._orphan_sensors()
     order = sorted(busy.union(inboxes))
     for node in order[bisect_left(order, 0) :]:
         st = states[node]
@@ -653,6 +688,10 @@ def step(world: World) -> None:
             out = os_step(st, inbox or [], round_no, events)[1]
             if not _may_work(st):
                 busy.discard(node)
+            if st.phase is Phase.ORPHAN:
+                orphans.add(node)
+            else:
+                orphans.discard(node)
             if st.rank is not Rank.OS or st.phase is Phase.LEFT:  # promoted or departed
                 world._recast(node, Rank.OS)
         world.sends += out
@@ -689,27 +728,21 @@ def _pending(world: World) -> str:
     base-station record. The field is quiet when the only such work is
     ORPHAN sensors and nothing can move them: nothing is in flight, no
     adversary is on the field, and nothing is due. Every later round would
-    then deliver nothing and step nobody.
+    then deliver nothing and step nobody. Both kinds of sensor work are read
+    off the kept sets: the busy sensors (a pending leave, unannounced or
+    awaiting approval) and the ORPHAN ones.
     """
-    stuck = False
     if world.relayed:  # sensors' relays
         return _BUSY
     for env in world.sends:
         if env.transmitter >= BS_ID:
             return _BUSY
-    if world._busy_sensors():  # sensors the scan below would find with work
+    if world._busy_sensors():
         return _BUSY
-    for st in world.states.values():
-        if st.pending_leave:
-            return _BUSY
-        if st.rank is Rank.OS and st.phase not in (Phase.JOINED, Phase.LEFT):
-            if st.phase is not Phase.ORPHAN:  # unannounced or awaiting approval
-                return _BUSY
-            stuck = True
     for rec in world.bs.orphans.values():
         if rec.resolution is None:
             return _BUSY
-    if not stuck:
+    if not world._orphan_sensors():
         return _SETTLED
     return _QUIET if not world.sends and not world.adversaries else _BUSY
 
@@ -855,7 +888,8 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     if outcome is None:
         outcome = assemble_outcome(world)
     states = world.states
-    ids, radio, _, _ = world.radio_index()
+    index = world.radio_index()
+    ids, radio = index.ids, index.graph
     keep = np.array([v in states and states[v].phase is not Phase.LEFT for v in ids], dtype=bool)
     src, dst = radio.pairs
     both = keep[src] & keep[dst]

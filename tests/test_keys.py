@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import wcds.keys
 from conftest import can_decrypt
 from wcds.keys import (
+    ALLOWED_KEY_BITS,
     AuthenticationFailure,
     Ciphertext,
     Key,
@@ -69,6 +72,23 @@ class TestWire:
             MessageKind.ADOPT_CMD,
             MessageKind.PROMOTE_CMD,
         }
+
+
+def keystream_by_blocks(key, length):
+    """The keystream as it is defined: keyed blake2b blocks of counters 0,
+    1, ... concatenated and cut to ``length``, computed afresh."""
+    out = b""
+    counter = 0
+    while len(out) < length:
+        out += hashlib.blake2b(counter.to_bytes(8, "big"), key=key.bits[:64], digest_size=64).digest()
+        counter += 1
+    return out[:length]
+
+
+#: sha256 over (key id, payload, tag) of the ciphertexts that
+#: ``TestCipher.test_fixed_seals_match_the_recorded_digest`` seals, taken
+#: before keys kept their first keystream block.
+SEALED_DIGEST = "ac2552c11b9620bfa21307a0f1ea6492fa1cdf5c8ec8209396908567d91298d1"
 
 
 class TestCipher:
@@ -140,6 +160,48 @@ class TestCipher:
     def test_round_trip_property(self, kind, body, seed):
         k = KeyFountain(seed, 128).next_key()
         assert decrypt(k, encrypt(k, kind, body)) == (kind, body)
+
+    # Each key object keeps its keystream's first block; the bytes it seals
+    # and opens are those of the keystream computed afresh.
+    @pytest.mark.parametrize("bits", ALLOWED_KEY_BITS)
+    def test_kept_block_gives_the_same_keystream(self, bits):
+        fountain = KeyFountain(bits, bits)
+        fresh, kept = fountain.next_key(), fountain.next_key()
+        assert fresh._first_block is None
+        wcds.keys._keystream(kept, 1)
+        assert kept._first_block == keystream_by_blocks(kept, 64)
+        for length in range(201):  # one block up to 64, more past it
+            assert wcds.keys._keystream(kept, length) == keystream_by_blocks(kept, length), length
+            first_use = Key(fresh.id, fresh.bits)  # computes its block at this length
+            assert wcds.keys._keystream(first_use, length) == keystream_by_blocks(fresh, length), length
+
+    def test_fixed_seals_match_the_recorded_digest(self):
+        out = hashlib.sha256()
+        kinds = list(MessageKind)
+        for bits in ALLOWED_KEY_BITS:
+            fountain = KeyFountain(bits, bits)
+            for _ in range(3):
+                key = fountain.next_key()
+                for n in range(201):
+                    body = bytes((n * 31 + j) % 256 for j in range(n))
+                    for _ in range(2):  # the second seal reads the kept block
+                        ct = encrypt(key, kinds[n % len(kinds)], body)
+                        out.update(ct.key_id.to_bytes(8, "big") + ct.payload + ct.auth_tag)
+        assert out.hexdigest() == SEALED_DIGEST
+
+    def test_kept_block_is_invisible(self):
+        key = KeyFountain(3, 128).next_key()
+        plain = Key(key.id, key.bits)
+        ct = encrypt(key, MessageKind.LEAVE, b"body")
+        assert key._first_block is not None and plain._first_block is None
+        assert key == plain and hash(key) == hash(plain) and repr(key) == repr(plain)
+        assert len({key, plain}) == 1
+        assert dataclasses.replace(key)._first_block is None
+        for twin in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key)):
+            assert twin == key and hash(twin) == hash(key)
+            assert twin._first_block == key._first_block
+            assert decrypt(twin, ct) == (MessageKind.LEAVE, b"body")
+            assert encrypt(twin, MessageKind.LEAVE, b"body") == ct
 
 
 class TestOpenAs:

@@ -18,10 +18,12 @@ from wcds.protocol import (
     ADDRESSED,
     APPROVAL_TIMEOUT,
     BS_ID,
+    FIRST_PER_SENDER,
     HANDLERS,
     HOP1_ONLY,
     Envelope,
     Phase,
+    _hop1,
     _inbox_key,
     flood_key,
 )
@@ -55,7 +57,7 @@ def rebuilt(world):
     """A copy of ``world`` sharing its state but none of its indices, so each
     is built afresh from ``positions`` and ``states`` on first use."""
     twin = copy.copy(world)
-    twin._radio = twin._busy = twin._roles = None
+    twin._radio = twin._busy = twin._orphans = twin._roles = None
     return twin
 
 
@@ -391,20 +393,27 @@ class TestRadioMasks:
         picks=strategies.lists(strategies.integers(0, 2**16 - 1), max_size=4),
     )
     def test_reach_is_the_union_of_neighbourhoods_through_splices(self, start, ops, picks):
+        """``reach`` keeps its answers per radio index, and a splice starts
+        the next index with none."""
         m = provision([3, 3, 4], reserve_fraction=0.4)
         w = make_world(m, {BS_ID: (20.0, 20.0), **dict(zip(m.deployed_nodes(), start))}, radius=10.0)
+        # Masks over the protocol radios on the field at the start, whose ids
+        # run past the first byte. Radios only come onto this field, so each
+        # is asked again after every join, move and adversary drop, when any
+        # answer kept from an earlier index may be stale.
+        first = [v for v in w.radio_index().ids if v >= BS_ID]
+        picked = [sim_module._mask_of(v for j, v in enumerate(first) if p >> j & 1) for p in picks]
 
         def check():
-            # Every radio alone, then masks over the protocol radios on the
-            # field, whose ids run past the first byte.
+            # Every radio alone, then the picked masks, each asked twice: the
+            # second answer is the kept one.
             index = w.radio_index()
             on = [v for v in index.ids if v >= BS_ID]
-            masks = [sim_module._mask_of([v]) for v in on]
-            masks += [sim_module._mask_of(v for j, v in enumerate(on) if p >> j & 1) for p in picks]
-            for mask in masks:
+            for mask in [sim_module._mask_of([v]) for v in on] + picked:
                 union = 0
                 for v in radios(mask):
                     union |= index.neighbors[v][0]
+                assert index.reach(mask) == union
                 assert index.reach(mask) == union
 
         check()
@@ -481,18 +490,24 @@ class DeliveryCheck:
     copies and the other adversaries get nothing, that
     every protocol radio's inbox holds only copies the fan-out gave it and of
     kinds its step reads, of a flood the one with the smallest transmitter,
+    of a sensor's hop-1 approvals (``FIRST_PER_SENDER``) at most one, its
+    lowest-seq copy this round, and of an adversary's every one in range,
     and that the relay records come in flood-key order, each naming in
     ascending order sensors on the field that the fan-out gave that flood."""
 
     deliver = staticmethod(sim_module._deliver)
 
     def __init__(self):
-        self.rounds = self.skipped_copies = self.replayed_floods_kept = 0
+        self.rounds = self.skipped_copies = self.replayed_floods_kept = self.approvals_withheld = 0
 
     def __call__(self, world):
         expected = fan_out(world)
         replayed = [env for env in world.sends if env.kind in FLOOD_KINDS and env.transmitter < BS_ID]
         before = {flood_key(env): set(radios(world.reached[flood_key(env)])) for env in replayed}
+        lowest = {}  # per sensor sending hop-1 approvals this round, its lowest seq
+        for env in world.sends:
+            if env.kind in FIRST_PER_SENDER and env.transmitter == env.sender >= 0:
+                lowest[env.sender] = min(lowest.get(env.sender, env.seq), env.seq)
         inboxes = self.deliver(world)
         self.rounds += 1
         replays = {adv.id for adv in world.adversaries if adv.behavior == "replay"}
@@ -508,6 +523,15 @@ class DeliveryCheck:
                 if env.kind in FLOOD_KINDS:
                     heard = [e.transmitter for e in want if flood_key(e) == flood_key(env)]
                     assert env.transmitter == min(heard), (world.round, rcv)
+            # Hop-1 approvals: of each sensor sender in range its lowest-seq
+            # copy alone; every copy an adversary sends under its own id.
+            sent = [env for env in want if env.kind in FIRST_PER_SENDER and env.kind in reads and _hop1(env)]
+            firsts = [env for env in have if env.kind in FIRST_PER_SENDER and _hop1(env)]
+            senders = [env.sender for env in firsts if env.sender >= 0]
+            assert sorted(senders) == sorted({env.sender for env in sent if env.sender >= 0}), (world.round, rcv)
+            assert all(env.seq == lowest[env.sender] for env in firsts if env.sender >= 0), (world.round, rcv)
+            assert all(env in have for env in sent if env.sender < BS_ID), (world.round, rcv)
+            self.approvals_withheld += len(sent) - len(firsts)
             self.skipped_copies += len(want) - len(have)
         assert list(world.relayed) == sorted(world.relayed), world.round
         for key, (copy, relayers) in world.relayed.items():
@@ -671,7 +695,7 @@ class TestDelivery:
         extra = {} if behavior is None else {"adversary_count": 3, "adversary_behavior": behavior}
         config = RunConfig(**DELIVERY_FIELD, **extra)
         check = twin_runs(lambda: simulate(config)[0])
-        assert check.rounds > 10 and check.skipped_copies > 1000
+        assert check.rounds > 10 and check.skipped_copies > 1000 and check.approvals_withheld > 100
         if behavior == "replay":
             assert check.replayed_floods_kept > 0
 
@@ -717,6 +741,37 @@ class TestDelivery:
             seed=seed, adversary_count=2, adversary_behavior=behavior,
         )
         twin_runs(lambda: simulate(config)[0])
+
+
+class TestFirstApprovalPerSender:
+    """Of the approvals a sensor sends in one round, a reader gets the
+    lowest-seq copy alone; every approval an adversary sends under its own id
+    still arrives."""
+
+    @staticmethod
+    def approvals(sender, key, members):
+        """One step's approvals of ``members`` by ``sender``, sealed under
+        ``key`` and heard at one hop, seq ascending."""
+        return [
+            Envelope(sender, MessageKind.JOIN_APRV, encrypt(key, MessageKind.JOIN_APRV, pack_ids([sender, m])), seq, sender)
+            for seq, m in enumerate(members, start=3)
+        ]
+
+    def test_a_sensors_lowest_seq_copy_alone(self):
+        m = provision([2])
+        w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (15.0, 5.0)})
+        sent = self.approvals(0, m.group_keys[0], [1, 2, 1])
+        w.sends = list(sent)
+        inboxes = sim_module._deliver(w)
+        assert inboxes[1] == inboxes[2] == [sent[0]]
+
+    def test_every_forged_approval_arrives(self):
+        m = provision([1])
+        w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0)})
+        inject_adversary(w, 1, "forge_approve", positions=[(21.0, 0.0)])
+        forged = self.approvals(-2, m.group_keys[0], [1, 1, 1])
+        w.sends = list(forged)
+        assert sim_module._deliver(w)[1] == forged
 
 
 def withheld(material, part, node, env):
@@ -947,6 +1002,7 @@ class TestWithheldCopiesChangeNothing:
             step(world)
         checked += self.check(world, rng)
         assert checked > 100
+        assert self.check_duplicate_approvals(world, rng) > 20
 
     @staticmethod
     def check(world, rng):
@@ -971,6 +1027,38 @@ class TestWithheldCopiesChangeNothing:
                 assert not out and not events, (node, env)
                 assert (dict(material.group_keys), dict(material.owners)) == keys
                 checked += 1
+        return checked
+
+    @staticmethod
+    def check_duplicate_approvals(world, rng):
+        """A round's approvals from one dominator, as ``gd_step`` seals them
+        (one key, seq ascending), under the dominator's group key and under the
+        reader's own group key, to sensors as they stand and as if awaiting
+        approval: once the first is handled, each later one changes nothing
+        and notes nothing (``FIRST_PER_SENDER``)."""
+        handler = HANDLERS[Rank.OS][MessageKind.JOIN_APRV]
+        states = world.states
+        sensors = sorted(v for v, st in states.items() if st.rank is Rank.OS and st.phase is not Phase.LEFT)
+        dominators = sorted(v for v, st in states.items() if st.rank is not Rank.OS and st.phase is not Phase.LEFT)
+        checked = 0
+        for node in rng.sample(sensors, min(6, len(sensors))):
+            st = states[node]
+            waiting = copy.deepcopy(st)
+            waiting.phase, waiting.dominator = Phase.AWAITING, None
+            near = st.neighbor_dominators | ({st.dominator} if st.dominator is not None else set())
+            for gd in sorted(near | set(rng.sample(dominators, min(2, len(dominators))))):
+                members = [rng.choice(sensors) for _ in range(3)] + [node]
+                rng.shuffle(members)
+                for key in (states[gd].ring.group, st.ring.group):
+                    batch = TestFirstApprovalPerSender.approvals(gd, key, members)
+                    for start in (st, waiting):
+                        after = copy.deepcopy(start)
+                        handler(after, batch[0], world.round, [])
+                        for env in batch[1:]:
+                            trial, events = copy.deepcopy(after), []
+                            handler(trial, env, world.round, events)
+                            assert trial == after and not events, (node, gd, env)
+                            checked += 1
         return checked
 
 
@@ -1322,13 +1410,15 @@ class TestChurn:
 
 
 class TestStateIndices:
-    """The sensors that may have work and the part each sensor plays are kept
-    in place; after every change they equal indices rebuilt from the states."""
+    """The sensors that may have work, the ORPHAN sensors and the part each
+    sensor plays are kept in place; after every change they equal indices
+    rebuilt from the states."""
 
     @staticmethod
     def check(world):
         twin = rebuilt(world)
         assert world._busy_sensors() == twin._busy_sensors(), world.round
+        assert world._orphan_sensors() == twin._orphan_sensors(), world.round
         assert world._role_index() == twin._role_index(), world.round
 
     @staticmethod
