@@ -75,13 +75,12 @@ a leave pending, in id order. ``leave`` and ``late_join`` add a sensor to that
 set, and a step that leaves it with none of those drops it; one not yet due
 to announce, time out its approval wait or leave is passed over
 (``protocol.os_idle``). The relays of a sensor that is not stepped still go
-out. The ORPHAN sensors, who reads which kind, who has left and who a
-``forge_join`` adversary may impersonate are kept the same way, changed only
-where a step settles a sensor, or where it leaves, is promoted or joins. A
-run whose only open work is orphans that nothing can reach any more (nothing
-in flight, no adversary, nothing due) is not stepped at all: its remaining
-rounds are counted as spent, which leaves the world as stepping them would
-have. Whether work is open is read off the kept sets, not the states.
+out. Who reads which kind, who has left and who a ``forge_join`` adversary may
+impersonate are kept the same way, changed only where a sensor leaves, is
+promoted or joins. A run whose only open work is orphans that nothing can
+reach any more (nothing in flight, no adversary, nothing due) is not stepped
+at all: its remaining rounds are counted as spent, which leaves the world as
+stepping them would have.
 
 The radio graph is built once from a cell grid, with each radio's neighbour
 mask and adversary tuple. A radio that comes onto the field or moves is
@@ -304,11 +303,9 @@ class World:
     #: Indices built on first use, from ``positions`` and ``states``, and
     #: then kept up to date in place: the radio index (``_place`` splices
     #: each radio that comes onto the field or moves), the ordinary sensors
-    #: that may have work (``_may_work``), the ORPHAN ordinary sensors and
-    #: the part each sensor plays.
+    #: that may have work (``_may_work``) and the part each sensor plays.
     _radio: RadioIndex | None = None
     _busy: set[int] | None = None
-    _orphans: set[int] | None = None
     _roles: _Roles | None = None
 
     def radio_index(self) -> RadioIndex:
@@ -335,14 +332,6 @@ class World:
         if self._busy is None:
             self._busy = {v for v, st in self.states.items() if _may_work(st)}
         return self._busy
-
-    def _orphan_sensors(self) -> set[int]:
-        """The ordinary sensors in the ORPHAN phase. Only ``os_step`` moves a
-        sensor into or out of it (``late_join`` brings one back IDLE), so the
-        round loop keeps the set."""
-        if self._orphans is None:
-            self._orphans = {v for v, st in self.states.items() if st.phase is Phase.ORPHAN}
-        return self._orphans
 
     def _role_index(self) -> _Roles:
         """The part each sensor plays, built on first use."""
@@ -675,7 +664,6 @@ def step(world: World) -> None:
     # station and adversaries (negative ids) step on their own.
     states = world.states
     busy = world._busy_sensors()
-    orphans = world._orphan_sensors()
     order = sorted(busy.union(inboxes))
     for node in order[bisect_left(order, 0) :]:
         st = states[node]
@@ -688,10 +676,6 @@ def step(world: World) -> None:
             out = os_step(st, inbox or [], round_no, events)[1]
             if not _may_work(st):
                 busy.discard(node)
-            if st.phase is Phase.ORPHAN:
-                orphans.add(node)
-            else:
-                orphans.discard(node)
             if st.rank is not Rank.OS or st.phase is Phase.LEFT:  # promoted or departed
                 world._recast(node, Rank.OS)
         world.sends += out
@@ -728,21 +712,27 @@ def _pending(world: World) -> str:
     base-station record. The field is quiet when the only such work is
     ORPHAN sensors and nothing can move them: nothing is in flight, no
     adversary is on the field, and nothing is due. Every later round would
-    then deliver nothing and step nobody. Both kinds of sensor work are read
-    off the kept sets: the busy sensors (a pending leave, unannounced or
-    awaiting approval) and the ORPHAN ones.
+    then deliver nothing and step nobody.
     """
+    stuck = False
     if world.relayed:  # sensors' relays
         return _BUSY
     for env in world.sends:
         if env.transmitter >= BS_ID:
             return _BUSY
-    if world._busy_sensors():
+    if world._busy_sensors():  # sensors the scan below would find with work
         return _BUSY
+    for st in world.states.values():
+        if st.pending_leave:
+            return _BUSY
+        if st.rank is Rank.OS and st.phase not in (Phase.JOINED, Phase.LEFT):
+            if st.phase is not Phase.ORPHAN:  # unannounced or awaiting approval
+                return _BUSY
+            stuck = True
     for rec in world.bs.orphans.values():
         if rec.resolution is None:
             return _BUSY
-    if not world._orphan_sensors():
+    if not stuck:
         return _SETTLED
     return _QUIET if not world.sends and not world.adversaries else _BUSY
 

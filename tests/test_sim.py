@@ -57,7 +57,7 @@ def rebuilt(world):
     """A copy of ``world`` sharing its state but none of its indices, so each
     is built afresh from ``positions`` and ``states`` on first use."""
     twin = copy.copy(world)
-    twin._radio = twin._busy = twin._orphans = twin._roles = None
+    twin._radio = twin._busy = twin._roles = None
     return twin
 
 
@@ -397,19 +397,22 @@ class TestRadioMasks:
         the next index with none."""
         m = provision([3, 3, 4], reserve_fraction=0.4)
         w = make_world(m, {BS_ID: (20.0, 20.0), **dict(zip(m.deployed_nodes(), start))}, radius=10.0)
-        # Masks over the protocol radios on the field at the start, whose ids
-        # run past the first byte. Radios only come onto this field, so each
-        # is asked again after every join, move and adversary drop, when any
-        # answer kept from an earlier index may be stale.
+        # Masks over the protocol radios on the field at the start. Radios
+        # only come onto this field, so these are asked again after every
+        # join, move and adversary drop, when any answer kept from an earlier
+        # index may be stale.
         first = [v for v in w.radio_index().ids if v >= BS_ID]
-        picked = [sim_module._mask_of(v for j, v in enumerate(first) if p >> j & 1) for p in picks]
+        kept = [sim_module._mask_of(v for j, v in enumerate(first) if p >> j & 1) for p in picks]
 
         def check():
-            # Every radio alone, then the picked masks, each asked twice: the
-            # second answer is the kept one.
+            # Every radio alone, masks over the protocol radios on the field
+            # now, whose ids run past the first byte, then the masks kept from
+            # the start; each asked twice: the second answer is the kept one.
             index = w.radio_index()
             on = [v for v in index.ids if v >= BS_ID]
-            for mask in [sim_module._mask_of([v]) for v in on] + picked:
+            masks = [sim_module._mask_of([v]) for v in on]
+            masks += [sim_module._mask_of(v for j, v in enumerate(on) if p >> j & 1) for p in picks]
+            for mask in masks + kept:
                 union = 0
                 for v in radios(mask):
                     union |= index.neighbors[v][0]
@@ -1410,15 +1413,13 @@ class TestChurn:
 
 
 class TestStateIndices:
-    """The sensors that may have work, the ORPHAN sensors and the part each
-    sensor plays are kept in place; after every change they equal indices
-    rebuilt from the states."""
+    """The sensors that may have work and the part each sensor plays are kept
+    in place; after every change they equal indices rebuilt from the states."""
 
     @staticmethod
     def check(world):
         twin = rebuilt(world)
         assert world._busy_sensors() == twin._busy_sensors(), world.round
-        assert world._orphan_sensors() == twin._orphan_sensors(), world.round
         assert world._role_index() == twin._role_index(), world.round
 
     @staticmethod
