@@ -82,14 +82,15 @@ reach any more (nothing in flight, no adversary, nothing due) is not stepped
 at all: its remaining rounds are counted as spent, which leaves the world as
 stepping them would have.
 
-The radio graph is built once from a cell grid, with each radio's neighbour
-mask and adversary tuple. A radio that comes onto the field or moves is
-spliced in: one distance pass finds its neighbours, by the same rule as the
-grid, and only their entries and the edge arrays change. The union of
-neighbourhoods a flood's relayers span is kept under the whole relayer mask,
-since the floods from one origin cross the field in the same layers; a new
-mask's union is built a byte of the mask at a time, from per-byte unions
-kept too. Both live on the radio index, so a splice drops them.
+The radio graph is built once from a cell grid into each radio's neighbour
+mask and adversary tuple, and the masks are the field's only copy of it. A
+radio that comes onto the field or moves is spliced in: one distance pass
+finds its neighbours, by the same rule as the grid, and only their entries
+change. The union of neighbourhoods a flood's relayers span is kept under
+the whole relayer mask, since the floods from one origin cross the field in
+the same layers; a new mask's union is built a byte of the mask at a time,
+from per-byte unions kept too. Both live on the radio index, so a splice
+drops them.
 
 The envelope's ``transmitter`` field is the radio that emitted the copy.
 Each emitter sets it to its own id, on the copies it relays or replays too,
@@ -109,14 +110,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    from_pairs,
-    is_connected,
-    is_dominating,
-    radius_for_expected_degree,
-    unit_disk_graph,
-)
+from .graph import radius_for_expected_degree, unit_disk_graph
 from .keys import Ciphertext, KeyMaterial, Rank, group_sizes_for, provision
 from .protocol import (
     ADDRESSED,
@@ -216,14 +210,12 @@ def _ids_of(mask: int) -> list[int]:
 
 class RadioIndex(NamedTuple):
     """The unit-disk graph over every radio on the field (sensors, the base
-    station and adversaries) and, per radio, the mask of protocol radios
+    station and adversaries): per radio, the mask of protocol radios
     (sensors and base station) and the ascending adversary ids in its range.
     ``reaches`` keeps ``reach``'s answers by whole mask and ``unions`` its
     per-byte unions, for this index only; a splice makes a new index with
     neither."""
 
-    ids: list[int]  # graph node i is ids[i]
-    graph: Graph
     neighbors: dict[int, tuple[int, tuple[int, ...]]]
     reaches: dict[int, int]
     unions: dict[int, int]
@@ -312,8 +304,7 @@ class World:
         """The radio index of the field as it stands, built on first use."""
         if self._radio is None:
             ids = sorted(self.positions)
-            graph = unit_disk_graph([self.positions[v] for v in ids], self.radius)
-            src, dst = graph.pairs
+            src, dst = unit_disk_graph([self.positions[v] for v in ids], self.radius).pairs
             near = np.asarray(ids)[dst].tolist()
             # Adversary ids sort first, so each row of neighbours, in id
             # order, splits at BS_ID into adversaries and protocol radios.
@@ -324,7 +315,7 @@ class World:
                 v: (_mask_of(near[b:c]), tuple(near[a:b]))
                 for v, a, b, c in zip(ids, lo.tolist(), mid.tolist(), (lo + count).tolist())
             }
-            self._radio = RadioIndex(ids, graph, neighbors, {}, {})
+            self._radio = RadioIndex(neighbors, {}, {})
         return self._radio
 
     def _busy_sensors(self) -> set[int]:
@@ -386,27 +377,30 @@ class World:
         """Put a radio on the field, or move it, and splice it into the radio
         index if one is built."""
         if self._radio is not None:
-            self._radio = _splice(self._radio, radio, position)
+            self._radio = _splice(self._radio, self.positions, self.radius, radio, position)
         self.positions[radio] = position
 
 
-def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> RadioIndex:
-    """``index`` with ``radio`` taken off the field, if it is on it, and put
-    at ``position``. Only the radio's neighbours' entries change; the edge
-    arrays are renumbered and stay sorted by src, then dst. The new index
-    starts with no kept reaches or unions: any of the old ones may hold a
-    changed neighbourhood. The neighbours are found in one distance pass under
+def _splice(
+    index: RadioIndex,
+    positions: dict[int, tuple[float, float]],
+    radius: float,
+    radio: int,
+    position: tuple[float, float],
+) -> RadioIndex:
+    """``index``, the radio index over ``positions``, with ``radio`` taken
+    off the field, if it is on it, and put at ``position``. Only the radio's
+    neighbours' entries change, in place. The new index starts with no kept
+    reaches or unions: any of the old ones may hold a changed neighbourhood.
+    The neighbours are found in one distance pass under
     ``graph._disk_pairs``'s rule, ``dx*dx + dy*dy <= r*r`` in float64, so the
     result equals a rebuild."""
     x, y = float(position[0]), float(position[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("positions must be finite")
-    ids, graph, neighbors = index.ids, index.graph, index.neighbors
-    src, dst = graph.pairs
-    spots = graph.positions
-    k = bisect_left(ids, radio)
+    neighbors = index.neighbors
     bit = 0 if radio < BS_ID else _mask_of((radio,))
-    if k < len(ids) and ids[k] == radio:  # a move: off the field first
+    if radio in neighbors:  # a move: off the field first
         listeners, adversaries = neighbors.pop(radio)
         for u in (*adversaries, *_ids_of(listeners)):
             near, advs = neighbors[u]
@@ -414,19 +408,14 @@ def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> Rad
                 neighbors[u] = (near, tuple(a for a in advs if a != radio))
             else:
                 neighbors[u] = (near & ~bit, advs)
-        keep = (src != k) & (dst != k)
-        src, dst = src[keep], dst[keep]
-        src -= src > k
-        dst -= dst > k
-        del ids[k]
-        spots = spots[:k] + spots[k + 1 :]
-    xy = np.array(spots, dtype=np.float64).reshape(-1, 2)
-    r = graph.radius
+    ids = list(positions)
+    xy = np.array(list(positions.values()), dtype=np.float64).reshape(-1, 2)
+    r = float(radius)
     with np.errstate(over="ignore", invalid="ignore"):
         dx = xy[:, 0] - x
         dy = xy[:, 1] - y
         hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
-    near = [ids[j] for j in hit.tolist()]
+    near = sorted(ids[j] for j in hit.tolist() if ids[j] != radio)
     split = bisect_left(near, BS_ID)
     for u in near:
         listeners, adversaries = neighbors[u]
@@ -435,16 +424,7 @@ def _splice(index: RadioIndex, radio: int, position: tuple[float, float]) -> Rad
         else:
             neighbors[u] = (listeners | bit, adversaries)
     neighbors[radio] = (_mask_of(near[split:]), tuple(near[:split]))
-    ids.insert(k, radio)
-    n = len(ids)
-    hit += hit >= k
-    src = src + (src >= k)
-    dst = dst + (dst >= k)
-    keys = src * n + dst
-    added = np.sort(np.concatenate((k * n + hit, hit * n + k)))
-    keys = np.insert(keys, np.searchsorted(keys, added), added)
-    spots = spots[:k] + ((x, y),) + spots[k:]
-    return RadioIndex(ids, from_pairs(spots, r, *np.divmod(keys, n)), neighbors, {}, {})
+    return RadioIndex(neighbors, {}, {})
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -869,29 +849,37 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
 
     The graph is the world's radio graph restricted to sensors still on the
     field; the base station and adversaries are not part of the dominating
-    structure. The on-field graph is cut from the radio index's edge arrays,
-    and the graph predicates answer on it: ``is_dominating`` for the
-    dominators on the field and ``is_connected`` for the graph. A dominating
+    structure. Both answers are read off the radio index's neighbour masks,
+    each ANDed with the mask of the sensors on the field, so no other radio
+    bridges two sensors. The dominators on the field dominate when their
+    closed neighbourhoods cover that mask; the graph is connected when a
+    walk of frontiers from its lowest sensor reaches all of it. A dominating
     set's closed neighbourhood is the whole graph, so its weak connectivity
-    (what ``graph.is_wcds`` checks) is the graph's connectivity.
+    (what ``graph.is_wcds`` checks) is the graph's connectivity. The walk
+    ORs the masks itself, so a check leaves ``RadioIndex.reach``'s memo as
+    it was.
     """
     if outcome is None:
         outcome = assemble_outcome(world)
     states = world.states
-    index = world.radio_index()
-    ids, radio = index.ids, index.graph
-    keep = np.array([v in states and states[v].phase is not Phase.LEFT for v in ids], dtype=bool)
-    src, dst = radio.pairs
-    both = keep[src] & keep[dst]
-    renumber = np.cumsum(keep) - 1
-    positions = [p for p, k in zip(radio.positions, keep.tolist()) if k]
-    on_field = from_pairs(positions, radio.radius, renumber[src[both]], renumber[dst[both]])
-    chosen = np.flatnonzero(np.isin(ids, outcome.dominator_set)[keep])
-    dominating = is_dominating(on_field, chosen)
-    connected = is_connected(on_field)
+    neighbors = world.radio_index().neighbors
+    on_field = _mask_of(v for v, st in states.items() if st.phase is not Phase.LEFT)
+    chosen = _mask_of(v for v in outcome.dominator_set if v in states) & on_field
+    covered = chosen
+    for v in _ids_of(chosen):
+        covered |= neighbors[v][0]
+    dominating = not on_field & ~covered
+    seen = frontier = on_field & -on_field
+    while frontier:
+        near = 0
+        for v in _ids_of(frontier):
+            near |= neighbors[v][0]
+        frontier = near & on_field & ~seen
+        seen |= frontier
+    connected = seen == on_field
     return VerifyReport(
-        node_count=len(positions),
-        dominator_count=len(chosen),
+        node_count=on_field.bit_count(),
+        dominator_count=chosen.bit_count(),
         dominating=dominating,
         weakly_connected=dominating and connected,
         graph_connected=connected,

@@ -257,10 +257,8 @@ class TestRunControl:
 
 def radio_neighbors(world):
     """Every radio in range of each radio, in id order, read off the world's
-    radio graph."""
-    ids = sorted(world.positions)
-    g = world.radio_index().graph
-    return {v: sorted(ids[j] for j in g.adj[i]) for i, v in enumerate(ids)}
+    radio index: its adversaries, then the protocol radios of its mask."""
+    return {v: [*advs, *radios(near)] for v, (near, advs) in world.radio_index().neighbors.items()}
 
 
 class TestRadioIndex:
@@ -280,15 +278,9 @@ class TestRadioIndex:
         return table
 
     def check(self, world):
-        table = self.pair_loop(world)
-        assert radio_neighbors(world) == table
-        split = {
-            v: ([u for u in near if u >= BS_ID], tuple(sorted(u for u in near if u < BS_ID)))
-            for v, near in table.items()
-        }
-        index = world.radio_index()
-        assert {v: (radios(near), advs) for v, (near, advs) in index.neighbors.items()} == split
-        assert index.ids == sorted(world.positions) and index.graph.n == len(world.positions)
+        # Both lists are in id order, so this checks each radio's adversary
+        # tuple, its mask and the order of the tuple.
+        assert radio_neighbors(world) == self.pair_loop(world)
 
     def test_neighbors_match_pair_loop_through_churn(self):
         m = provision([9] * 6, reserve_fraction=0.3, seed=2)
@@ -353,22 +345,21 @@ class TestRadioIndex:
                 radios = sorted(w.positions)
                 w._place(radios[pick % len(radios)], spot)
             spliced, fresh = w.radio_index(), rebuilt(w).radio_index()
-            assert spliced.ids == fresh.ids == sorted(w.positions)
-            assert spliced.graph == fresh.graph
-            assert list(spliced.graph.edges()) == list(fresh.graph.edges())
             assert spliced.neighbors == fresh.neighbors
         self.check(w)
 
     def test_splice_refuses_a_position_off_the_plane(self):
         m = provision([2], reserve_fraction=0.5)
         w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0)})
-        before = w.radio_index()
+        # A copy of every entry: the index's own dict is edited in place, so
+        # comparing with it would pass even after a half-done splice.
+        before = dict(w.radio_index().neighbors)
         with pytest.raises(ValueError, match="finite"):
             late_join(w, 2, position=(math.inf, 0.0))
         with pytest.raises(ValueError, match="finite"):
             inject_adversary(w, 1, "replay", positions=[(0.0, math.nan)])
         assert 2 not in w.positions and 2 not in w.states and not w.adversaries
-        assert w.radio_index() == before
+        assert w.radio_index().neighbors == before == rebuilt(w).radio_index().neighbors
 
 
 class TestRadioMasks:
@@ -401,7 +392,7 @@ class TestRadioMasks:
         # only come onto this field, so these are asked again after every
         # join, move and adversary drop, when any answer kept from an earlier
         # index may be stale.
-        first = [v for v in w.radio_index().ids if v >= BS_ID]
+        first = sorted(v for v in w.radio_index().neighbors if v >= BS_ID)
         kept = [sim_module._mask_of(v for j, v in enumerate(first) if p >> j & 1) for p in picks]
 
         def check():
@@ -409,7 +400,7 @@ class TestRadioMasks:
             # now, whose ids run past the first byte, then the masks kept from
             # the start; each asked twice: the second answer is the kept one.
             index = w.radio_index()
-            on = [v for v in index.ids if v >= BS_ID]
+            on = sorted(v for v in index.neighbors if v >= BS_ID)
             masks = [sim_module._mask_of([v]) for v in on]
             masks += [sim_module._mask_of(v for j, v in enumerate(on) if p >> j & 1) for p in picks]
             for mask in masks + kept:
@@ -1606,13 +1597,72 @@ class TestVerify:
             groups=4, eta=6, mode="uniform", width=80.0, height=80.0, target_degree=5.0,
             reserve_fraction=0.3, seed=seed,
         ))[0]
+        index = world.radio_index()  # built by formation: every change below is spliced
         for v in sorted(world.material.reserve)[:2]:
             late_join(world, v)
+        joined = sorted(v for v, st in world.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED)
+        comeback = joined[seed % len(joined)]
+        leave(world, comeback)
         run(world)
+        assert world.states[comeback].phase is Phase.LEFT
+        spot = random.Random(seed)
+        late_join(world, comeback, position=(spot.uniform(0.0, 80.0), spot.uniform(0.0, 80.0)))
+        world._place(BS_ID, (spot.uniform(0.0, 80.0), spot.uniform(0.0, 80.0)))
+        (ax, ay), (bx, by) = (world.positions[d] for d in assemble_outcome(world).dominator_set[:2])
+        inject_adversary(world, 1, "forge_join", positions=[((ax + bx) / 2, (ay + by) / 2)])
+        run(world)
+        assert world.radio_index().neighbors is index.neighbors
         outcome = assemble_outcome(world)
         for dominators in (outcome.dominator_set, outcome.dominator_set[1:], ()):
             chosen = dataclasses.replace(outcome, dominator_set=dominators)
             assert verify_outcome(world, chosen) == self.by_predicates(world, chosen)
+
+    @pytest.mark.parametrize("bridge", ["base station", "adversary", "departed sensor", "sensor"])
+    def test_only_sensors_on_the_field_link_sensors(self, bridge):
+        # Sensors 0 and 1 sit 20 apart at radius 12, and the bridge at
+        # (10, 0) is in range of both. Only a sensor on the field joins them.
+        middle, far = (10.0, 0.0), (60.0, 60.0)
+        spots = {BS_ID: middle if bridge == "base station" else far, 0: (0.0, 0.0), 1: (20.0, 0.0)}
+        if bridge in ("departed sensor", "sensor"):
+            spots[2] = middle
+        w = make_world(provision([2]), spots, radius=12.0)
+        if bridge == "adversary":
+            inject_adversary(w, 1, "replay", positions=[middle])
+        if bridge == "departed sensor":
+            w.states[2].phase = Phase.LEFT
+        outcome = dataclasses.replace(assemble_outcome(w), dominator_set=(0, 1))
+        report = verify_outcome(w, outcome)
+        assert report == self.by_predicates(w, outcome)
+        assert report.dominating
+        assert report.graph_connected is report.weakly_connected is (bridge == "sensor")
+
+    def test_a_departed_dominator_dominates_nothing(self):
+        w = make_world(provision([1]), {BS_ID: (60.0, 60.0), 0: (0.0, 0.0), 1: (5.0, 0.0)}, radius=12.0)
+        w.states[0].phase = Phase.LEFT
+        outcome = dataclasses.replace(assemble_outcome(w), dominator_set=(0,))
+        report = verify_outcome(w, outcome)
+        assert report == self.by_predicates(w, outcome)
+        assert (report.node_count, report.dominator_count, report.dominating) == (1, 0, False)
+
+    def test_checks_leave_the_reach_memo_alone(self):
+        world = simulate(RunConfig(
+            groups=4, eta=6, mode="uniform", width=80.0, height=80.0, target_degree=5.0, seed=0,
+        ))[0]
+        index = world.radio_index()
+        # Formation's floods leave the layers of a walk from sensor 0 in the
+        # memo already, so it starts again from only the masks asked here.
+        index.reaches.clear()
+        index.unions.clear()
+        on = sorted(v for v in index.neighbors if v >= BS_ID)
+        for k in (1, 2, 3):
+            index.reach(sim_module._mask_of(on[::k]))
+        reaches, unions = dict(index.reaches), dict(index.unions)
+        outcome = assemble_outcome(world)
+        for dominators in (outcome.dominator_set, outcome.dominator_set[1:], ()):
+            verify_outcome(world, dataclasses.replace(outcome, dominator_set=dominators))
+        verify_outcome(world)
+        assert world.radio_index() is index
+        assert index.reaches == reaches and index.unions == unions
 
     def test_edge_fields(self):
         lone = line_world(provision([0]), {0: (5.0, 0.0)})
