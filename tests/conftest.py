@@ -1,17 +1,21 @@
 """Shared test helpers: the environment for tests that start `python -m wcds`
 as a child process, a world built from explicit positions, a recorder of
 every transmission, the ids of a radio mask, a yes/no form of decryption,
-and set walks over a graph's adjacency sets that serve as references for the
-edge-array predicates."""
+set walks over a graph's adjacency sets that serve as references for the
+edge-array predicates, a plain-loop reference for ``assemble_outcome``, and a
+counter of enum member reads."""
 
+import contextlib
 import os
 import random
+from collections import Counter
 
 import wcds
 import wcds.sim
-from wcds.keys import AuthenticationFailure, MalformedCiphertext, decrypt
-from wcds.protocol import BS_ID, BSState, NodeState
+from wcds.keys import AuthenticationFailure, MalformedCiphertext, Rank, decrypt
+from wcds.protocol import BS_ID, BSState, ClusterOutcome, NodeState, Phase
 from wcds.sim import World
+from wcds.wire import MessageKind
 
 # The directory that holds the imported wcds package: src/ in a checkout,
 # site-packages when installed. Absolute, so a child finds it from any cwd.
@@ -114,3 +118,67 @@ def connected_within(g, keep):
     """True iff ``keep`` induces a connected subgraph; the empty set and a
     single node count as connected."""
     return len(keep) <= 1 or len(component(g, min(keep), keep)) == len(keep)
+
+
+def outcome_by_loop(world):
+    """``sim.assemble_outcome`` as a plain loop over the states that reads
+    each enum member where it compares with it: the reference for the
+    simulator's loop."""
+    states = world.states
+    dominators, membership, failures = [], [], []
+    for n in sorted(states):
+        st = states[n]
+        if st.rank is not Rank.OS:
+            dominators.append(n)
+        elif st.phase is Phase.JOINED:
+            if st.dominator is not None:
+                membership.append((n, st.dominator))
+        elif st.phase is not Phase.LEFT:
+            failures.append(n)
+    mediators = []
+    for gd in dominators:
+        for os_id in states[gd].mediators:
+            if os_id < 0 or os_id not in states:
+                continue
+            own = states[os_id].dominator
+            if own is not None and own != gd:
+                mediators.append((os_id, own, gd))
+    orphan_log = []
+    for os_id in sorted(world.bs.orphans):
+        rec = world.bs.orphans[os_id]
+        orphan_log.append((os_id, rec.resolution[0] if rec.resolution else "pending"))
+    return ClusterOutcome(
+        dominator_set=tuple(dominators),
+        membership=tuple(membership),
+        mediators=tuple(sorted(mediators)),
+        orphan_log=tuple(orphan_log),
+        coverage_failures=tuple(failures),
+        message_count=tuple(sorted(world.counters.items())),
+    )
+
+
+#: The enum classes whose class attribute reads ``enum_reads`` counts.
+WATCHED_ENUMS = {Phase: "Phase", Rank: "Rank", MessageKind: "MessageKind"}
+
+
+@contextlib.contextmanager
+def enum_reads(monkeypatch):
+    """Count the class attribute reads made on ``Phase``, ``Rank`` and
+    ``MessageKind`` inside the block (``Phase.LEFT``, and those that
+    ``MessageKind(4)`` and iteration make) into the yielded Counter, by
+    (class name, attribute). It wraps the enum metaclass's
+    ``__getattribute__``, which every such read goes through, and restores it
+    when the block ends."""
+    counts = Counter()
+    read = type.__getattribute__
+
+    def counted(cls, name):
+        label = WATCHED_ENUMS.get(cls)
+        if label is not None:
+            counts[label, name] += 1
+        return read(cls, name)
+
+    (meta,) = {type(cls) for cls in WATCHED_ENUMS}
+    with monkeypatch.context() as m:
+        m.setattr(meta, "__getattribute__", counted)
+        yield counts

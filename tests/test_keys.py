@@ -145,6 +145,21 @@ class TestCipher:
         with pytest.raises(MalformedCiphertext):
             decrypt(k, ct)
 
+    def test_every_kind_byte_reads_as_the_enum_does(self):
+        # decrypt reads the kind byte off a table; every byte must give the
+        # member MessageKind(byte) gives, or the same error for no member.
+        k = self.key()
+        for b in range(256):
+            ct = encrypt(k, b, b"body")
+            try:
+                expected = MessageKind(b)
+            except ValueError:
+                with pytest.raises(MalformedCiphertext, match=rf"^unknown kind byte {b}$"):
+                    decrypt(k, ct)
+                continue
+            kind, body = decrypt(k, ct)
+            assert kind is expected and body == b"body"
+
     def test_can_decrypt(self):
         k = self.key()
         ct = encrypt(k, MessageKind.LEAVE, b"")

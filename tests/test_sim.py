@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import wcds.sim as sim_module
-from conftest import connected_within, cover, make_world, radios, record_transmissions
+from conftest import (
+    connected_within,
+    cover,
+    enum_reads,
+    make_world,
+    outcome_by_loop,
+    radios,
+    record_transmissions,
+)
 from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
 from wcds.graph import radius_for_expected_degree, unit_disk_graph
 from wcds.keys import Rank, encrypt, provision
@@ -360,6 +368,34 @@ class TestRadioIndex:
             inject_adversary(w, 1, "replay", positions=[(0.0, math.nan)])
         assert 2 not in w.positions and 2 not in w.states and not w.adversaries
         assert w.radio_index().neighbors == before == rebuilt(w).radio_index().neighbors
+
+    @pytest.mark.parametrize(
+        "spot",
+        [(10.0, 10.0, 99.0), (10.0,), (), 10.0, "ab", ("10", 10.0), (10.0, None)],
+        ids=["three", "one", "empty", "scalar", "string", "text coordinate", "none coordinate"],
+    )
+    def test_place_refuses_anything_but_two_finite_numbers(self, spot):
+        m = provision([2, 1], reserve_fraction=0.5)
+        w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0), 3: (30.0, 0.0)})
+        w.radio_index()
+        run(w)
+        leave(w, 1)
+        run(w)
+        before = {v: tuple(entry) for v, entry in w.radio_index().neighbors.items()}
+        positions = dict(w.positions)
+        with pytest.raises(ValueError, match="position"):
+            late_join(w, 2, position=spot)  # a reserve
+        with pytest.raises(ValueError, match="position"):
+            late_join(w, 1, position=spot)  # a departed sensor
+        with pytest.raises(ValueError, match="position"):
+            inject_adversary(w, 1, "replay", positions=[spot])
+        assert w.positions == positions and 2 not in w.states and not w.adversaries
+        assert w.states[1].phase is Phase.LEFT
+        assert w.radio_index().neighbors == before == rebuilt(w).radio_index().neighbors
+        # The next join is spliced against every position stored so far.
+        late_join(w, 2, position=(15, 5))
+        assert w.positions[2] == (15.0, 5.0) and all(type(c) is float for c in w.positions[2])
+        assert w.radio_index().neighbors == rebuilt(w).radio_index().neighbors
 
 
 class TestRadioMasks:
@@ -1674,6 +1710,84 @@ class TestVerify:
         assert verify_outcome(empty).node_count == 0 and verify_outcome(empty).ok
         lone.states[0].phase = Phase.LEFT
         assert verify_outcome(lone) == VerifyReport(0, 0, True, True, True, True)
+
+
+def outcome_field(kind, seed):
+    """A formed field of 4 groups, as ``kind`` says: as formed, churned (two
+    leaves, three reserve joins, a departed sensor back at another's spot),
+    or with two ``forge_join`` or ``replay`` adversaries on the first two
+    dominators' spots, so dominators hear them at one hop."""
+    material = provision([6] * 4, reserve_fraction=0.3, seed=seed)
+    world = deploy(material, PlacementModel("group_clustered", 70.0, 70.0, 20.0), seed=seed + 1)
+    if kind in ("forge_join", "replay"):
+        inject_adversary(world, 2, kind, positions=[world.positions[gd] for gd, _ in material.groups[:2]])
+    run(world)
+    if kind == "churned":
+        joined = sorted(v for v, st in world.states.items() if st.rank is Rank.OS and st.phase is Phase.JOINED)
+        for v in joined[:2]:
+            leave(world, v)
+        for v in sorted(material.reserve)[:3]:
+            late_join(world, v)
+        run(world)
+        if joined:
+            late_join(world, joined[0], position=world.positions[joined[-1]])
+            run(world)
+    return world
+
+
+class TestAssembleOutcome:
+    @pytest.mark.parametrize("kind", ["formed", "churned", "forge_join", "replay"])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=strategies.integers(0, 10**6))
+    def test_equals_the_reference_loop_every_round(self, kind, seed):
+        real = sim_module.step
+
+        def checked(world):
+            real(world)
+            assert assemble_outcome(world) == outcome_by_loop(world), world.round
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sim_module, "step", checked)
+            world = outcome_field(kind, seed)
+        assert assemble_outcome(world) == outcome_by_loop(world)
+        if kind == "forge_join":  # the mediators the outcome must skip
+            assert any(v < 0 for st in world.states.values() for v in st.mediators)
+
+
+class TestEnumReads:
+    def test_the_counter_counts_class_reads(self, monkeypatch):
+        with enum_reads(monkeypatch) as reads:
+            for _ in range(3):
+                assert Phase.LEFT is Phase("left")
+            assert Rank.OS.value == "Os" and MessageKind(4) is MessageKind.JOIN_APRV
+        assert reads["Phase", "LEFT"] == 3 and reads["Rank", "OS"] == 1
+        assert reads["MessageKind", "JOIN_APRV"] == 1
+        with enum_reads(monkeypatch) as reads:
+            pass
+        Phase.LEFT  # read after the block: not counted
+        assert not reads
+
+    def test_end_of_epoch_scans_read_no_member_per_sensor(self, monkeypatch):
+        # The settle scan, the outcome and the check each run over the whole
+        # field after every epoch; their enum reads must not grow with it.
+        per_size = {}
+        for n in (100, 500):
+            side = 10.0 * math.sqrt(n)
+            world = form_deployment(n, 9, side, side, radius_for_expected_degree(n, side, side, 12.0), seed=1)
+            assert sim_module._pending(world) == sim_module._SETTLED  # the scan ran over every sensor
+            outcome = assemble_outcome(world)
+            counts = []
+            for call in (
+                lambda: sim_module._pending(world),
+                lambda: assemble_outcome(world),
+                lambda: verify_outcome(world, outcome),
+                lambda: verify_outcome(world),
+            ):
+                with enum_reads(monkeypatch) as reads:
+                    call()
+                counts.append(sum(reads.values()))
+            per_size[n] = counts
+        assert per_size[100] == per_size[500], per_size
 
 
 class TestEndToEnd:
