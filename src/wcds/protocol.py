@@ -213,12 +213,13 @@ def os_step(
     round_no: int,
     events: list | None = None,
 ) -> tuple[NodeState, list[Envelope]]:
-    """Advance one ordinary sensor by one round."""
+    """Advance one ordinary sensor by one round. A sensor whose leave is
+    pending before it has announced leaves without announcing."""
     out: list[Envelope] = []
     if state.phase is _LEFT:
         return state, out
 
-    if state.join_round is None:
+    if state.join_round is None and not state.pending_leave:
         ct = encrypt(state.ring.individual, _JOIN_REQ, b"")
         out.append(_send(state, _JOIN_REQ, ct))
         state.join_round = round_no

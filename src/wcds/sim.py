@@ -11,9 +11,9 @@ Every set of protocol radios (sensors and the base station) in the radio
 layer is one ``int`` bitmask: radio ``v`` is bit ``v + 1``, so the base
 station (-1) is bit 0 and id order is bit order. Adversaries stay outside the
 masks, in ascending tuples. The radio index keeps, per radio, the mask of
-protocol radios in its range; the role index keeps, per kind, the masks of
-radios whose steps read it at one hop and through a relay or a replay, and
-the mask of departed sensors.
+protocol radios in its range; the role index keeps, per part a radio plays
+(each rank, the base station, and None for departed sensors), the mask of
+the radios playing it.
 
 Every sensor relays each flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD)
 once. The world keeps one record per flood, ``World.reached``: the mask of
@@ -37,32 +37,20 @@ stays a bit until it reaches a radio whose step can act on it; only then
 does delivery build it an envelope, from the lowest relayer in that radio's
 range.
 
-An inbox gets only the copies its radio's step can act on. Of a flood it
-gets the winning copy, of any other kind every copy in range, less:
-- kinds the step has no handler for (``protocol.HANDLERS``). Ordinary
-  sensors read REKEY, JOIN_APRV and PROMOTE_CMD; dominators ADOPT_CMD,
-  JOIN_REQ, GD_ERR and LEAVE; the base station GD_ERR and ORP_ERR.
-- hop-1 kinds heard through a relay or a replay (``protocol.HOP1_ONLY``):
-  a copy whose transmitter is not its sender goes to no ordinary sensor as
-  JOIN_APRV and to no dominator as JOIN_REQ, GD_ERR or LEAVE. So relayed
-  GD_ERR copies reach only the base station.
-- key-addressed copies for another node (``protocol.ADDRESSED``): a
-  PROMOTE_CMD or ADOPT_CMD goes only to the owner of the key it is sealed
-  under (``KeyMaterial.owners``), and so does a REKEY sealed under an
-  individual key. A REKEY under a group key reaches every ordinary sensor
-  in range, since the members holding that key are not indexed.
-- all but the first of a sensor's hop-1 approvals of one round
-  (``protocol.FIRST_PER_SENDER``): a reader gets the lowest-seq JOIN_APRV
-  each dominator sent, the copy its sorted inbox would handle first, after
-  which the rest change nothing. Adversaries' approvals under their own ids
-  are all delivered.
-The handlers drop every such copy anyway, or act on none after the first,
-and keep all their checks; the rules only spare building and stepping them.
-Each rule is a per-kind mask in the role index (``reads``, and ``reads_far``
-for copies not heard at one hop), one owner bit per copy, or one set of the
-round's approving senders. Only ``replay`` adversaries read what they
-overhear: each gets every copy in its range in transmission order, floods
-included; the other adversaries get nothing.
+An inbox gets only the copies its radio's step can act on: of a flood the
+winning copy, of any other kind every copy in range, as ``protocol``'s four
+declarations allow. ``HANDLERS`` (the kinds each part's step reads) and
+``HOP1_ONLY`` (the kinds it reads only from their sender) give, per kind and
+whether the copy is heard at one hop, the parts that read it (``_READERS``,
+built at import); each round ORs those parts' masks into one reader mask per
+pair. ``ADDRESSED`` cuts a copy's readers to the owner of the key it is
+sealed under (``_addressees``). ``FIRST_PER_SENDER`` keeps all but each
+sensor's first hop-1 copy of the round out of every inbox. The handlers
+drop every copy so withheld anyway, or act on none after the first, and
+keep all their checks; the rules only spare building and stepping them.
+Only ``replay`` adversaries read what they overhear: each gets every copy in
+its range in transmission order, floods included; the other adversaries get
+nothing.
 
 The transmission order is: the base station's sends; then, sensor by sensor
 in id order, its relays in flood-key order and then its own sends; then the
@@ -75,12 +63,13 @@ a leave pending, in id order. ``leave`` and ``late_join`` add a sensor to that
 set, and a step that leaves it with none of those drops it; one not yet due
 to announce, time out its approval wait or leave is passed over
 (``protocol.os_idle``). The relays of a sensor that is not stepped still go
-out. Who reads which kind, who has left and who a ``forge_join`` adversary may
-impersonate are kept the same way, changed only where a sensor leaves, is
-promoted or joins. A run whose only open work is orphans that nothing can
-reach any more (nothing in flight, no adversary, nothing due) is not stepped
-at all: its remaining rounds are counted as spent, which leaves the world as
-stepping them would have.
+out. The role index is kept the same way: a sensor's bit changes part only
+where it leaves, is promoted or joins. The departed part is who delivery
+skips, and the ordinary and departed parts are whom a ``forge_join``
+adversary may impersonate. A run whose only open work is orphans that
+nothing can reach any more (nothing in flight, no adversary, nothing due) is
+not stepped at all: its remaining rounds are counted as spent, which leaves
+the world as stepping them would have.
 
 The radio graph is built once from a cell grid into each radio's neighbour
 mask and adversary tuple, and the masks are the field's only copy of it. A
@@ -261,19 +250,32 @@ class RadioIndex(NamedTuple):
         return out
 
 
-@dataclass
-class _Roles:
-    """The part each sensor plays, kept in step with ``World.states``: per
-    kind, the mask of radios whose steps read it (``protocol.HANDLERS``) and
-    the mask of those that read it on a copy whose transmitter is not its
-    sender too (less ``protocol.HOP1_ONLY``); the mask of departed sensors;
-    and the ordinary sensors, departed ones included, in id order: the ids a
-    ``forge_join`` adversary may claim."""
+def _kth_id(mask: int, k: int) -> int:
+    """``_ids_of(mask)[k]`` for ``0 <= k < mask.bit_count()``: the lowest
+    bit with ``k`` set bits below it, found by bisecting on bit counts."""
+    lo, hi = 0, mask.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((2 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1
 
-    reads: dict[MessageKind, int]
-    reads_far: dict[MessageKind, int]
-    left: int
-    victims: list[int]
+
+#: The parts a radio plays: a rank, ``BS_ID`` for the base station, or None
+#: for a departed sensor.
+_PARTS = (*Rank, BS_ID, None)
+
+#: Per (kind, heard at one hop), the parts whose steps read it: those with a
+#: handler for the kind (``protocol.HANDLERS``), less, for a copy whose
+#: transmitter is not its sender, those that read it only at one hop
+#: (``protocol.HOP1_ONLY``).
+_READERS = {
+    (kind, hop1): tuple(p for p, on in HANDLERS.items() if kind in on and (hop1 or kind not in HOP1_ONLY[p]))
+    for kind in MessageKind
+    for hop1 in (True, False)
+}
 
 
 def _may_work(st: NodeState) -> bool:
@@ -311,10 +313,11 @@ class World:
     #: Indices built on first use, from ``positions`` and ``states``, and
     #: then kept up to date in place: the radio index (``_place`` splices
     #: each radio that comes onto the field or moves), the ordinary sensors
-    #: that may have work (``_may_work``) and the part each sensor plays.
+    #: that may have work (``_may_work``) and, per part (``_PARTS``), the
+    #: mask of the radios playing it.
     _radio: RadioIndex | None = None
     _busy: set[int] | None = None
-    _roles: _Roles | None = None
+    _roles: dict[Rank | int | None, int] | None = None
 
     def radio_index(self) -> RadioIndex:
         """The radio index of the field as it stands, built on first use."""
@@ -340,49 +343,24 @@ class World:
             self._busy = {v for v, st in self.states.items() if _may_work(st)}
         return self._busy
 
-    def _role_index(self) -> _Roles:
-        """The part each sensor plays, built on first use."""
+    def _role_index(self) -> dict[Rank | int | None, int]:
+        """Per part, the mask of the radios playing it, built on first use."""
         if self._roles is None:
-            self._roles = _Roles({kind: 0 for kind in MessageKind}, {kind: 0 for kind in MessageKind}, 0, [])
-            self._cast(BS_ID, BS_ID)
-            for v in sorted(self.states):
-                self._recast(v, None)
+            self._roles = dict.fromkeys(_PARTS, 0)
+            self._roles[BS_ID] = _mask_of((BS_ID,))
+            for v, st in self.states.items():
+                self._roles[None if st.phase is _LEFT else st.rank] |= _mask_of((v,))
         return self._roles
-
-    def _cast(self, radio: int, part: Rank | int | None) -> None:
-        """Add ``radio`` to the readers of the kinds its ``part`` (a rank,
-        ``BS_ID`` or None for no part) reads."""
-        roles = self._roles
-        bit = _mask_of((radio,))
-        near_only = HOP1_ONLY.get(part, ())
-        for kind in HANDLERS.get(part, ()):
-            roles.reads[kind] |= bit
-            if kind not in near_only:
-                roles.reads_far[kind] |= bit
 
     def _recast(self, node: int, was: Rank | None) -> None:
         """Move a sensor in the role index from the part it played, ``was``
         (its rank, or None when departed or not yet on the field), to the
         part its state gives it now."""
         roles = self._role_index()
-        victims = roles.victims
         st = self.states[node]
-        now = None if st.phase is _LEFT else st.rank
         bit = _mask_of((node,))
-        for kind in HANDLERS.get(was, ()):
-            roles.reads[kind] &= ~bit
-            roles.reads_far[kind] &= ~bit
-        self._cast(node, now)
-        if now is None:
-            roles.left |= bit
-        else:
-            roles.left &= ~bit
-        k = bisect_left(victims, node)
-        listed = k < len(victims) and victims[k] == node
-        if st.rank is _OS and not listed:
-            victims.insert(k, node)
-        elif listed and st.rank is not _OS:
-            del victims[k]
+        roles[was] &= ~bit
+        roles[None if st.phase is _LEFT else st.rank] |= bit
 
     @property
     def inflight(self) -> list[Envelope]:
@@ -562,8 +540,14 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
     material = world.material
     index = world.radio_index()
     neighbors = index.neighbors
-    roles = world._role_index()
-    reads, reads_far, left = roles.reads, roles.reads_far, roles.left
+    parts = world._role_index()
+    left = parts[None]
+    reads = {}
+    for key, readers in _READERS.items():
+        mask = 0
+        for part in readers:
+            mask |= parts[part]
+        reads[key] = mask
     sends, relayed = world.sends, world.relayed
     world.sends, world.relayed = [], {}
     inboxes: dict[int, list[Envelope]] = {}
@@ -583,7 +567,7 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
             if (kind, env.sender) in firsts:
                 continue
             firsts.add((kind, env.sender))
-        readers = (reads if hop1 else reads_far)[kind] & _addressees(material, env)
+        readers = reads[kind, hop1] & _addressees(material, env)
         for rcv in _ids_of(neighbors[env.transmitter][0] & readers):
             inboxes.setdefault(rcv, []).append(env)
     all_reached = world.reached
@@ -601,7 +585,7 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
         for env in copies:
             fresh = neighbors[env.transmitter][0] & ~(reached | left)
             reached |= fresh
-            readers = (reads if env.transmitter == env.sender else reads_far)[kind] & _addressees(material, env)
+            readers = reads[kind, env.transmitter == env.sender] & _addressees(material, env)
             for rcv in _ids_of(fresh & readers):
                 inboxes.setdefault(rcv, []).append(env)
         if key in relayed:
@@ -611,7 +595,7 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
             sender, kind, ct, seq, _ = copy
             # A relayed copy is never heard at one hop: the flood reached its
             # origin first, so the origin relays nothing.
-            readers = fresh & reads_far[kind] & _addressees(material, copy)
+            readers = fresh & reads[kind, False] & _addressees(material, copy)
             # Of the copies a reader hears, the smallest relayer's wins: the
             # lowest bit of the relayers in its range.
             for rcv in _ids_of(readers):
@@ -628,12 +612,13 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
 
 
 def _adversary_step(
-    world: World, adv: Adversary, inbox: list[Envelope], victims: list[int]
+    world: World, adv: Adversary, inbox: list[Envelope], victims: int
 ) -> list[Envelope]:
-    """One adversary's round. ``victims`` are the ordinary sensors a
-    ``forge_join`` adversary may impersonate this round, in id order; empty
-    on even rounds, which never impersonate. It is the world's own roster,
-    read and not changed."""
+    """One adversary's round. ``victims`` is the mask of the sensors a
+    ``forge_join`` adversary may impersonate this round: the ordinary ones,
+    departed ones included. It is the world's role index read, not kept, and
+    0 on even rounds, which never impersonate. On odd rounds the adversary
+    claims the mask's id number ``round // 2``, in id order, wrapping round."""
     adv.captured.extend(inbox)
     out: list[Envelope] = []
     if adv.behavior == "forge_join":
@@ -643,7 +628,7 @@ def _adversary_step(
             claimed = adv.id
             key_id = 10**6 - adv.id
         else:
-            claimed = victims[(world.round // 2) % len(victims)]
+            claimed = _kth_id(victims, (world.round // 2) % victims.bit_count())
             key_id = world.material.individual_keys[claimed].id
         adv.seq += 1
         ct = Ciphertext(key_id, world.rng.randbytes(9), world.rng.randbytes(8))
@@ -694,7 +679,8 @@ def step(world: World) -> None:
                 world._recast(node, os_rank)
         world.sends += out
 
-    victims = world._role_index().victims if round_no % 2 else []
+    parts = world._role_index()
+    victims = parts[os_rank] | parts[None] if round_no % 2 else 0
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
         world.sends += _adversary_step(world, adv, inboxes.get(adv.id, []), victims)
 
@@ -778,12 +764,16 @@ def inject_adversary(
 ) -> list[int]:
     """Drop hostile radios on the field; ids run -2, -3, ...
 
-    Positions are drawn uniformly unless given explicitly.
+    Positions are drawn uniformly unless given explicitly. Given ones are
+    all checked before any adversary is placed, so a refused batch places
+    none.
     """
     if behavior not in ADVERSARY_BEHAVIORS:
         raise ValueError(f"unknown adversary behavior {behavior!r}")
-    if positions is not None and len(positions) != count:
-        raise ValueError("need one position per adversary")
+    if positions is not None:
+        if len(positions) != count:
+            raise ValueError("need one position per adversary")
+        positions = [_spot(pos) for pos in positions]
     ids = []
     for i in range(count):
         aid = -2 - len(world.adversaries)

@@ -413,6 +413,15 @@ class TestRadioMasks:
         assert sim_module._mask_of(ids) == mask
         assert sim_module._ids_of(mask) == radios(mask) == ids
 
+    @settings(max_examples=200, deadline=None)
+    @given(ids=strategies.sets(strategies.integers(BS_ID, 1200), min_size=1), pick=strategies.integers(0))
+    def test_kth_id_is_the_kth_of_the_ids(self, ids, pick):
+        """Over masks holding the base station's bit 0 or not, and ids past
+        500, the k-th-bit search agrees with listing the ids."""
+        mask = sim_module._mask_of(ids)
+        k = pick % len(ids)
+        assert sim_module._kth_id(mask, k) == sim_module._ids_of(mask)[k] == sorted(ids)[k]
+
     @settings(max_examples=40, deadline=None)
     @given(
         start=strategies.lists(TestRadioIndex.SPOT, min_size=12, max_size=12),
@@ -1341,6 +1350,26 @@ class TestChurn:
         m = provision([4], reserve_fraction=0.5)
         return line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (10.0, 10.0)})
 
+    def test_leave_before_the_first_step_sends_no_join_request(self):
+        """A reserve told to leave in the round it late-joins leaves without
+        announcing: no dominator admits it or rekeys for it, and it can
+        still join later."""
+        m = provision([3], reserve_fraction=0.4, seed=1)
+        w = deploy(m, PlacementModel("group_clustered", 30.0, 30.0, 20.0), seed=2)
+        run(w)
+        (gd, _), = m.groups
+        (joiner,) = m.reserve
+        members, counters, seen = set(w.states[gd].subordinates), Counter(w.counters), len(w.events)
+        late_join(w, joiner)
+        leave(w, joiner)
+        run(w)
+        assert w.states[joiner].phase is Phase.LEFT
+        assert [e["event"] for e in w.events[seen:]] == ["left"]
+        assert w.counters == counters and w.states[gd].subordinates == members
+        late_join(w, joiner)
+        run(w)
+        assert w.states[joiner].phase is Phase.JOINED and w.states[gd].subordinates == members | {joiner}
+
     def test_reserve_late_join_reaches_home_group(self):
         m = provision([2], reserve_fraction=0.5)
         w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0)})
@@ -1447,7 +1476,15 @@ class TestStateIndices:
     def check(world):
         twin = rebuilt(world)
         assert world._busy_sensors() == twin._busy_sensors(), world.round
-        assert world._role_index() == twin._role_index(), world.round
+        parts = world._role_index()
+        assert parts == twin._role_index(), world.round
+        # The parts are disjoint, and together they are the base station and
+        # every sensor in ``states``.
+        union = 0
+        for mask in parts.values():
+            assert not union & mask, world.round
+            union |= mask
+        assert union == sim_module._mask_of([BS_ID, *world.states]), world.round
 
     @staticmethod
     def lonely_spot(world):
@@ -1493,7 +1530,8 @@ class TestStateIndices:
             self.check(w)
             run(w)
         promoted = [v for v, st in w.states.items() if st.rank is Rank.GD_OS]
-        assert len(promoted) >= 3 and set(promoted).isdisjoint(w._role_index().victims)
+        parts = w._role_index()
+        assert len(promoted) >= 3 and set(promoted).isdisjoint(sim_module._ids_of(parts[Rank.OS] | parts[None]))
         assert len(rounds) > 40 and not w._busy_sensors()
 
 
@@ -1511,6 +1549,19 @@ class TestAdversaries:
             inject_adversary(w, 1, "jam")
         with pytest.raises(ValueError):
             inject_adversary(w, 2, "replay", positions=[(0.0, 0.0)])
+
+    def test_a_refused_batch_places_no_adversary(self):
+        """A batch whose later position is refused leaves the adversaries,
+        the positions and the radio index as they were."""
+        w = self.joined_line()
+        inject_adversary(w, 1, "forge_join", positions=[(15.0, 5.0)])
+        neighbors = copy.deepcopy(w.radio_index().neighbors)
+        positions, adversaries = dict(w.positions), list(w.adversaries)
+        with pytest.raises(ValueError):
+            inject_adversary(w, 2, "replay", positions=[(1.0, 1.0), (1.0, 2.0, 3.0)])
+        assert w.adversaries == adversaries and w.positions == positions
+        assert w.radio_index().neighbors == neighbors == rebuilt(w).radio_index().neighbors
+        assert inject_adversary(w, 1, "replay") == [-3]
 
     def test_adversaries_never_enter_the_roster(self):
         w = self.joined_line()
