@@ -159,6 +159,8 @@ def compare_ds_sizes(
     dominator count of a clustered deployment simulated over the same area
     and radius, promotions included. Ideal rows carry the analytic seed.
     """
+    if retry_budget < 0:
+        raise ValueError("need --retry-budget >= 0")
     experiment = f"compare_deg{degree:g}"
     rows: list[CsvRow] = []
     retries = 0

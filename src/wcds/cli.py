@@ -173,8 +173,6 @@ def _cmd_compare(args) -> int:
         raise ValueError("need nmin > 0, step > 0, nmax >= nmin")
     if args.seeds <= 0:
         raise ValueError("need at least one seed")
-    if args.retry_budget < 0:
-        raise ValueError("need --retry-budget >= 0")
     base = _resolve_seed(args.seed)
     ns = list(range(args.nmin, args.nmax + 1, args.step))
     report = compare_ds_sizes(

@@ -34,8 +34,8 @@ class Graph:
     dist(i, j) <= radius, decided on squared distances with no tolerance.
     ``from_edges`` builds arbitrary adjacency for parsers and tests; the
     geometric rule is guaranteed only for gen_udg / unit_disk_graph output.
-    Every constructor goes through ``from_pairs``. Two graphs are equal when
-    their node counts, positions, radii and edges are.
+    Two graphs are equal when their node counts, positions, radii and edges
+    are.
     """
 
     n: int
@@ -85,65 +85,59 @@ _MAX_CELLS = 1 << 20
 #: always land in the same or adjacent cells despite rounding.
 _CELL_MARGIN = 1.0 + 1e-6
 
-#: The 3 x 3 block of cells around a point's own, as (dx, dy) offsets.
-_STENCIL = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
 
+def _disk_graph(pos: tuple[tuple[float, float], ...], xy: np.ndarray, radius: float) -> Graph:
+    """The unit-disk graph over ``pos``, also given as an (n, 2) float64 array.
 
-def _disk_pairs(xy: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (i, j), i != j, with dx*dx + dy*dy <= radius**2.
-
-    ``xy`` is an (n, 2) float64 array of finite coordinates, n >= 1.
-    Candidates come from a cell grid, every neighbour-cell offset in one
-    vectorised pass; the rule is then applied to each candidate in float64.
-    Returns int64 arrays (src, dst) sorted by src, then dst.
+    With the points sorted by cell, each unordered pair is tested once, in
+    that order: point p meets the rest of its own cell with the cell above,
+    and the next column's three cells. One float64 test, dx*dx + dy*dy <=
+    radius**2, decides both directions, as float subtraction is exact under
+    negation; the pairs are then mirrored, which equals the pairwise rule.
     """
-    n = len(xy)
-    lo = xy.min(axis=0)
+    if not 0 < radius < math.inf:  # NaN fails too
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if not np.isfinite(xy).all():
+        raise ValueError("positions must be finite")
+    n = len(pos)
+    if not n:
+        return Graph(0, (), float(radius), (np.empty(0, np.int64), np.empty(0, np.int64)))
+    lo = np.array([c.min() for c in xy.T])  # column by column: an axis-0 reduction is slower
     with np.errstate(over="ignore"):
-        span = xy.max(axis=0) - lo
+        span = np.array([c.max() for c in xy.T]) - lo
         if np.isfinite(span).all():
             size = np.maximum(float(radius) * _CELL_MARGIN, span / _MAX_CELLS)
             cell = np.floor((xy - lo) / size).astype(np.int64) + 1
         else:  # a span past float range: one cell, every pair a candidate
             cell = np.ones(xy.shape, np.int64)
-        # One id per cell of a grid padded by one cell, so no offset wraps a row.
+        # One id per cell of a grid padded by one cell, so the cell above is the
+        # next id and the next column's three cells are consecutive ids.
         rows = int(cell[:, 1].max()) + 2
         cell_id = cell[:, 0] * rows + cell[:, 1]
-        order = np.argsort(cell_id, kind="stable")
+        order = np.argsort(cell_id)
         by_cell = cell_id[order]
+        x, y = xy[order].T
 
-        want = (cell_id[:, None] + (_STENCIL[:, 0] * rows + _STENCIL[:, 1])).ravel()
-        first = np.searchsorted(by_cell, want)
-        hits = np.searchsorted(by_cell, want, side="right") - first
-        src = np.repeat(np.arange(len(want)) // len(_STENCIL), hits)
-        dst = order[np.arange(len(src)) + np.repeat(first - (np.cumsum(hits) - hits), hits)]
+        here = np.arange(n)
+        start = np.concatenate((here + 1, np.searchsorted(by_cell, by_cell + (rows - 1))))
+        stop = np.searchsorted(by_cell, np.concatenate((by_cell + 1, by_cell + (rows + 1))), side="right")
+        hits = stop - start
+        a = np.repeat(np.concatenate((here, here)), hits)
+        b = np.arange(len(a)) + np.repeat(start - (np.cumsum(hits) - hits), hits)
 
-        dx = xy[src, 0] - xy[dst, 0]
-        dy = xy[src, 1] - xy[dst, 1]
-        keep = (dx * dx + dy * dy <= float(radius) * float(radius)) & (src != dst)
-    return np.divmod(np.sort(src[keep] * n + dst[keep]), n)
-
-
-def from_pairs(
-    positions: Sequence[tuple[float, float]], radius: float, src: np.ndarray, dst: np.ndarray
-) -> Graph:
-    """Build a graph from ordered edge arrays sorted by src, then dst, each
-    edge present in both directions. The graph keeps the arrays as ``pairs``."""
-    pos = tuple(positions)
-    return Graph(len(pos), pos, float(radius), (src, dst))
+        dx = x[a] - x[b]
+        dy = y[a] - y[b]
+        hit = np.flatnonzero(dx * dx + dy * dy <= float(radius) * float(radius))
+    i, j = order[a[hit]], order[b[hit]]
+    keys = np.sort(np.concatenate((i * n + j, j * n + i)))
+    src = keys // n
+    return Graph(n, pos, float(radius), (src, keys - src * n))
 
 
 def unit_disk_graph(positions: Sequence[tuple[float, float]], radius: float) -> Graph:
     """Build the unit-disk graph over explicit, finite positions."""
-    if not 0 < radius < math.inf:  # NaN fails too
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     pos = tuple((float(x), float(y)) for x, y in positions)
-    if not pos:
-        return from_pairs((), radius, np.empty(0, np.int64), np.empty(0, np.int64))
-    xy = np.asarray(pos, dtype=np.float64)
-    if not np.isfinite(xy).all():
-        raise ValueError("positions must be finite")
-    return from_pairs(pos, radius, *_disk_pairs(xy, radius))
+    return _disk_graph(pos, np.array(pos, dtype=np.float64).reshape(-1, 2), radius)
 
 
 def _check_plane(width: float, height: float) -> None:
@@ -152,13 +146,19 @@ def _check_plane(width: float, height: float) -> None:
 
 
 def gen_udg(n: int, width: float, height: float, radius: float, seed: int) -> Graph:
-    """Sample n node positions uniformly on a width x height plane and connect by disk."""
+    """Sample n node positions uniformly on a width x height plane and connect by disk.
+
+    Draws 2i and 2i + 1 of ``random.Random(seed).random``, scaled by (width,
+    height) in one float64 array, place node i where ``uniform(0.0, width)``
+    and ``uniform(0.0, height)`` would. The pairs come from that array as in
+    ``unit_disk_graph``: each tested once, then mirrored, equal to the pairwise rule.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_plane(width, height)
-    rng = random.Random(seed)
-    positions = [(rng.uniform(0.0, width), rng.uniform(0.0, height)) for _ in range(n)]
-    return unit_disk_graph(positions, radius)
+    draw = random.Random(seed).random
+    xy = np.array([draw() for _ in range(2 * n)]).reshape(n, 2) * (float(width), float(height))
+    return _disk_graph(tuple(map(tuple, xy.tolist())), xy, radius)
 
 
 def from_edges(
@@ -187,7 +187,7 @@ def from_edges(
             raise ValueError("self loops are not allowed")
         keys += (i * n + j, j * n + i)
     pos = tuple((float(x), float(y)) for x, y in positions)
-    return from_pairs(pos, radius, *np.divmod(np.unique(np.array(keys, dtype=np.int64)), n))
+    return Graph(n, pos, float(radius), np.divmod(np.unique(np.array(keys, dtype=np.int64)), n))
 
 
 def radius_for_expected_degree(n: int, width: float, height: float, degree: float) -> float:

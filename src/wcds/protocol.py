@@ -213,8 +213,8 @@ def os_step(
     round_no: int,
     events: list | None = None,
 ) -> tuple[NodeState, list[Envelope]]:
-    """Advance one ordinary sensor by one round. A sensor whose leave is
-    pending before it has announced leaves without announcing."""
+    """Advance one ordinary sensor by one round. A pending leave sends a LEAVE
+    only from AWAITING or JOINED, where a dominator may have admitted the sensor."""
     out: list[Envelope] = []
     if state.phase is _LEFT:
         return state, out
@@ -240,7 +240,7 @@ def os_step(
         _note(events, round_no, state.id, "orphaned", observed=observed)
 
     if state.pending_leave:
-        if state.phase is _JOINED:
+        if state.phase is _JOINED or state.phase is _AWAITING:
             ct = encrypt(state.ring.individual, _LEAVE, b"")
             out.append(_send(state, _LEAVE, ct))
         state.pending_leave = False

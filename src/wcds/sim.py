@@ -404,7 +404,7 @@ def _splice(
     neighbours' entries change, in place. The new index starts with no kept
     reaches or unions: any of the old ones may hold a changed neighbourhood.
     The neighbours are found in one distance pass under
-    ``graph._disk_pairs``'s rule, ``dx*dx + dy*dy <= r*r`` in float64, so the
+    ``graph._disk_graph``'s rule, ``dx*dx + dy*dy <= r*r`` in float64, so the
     result equals a rebuild. Every position is a pair (``deploy`` draws
     them, ``World._place`` checks the rest), so the coordinates are read as
     one flat run."""

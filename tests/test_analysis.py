@@ -211,3 +211,8 @@ class TestCompareSweep:
         report = compare_ds_sizes([60], 2.0, eta=9, seeds=[0], retry_budget=0)
         assert report.missing == ((60, 0),)
         assert [r.method for r in report.rows] == [METHOD_IDEAL]
+
+    def test_negative_retry_budget_refused(self):
+        # A negative budget would draw nothing and report every point missing.
+        with pytest.raises(ValueError, match="need --retry-budget >= 0"):
+            compare_ds_sizes([20], 6.0, seeds=[0], retry_budget=-1)

@@ -69,6 +69,23 @@ class TestUnitDisk:
                     assert i in g.adj[j]
                 assert i not in g.adj[i]
 
+    @pytest.mark.parametrize("width, height", [(100.0, 100.0), (37.5, 0.125), (100, 30), (7, 1e6)])
+    @pytest.mark.parametrize("n", [0, 1, 200])
+    def test_draws_are_the_uniform_stream(self, n, width, height):
+        # gen_udg fills one array from random(); it must give the floats
+        # uniform(0.0, side) gives, node by node, and the graph over them.
+        rng = random.Random(23)
+        expected = tuple((rng.uniform(0.0, width), rng.uniform(0.0, height)) for _ in range(n))
+        radius = 9.0
+        g = gen_udg(n, width, height, radius, seed=23)
+        assert g.positions == expected
+        assert all(type(c) is float for p in g.positions for c in p)
+        assert g == unit_disk_graph(expected, radius)
+        for bad in ((-1, width, height, radius), (n, 0, height, radius), (n, width, -height, radius),
+                    (n, width, height, 0), (n, width, height, math.nan)):
+            with pytest.raises(ValueError):
+                gen_udg(*bad, seed=23)
+
     def test_mean_degree_tracks_target(self):
         # border effects are ignored by the formula, hence the wide band
         target = 6.0
@@ -169,6 +186,33 @@ class TestGridBuild:
         assert_matches_pair_loop(positions, 5.0)
         g = unit_disk_graph([(0.0, 0.0), (3.0, 4.0), (-5.0, 0.0)], 5.0)
         assert g.adj == (frozenset({1, 2}), frozenset({0}), frozenset({0}))
+
+    def test_pairs_at_exactly_r_across_a_column_border(self):
+        # Cells are 5 * (1 + 1e-6) wide from 0 on both axes, so x = 4 and
+        # x = 7 or 9 lie in neighbouring columns. Each pair below is at squared
+        # distance exactly 25 and reaches the next column's cell in the same
+        # row, the row above and the row below.
+        positions = [(0.0, 0.0), (4.0, 0.0), (9.0, 0.0), (4.0, 4.0), (7.0, 8.0), (4.0, 9.0), (7.0, 5.0)]
+        assert_matches_pair_loop(positions, 5.0)
+        adj = unit_disk_graph(positions, 5.0).adj
+        assert 2 in adj[1] and 4 in adj[3] and 6 in adj[5]
+
+    def test_single_column_and_single_row(self):
+        rng = random.Random(11)
+        for radius in (0.5, 1.0, 3.0):
+            along = [rng.uniform(0.0, 20.0) for _ in range(60)] + [0.0, 0.5, 1.0, 1.0, 3.0]
+            assert_matches_pair_loop([(2.0, t) for t in along], radius)  # one column of cells
+            assert_matches_pair_loop([(t, -2.0) for t in along], radius)  # one row of cells
+
+    def test_coincident_points_in_one_cell(self):
+        near = [math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+        cluster = [(1.0, 1.0)] * 25 + [(x, y) for x in near for y in near] + [(1.0 + 1e-9, 1.0)] * 5
+        assert_matches_pair_loop(cluster, 1.0)
+        assert_matches_pair_loop(cluster + [(1.5, 1.9), (9.0, 9.0)] * 3, 1.0)
+        # A span past float range falls back to one cell: the clusters at the
+        # far ends and in the middle are all paired inside it.
+        far = [(-1.7e308, 0.0)] * 4 + [(1.7e308, 0.0)] * 3 + [(1.7e308, 0.5)]
+        assert_matches_pair_loop(cluster + far, 1.0)
 
     def test_wide_and_negative_spans(self):
         rng = random.Random(5)

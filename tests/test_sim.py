@@ -1370,6 +1370,26 @@ class TestChurn:
         run(w)
         assert w.states[joiner].phase is Phase.JOINED and w.states[gd].subordinates == members | {joiner}
 
+    def test_leave_while_awaiting_announces_the_leave(self):
+        """A sensor that leaves one round after its JOIN_REQ, while AWAITING,
+        still sends a LEAVE, so the dominator that admitted it drops it and
+        rekeys the others."""
+        m = provision([3], reserve_fraction=0.4, seed=1)
+        w = deploy(m, PlacementModel("group_clustered", 30.0, 30.0, 20.0), seed=2)
+        run(w)
+        (gd, _), = m.groups
+        (joiner,) = m.reserve
+        assert w.states[gd].subordinates == {1, 2}
+        late_join(w, joiner)
+        step(w)
+        assert w.states[joiner].phase is Phase.AWAITING
+        leave(w, joiner)
+        run(w)
+        assert w.states[joiner].phase is Phase.LEFT
+        assert w.states[gd].subordinates == {1, 2}
+        assert {w.states[v].ring.group.id for v in (1, 2)} == {m.group_keys[gd].id}
+        assert w.states[joiner].ring.group.id != m.group_keys[gd].id
+
     def test_reserve_late_join_reaches_home_group(self):
         m = provision([2], reserve_fraction=0.5)
         w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0)})
