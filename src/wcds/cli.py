@@ -14,6 +14,7 @@ and then zero fill in. Exit codes: 0 success, 1 usage, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -153,6 +154,7 @@ def _cmd_sim(args) -> int:
         "verify": asdict(report),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    status = sys.stderr if args.out is None else sys.stdout  # stdout holds the document alone
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -160,12 +162,28 @@ def _cmd_sim(args) -> int:
             fh.write(text)
         print(f"wrote {args.out}")
     if args.trace is not None:
-        encoder = json.JSONEncoder(sort_keys=True)  # the one json.dumps would build per event
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            for event in world.events:
-                fh.write(encoder.encode(event) + "\n")
-        print(f"wrote {args.trace}")
+            _write_trace(fh, world.events)
+        print(f"wrote {args.trace}", file=status)
     return 0
+
+
+#: Events per ``json.dumps`` call in a trace: a batch encodes as fast as the
+#: whole trace at once, and holds only its own pieces while it does.
+_TRACE_BATCH = 512
+
+
+def _write_trace(fh, events: list[dict]) -> None:
+    """Write ``events`` as the lines ``json.dumps(event, sort_keys=True)``,
+    one encoder pass per batch. Each event's first sorted key is "detail" and
+    strings escape ``"``, so each ``, {"detail": `` in a list starts an event;
+    a line count that disagrees (a nested object so shaped) raises ValueError."""
+    for start in range(0, len(events), _TRACE_BATCH):
+        batch = events[start : start + _TRACE_BATCH]
+        lines = json.dumps(batch, sort_keys=True)[1:-1].replace('}, {"detail": ', '}\n{"detail": ') + "\n"
+        if lines.count("\n") != len(batch):
+            raise ValueError("trace events did not split into one line each")
+        fh.write(lines)
 
 
 def _cmd_compare(args) -> int:
@@ -238,9 +256,14 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``main``'s parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # runtime failures map to exit code 2

@@ -79,7 +79,8 @@ change. The union of neighbourhoods a flood's relayers span is kept under
 the whole relayer mask, since the floods from one origin cross the field in
 the same layers; a new mask's union is built a byte of the mask at a time,
 from per-byte unions kept too. Both live on the radio index, so a splice
-drops them.
+drops them. Within a round, floods on one front (equal relayer and reached
+masks) share one ``reach`` and one new layer.
 
 The envelope's ``transmitter`` field is the radio that emitted the copy.
 Each emitter sets it to its own id, on the copies it relays or replays too,
@@ -228,9 +229,10 @@ class RadioIndex(NamedTuple):
     def reach(self, mask: int) -> int:
         """The protocol radios in range of any radio of ``mask``, kept under
         the mask: the floods from one origin cross the field in the same
-        layers. A new mask is built from its non-zero bytes: byte ``b`` at
-        byte ``i`` adds the union of its radios' neighbourhoods, built on
-        first use and kept under ``i << 8 | b``."""
+        layers. ``_deliver`` asks once per front a round: floods on one front
+        share the answer. A new mask is built from its non-zero bytes: byte
+        ``b`` at byte ``i`` adds the union of its radios' neighbourhoods,
+        built on first use and kept under ``i << 8 | b``."""
         out = self.reaches.get(mask)
         if out is not None:
             return out
@@ -324,15 +326,22 @@ class World:
         if self._radio is None:
             ids = sorted(self.positions)
             src, dst = unit_disk_graph([self.positions[v] for v in ids], self.radius).pairs
-            near = np.asarray(ids)[dst].tolist()
-            # Adversary ids sort first, so each row of neighbours, in id
-            # order, splits at BS_ID into adversaries and protocol radios.
-            count = np.bincount(src, minlength=len(ids))
-            lo = np.cumsum(count) - count
-            mid = lo + np.bincount(src[dst < bisect_left(ids, BS_ID)], minlength=len(ids))
+            # Adversary ids sort first: pairs whose dst is past them go into
+            # the masks, one little-endian row of bytes per radio, and the
+            # rest into the adversary tuples, in id order.
+            split = bisect_left(ids, BS_ID)
+            width = (ids[-1] + 9) // 8  # bytes up to the highest id's bit, v + 1
+            listens = dst >= split
+            bits = np.asarray(ids)[dst[listens]] + 1
+            rows = np.zeros((len(ids), width), np.uint8)
+            np.bitwise_or.at(rows, (src[listens], bits >> 3), np.left_shift(1, bits & 7).astype(np.uint8))
+            raw = memoryview(rows).cast("B")  # rows in place, a row copied at a time
+            advs: dict[int, list[int]] = {}
+            for i, a in zip(src[~listens].tolist(), dst[~listens].tolist()):
+                advs.setdefault(i, []).append(ids[a])
             neighbors = {
-                v: (_mask_of(near[b:c]), tuple(near[a:b]))
-                for v, a, b, c in zip(ids, lo.tolist(), mid.tolist(), (lo + count).tolist())
+                v: (int.from_bytes(raw[i * width : (i + 1) * width], "little"), tuple(advs.get(i, ())))
+                for i, v in enumerate(ids)
             }
             self._radio = RadioIndex(neighbors, {}, {})
         return self._radio
@@ -536,7 +545,10 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
     """Empty the air, by the rule in the module docstring, into the inboxes
     of the radios whose steps can act on each copy, and into those of the
     ``replay`` adversaries, and record in ``World.relayed`` the sensors that
-    relay each flood this round. Departed sensors receive nothing."""
+    relay each flood this round. Departed sensors receive nothing. Floods
+    whose relayer and reached masks agree share one ``reach`` and one new
+    layer; a relay's addressees are looked up only when its layer holds
+    readers."""
     material = world.material
     index = world.radio_index()
     neighbors = index.neighbors
@@ -571,7 +583,11 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
         for rcv in _ids_of(neighbors[env.transmitter][0] & readers):
             inboxes.setdefault(rcv, []).append(env)
     all_reached = world.reached
-    for key in sorted(floods.keys() | relayed.keys()):
+    # Per relayer mask, the reached mask a flood last advanced from and its
+    # new layer: a flood on the same front this round shares both.
+    fronts: dict[int, tuple[int, int]] = {}
+    # With no copy sent as such, the relayed floods are all, in key order.
+    for key in sorted(floods.keys() | relayed.keys()) if floods else relayed:
         copies = floods.get(key, [])
         reached = all_reached.get(key)
         if reached is None:  # the flood's first round in the air: only its origin sent it
@@ -590,12 +606,19 @@ def _deliver(world: World) -> dict[int, list[Envelope]]:
                 inboxes.setdefault(rcv, []).append(env)
         if key in relayed:
             copy, relayers = relayed[key]
-            fresh = index.reach(relayers) & ~(reached | left)
+            front = fronts.get(relayers)
+            if front is not None and front[0] == reached:
+                fresh = front[1]
+            else:
+                fresh = index.reach(relayers) & ~(reached | left)
+                fronts[relayers] = (reached, fresh)
             reached |= fresh
             sender, kind, ct, seq, _ = copy
             # A relayed copy is never heard at one hop: the flood reached its
             # origin first, so the origin relays nothing.
-            readers = fresh & reads[kind, False] & _addressees(material, copy)
+            readers = fresh & reads[kind, False]
+            if readers:
+                readers &= _addressees(material, copy)
             # Of the copies a reader hears, the smallest relayer's wins: the
             # lowest bit of the relayers in its range.
             for rcv in _ids_of(readers):

@@ -125,6 +125,60 @@ class TestExitCodes:
         assert not (tmp_path / "c.csv").exists()
 
 
+#: A child that calls ``main`` in one process for each call of a JSON list
+#: ``[argv, env, files]``, with ``env`` set for that call only, and prints per
+#: call the exit code, stdout, stderr and the text of ``files`` after it.
+SEQUENCE_CHILD = """
+import contextlib, io, json, os, sys
+from wcds.cli import main
+results = []
+for argv, env, files in json.loads(sys.argv[1]):
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    for name in env:
+        del os.environ[name]
+    results.append([code, out.getvalue(), err.getvalue(), [open(f).read() for f in files]])
+print(json.dumps(results))
+"""
+
+
+class TestRepeatedMain:
+    def test_each_call_as_when_it_runs_first(self, tmp_path):
+        """``main`` keeps one parser per process: a call after others,
+        a usage error among them, gives the exit code and bytes it gives as
+        the first call of a process."""
+        calls = [
+            [["sim", "--config", "cfg.json", "--out", "a.json", "--trace", "a.jsonl"], {}, ["a.json", "a.jsonl"]],
+            [["sim", "--config", "cfg.json", "--bogus"], {}, []],
+            [["gen", "--n", "30", "--degree", "6", "--seed", "2", "--out", "g.txt"], {}, ["g.txt"]],
+            [["sim", "--config", "noseed.json", "--trace", "b.jsonl"], {"WCDS_SEED": "9"}, ["b.jsonl"]],
+        ]
+
+        def child(workdir, calls):
+            write_config(workdir)
+            write_config(workdir, "noseed.json", seed=None)
+            proc = subprocess.run(
+                [sys.executable, "-c", SEQUENCE_CHILD, json.dumps(calls)],
+                cwd=workdir, env=child_env(), capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        (tmp_path / "sequence").mkdir()
+        together = child(tmp_path / "sequence", calls)
+        for i, call in enumerate(calls):
+            (tmp_path / f"alone{i}").mkdir()
+            assert together[i] == child(tmp_path / f"alone{i}", [call])[0], call[0]
+        assert [code for code, *_ in together] == [0, 1, 0, 0]
+        assert together[1][2].startswith("usage: wcds")
+        assert json.loads(together[3][1])["config"]["seed"] == 9
+
+
 class TestGen:
     def test_writes_readable_graph(self, tmp_path):
         proc = run_cli("gen", "--n", "30", "--degree", "6", "--out", "g.txt", cwd=tmp_path)
@@ -176,6 +230,12 @@ class TestSim:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["config"]["seed"] == 5
+        # With the document on stdout, the trace's status line goes to stderr.
+        proc = run_cli("sim", "--config", str(cfg), "--trace", "t.jsonl", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == doc
+        assert proc.stderr == "wrote t.jsonl\n"
+        assert (tmp_path / "t.jsonl").read_text().count("\n") > 0
 
     def test_seed_flag_beats_config(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -6,7 +6,9 @@ CSVs, the ``wcds storage`` printout, a ``wcds gen`` graph file, and two
 library-level churn runs. A change that alters any of them on purpose re-pins
 the digest here and says why in CHANGES.md. The attack cases also carry the
 facts their bytes stand for: each forms the clean structure and admits no
-foreign radio.
+foreign radio. The trace writer is also held line by line to the per-event
+encoding, ``json.dumps(event, sort_keys=True)``, so a drift names the first
+line that differs.
 """
 
 import contextlib
@@ -14,10 +16,11 @@ import dataclasses
 import hashlib
 import io
 import json
+from itertools import zip_longest
 
 import pytest
 
-from wcds.cli import main
+from wcds.cli import _TRACE_BATCH, _write_trace, main
 from wcds.keys import Rank, provision
 from wcds.protocol import Phase
 from wcds.sim import (
@@ -228,3 +231,60 @@ def test_race_digest():
     mine = {e["event"] for e in world.events if e["node"] == joiner}
     assert "joined" in mine and "orphaned" not in mine
     assert sha256(churn_bytes(world)) == RACE_DIGEST
+
+
+def trace_text(events) -> str:
+    """What ``wcds sim --trace`` writes for ``events``."""
+    out = io.StringIO()
+    _write_trace(out, events)
+    return out.getvalue()
+
+
+def per_event_lines(events) -> str:
+    """The trace as the reference writes it: one ``json.dumps`` per event."""
+    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+
+
+def first_difference(have: str, want: str) -> str | None:
+    """Where the writer's lines first part from the reference's, or None."""
+    for i, (a, b) in enumerate(zip_longest(have.split("\n"), want.split("\n"))):
+        if a != b:
+            return f"line {i}: writer {a!r}, reference {b!r}"
+    return None
+
+
+#: One event of each detail shape the protocol notes: no detail, negative
+#: ids, a reason string (holding the text that separates events in the list
+#: encoding, and characters that are escaped), observed lists empty and not.
+EVENT_SHAPES = [
+    {"round": 0, "node": 3, "event": "join_request", "detail": {}},
+    {"round": 1, "node": -1, "event": "audit_discard", "detail": {"sender": -2, "reason": 'a "quote"}, {"detail": x'}},
+    {"round": 2, "node": 7, "event": "orphaned", "detail": {"observed": []}},
+    {"round": 2, "node": -1, "event": "orphan_recorded", "detail": {"observed": [0, 12, -1], "os": 7}},
+    {"round": 3, "node": 4, "event": "rekeyed", "detail": {"joining": 5, "key": 2**70}},
+    {"round": 4, "node": -3, "event": "left", "detail": {"reason": "tab\tnewline\n\u00e9\u2028"}},
+]
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CASES))
+def test_trace_writer_is_the_per_event_encoding(name):
+    events = simulate(RunConfig.from_dict(SIM_CASES[name]))[0].events
+    want = per_event_lines(events)
+    assert sha256(want.encode()) == SIM_DIGESTS[name][1]
+    diff = first_difference(trace_text(events), want)
+    assert diff is None, diff
+
+
+@pytest.mark.parametrize("count", [0, 1, len(EVENT_SHAPES), 2 * _TRACE_BATCH + 1])
+def test_trace_writer_on_every_detail_shape(count):
+    events = [EVENT_SHAPES[i % len(EVENT_SHAPES)] for i in range(count)]
+    diff = first_difference(trace_text(events), per_event_lines(events))
+    assert diff is None, diff
+
+
+def test_trace_writer_refuses_an_event_it_cannot_split():
+    # A nested object whose first key is "detail", after another in a list,
+    # looks like an event boundary; the line count gives it away.
+    nested = {"round": 0, "node": 1, "event": "x", "detail": {"list": [{}, {"detail": 1}]}}
+    with pytest.raises(ValueError, match="one line each"):
+        trace_text([nested])

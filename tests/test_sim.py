@@ -21,7 +21,7 @@ from conftest import (
 )
 from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
 from wcds.graph import radius_for_expected_degree, unit_disk_graph
-from wcds.keys import Rank, encrypt, provision
+from wcds.keys import Ciphertext, Rank, encrypt, provision
 from wcds.protocol import (
     ADDRESSED,
     APPROVAL_TIMEOUT,
@@ -356,6 +356,46 @@ class TestRadioIndex:
             assert spliced.neighbors == fresh.neighbors
         self.check(w)
 
+    @staticmethod
+    def packed_field(name):
+        """A field named for what its masks must get right: the highest
+        protocol id at a byte's edges, ids with gaps (reserves not yet
+        deployed), adversaries, or the base station alone."""
+        rng = random.Random(name)
+        if name.startswith("top "):
+            m = provision([int(name[4:])])  # ids 0 .. top
+            on = m.deployed_nodes()
+        elif name == "id gaps":
+            m = provision([9, 9, 9], reserve_fraction=0.4, seed=1)
+            on = m.deployed_nodes()
+            assert any(v < max(on) for v in set(m.all_nodes()) - set(on))  # gaps below the top
+        else:
+            m = provision([12])
+            on = m.deployed_nodes() if name == "adversaries" else []
+        spot = lambda: (rng.uniform(10.0, 30.0), rng.uniform(10.0, 30.0))
+        w = make_world(m, {BS_ID: (20.0, 20.0), **{v: spot() for v in on}}, radius=10.0)
+        if name == "adversaries":
+            inject_adversary(w, 4, "replay", positions=[spot() for _ in range(4)])
+        return w
+
+    @pytest.mark.parametrize(
+        "name", ["top 6", "top 7", "top 8", "top 63", "top 64", "id gaps", "adversaries", "base station alone"]
+    )
+    def test_packed_masks_equal_the_pair_loop_and_a_spliced_index(self, name):
+        w = self.packed_field(name)
+        self.check(w)
+        top = max(w.positions)
+        assert top == BS_ID or w.radio_index().neighbors[top][0]  # the top bit is in masks
+        # The same field spliced in radio by radio onto the base station alone.
+        spliced = rebuilt(w)
+        spliced.positions = {BS_ID: w.positions[BS_ID]}
+        spliced.radio_index()
+        for v in random.Random(0).sample(sorted(w.positions), len(w.positions)):
+            if v != BS_ID:
+                spliced._place(v, w.positions[v])
+        assert spliced.positions == w.positions
+        assert spliced.radio_index().neighbors == w.radio_index().neighbors
+
     def test_splice_refuses_a_position_off_the_plane(self):
         m = provision([2], reserve_fraction=0.5)
         w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0)})
@@ -532,12 +572,15 @@ class DeliveryCheck:
     of a sensor's hop-1 approvals (``FIRST_PER_SENDER``) at most one, its
     lowest-seq copy this round, and of an adversary's every one in range,
     and that the relay records come in flood-key order, each naming in
-    ascending order sensors on the field that the fan-out gave that flood."""
+    ascending order sensors on the field that the fan-out gave that flood.
+    It counts the relayed floods that advanced without a ``reach`` call of
+    their own, on a front another flood of the round shared."""
 
     deliver = staticmethod(sim_module._deliver)
 
     def __init__(self):
         self.rounds = self.skipped_copies = self.replayed_floods_kept = self.approvals_withheld = 0
+        self.fronts_shared = 0
 
     def __call__(self, world):
         expected = fan_out(world)
@@ -547,7 +590,12 @@ class DeliveryCheck:
         for env in world.sends:
             if env.kind in FIRST_PER_SENDER and env.transmitter == env.sender >= 0:
                 lowest[env.sender] = min(lowest.get(env.sender, env.seq), env.seq)
-        inboxes = self.deliver(world)
+        relayed, reach, calls = len(world.relayed), sim_module.RadioIndex.reach, []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sim_module.RadioIndex, "reach", lambda index, mask: calls.append(mask) or reach(index, mask))
+            inboxes = self.deliver(world)
+        assert len(calls) <= relayed, world.round
+        self.fronts_shared += relayed - len(calls)
         self.rounds += 1
         replays = {adv.id for adv in world.adversaries if adv.behavior == "replay"}
         for rcv in set(expected) | set(inboxes):
@@ -735,6 +783,7 @@ class TestDelivery:
         config = RunConfig(**DELIVERY_FIELD, **extra)
         check = twin_runs(lambda: simulate(config)[0])
         assert check.rounds > 10 and check.skipped_copies > 1000 and check.approvals_withheld > 100
+        assert check.fronts_shared > 0  # some round advanced two floods with one reach
         if behavior == "replay":
             assert check.replayed_floods_kept > 0
 
@@ -771,6 +820,33 @@ class TestDelivery:
     def test_leave_while_a_promotion_passes_same_as_fan_out(self):
         check = twin_runs(leave_under_command_run)
         assert check.skipped_copies > 0
+
+    @pytest.mark.parametrize("replayed", [False, True])
+    def test_a_front_is_shared_only_at_equal_reached_masks(self, replayed):
+        """Two GD_ERR floods from sensor 4 stand at one front, relayed by
+        sensor 2 and having reached 2-4, on a line whose base station hears
+        only sensor 2 and the replaying adversary. Alone, they share one
+        ``reach`` and the base station gets both from sensor 2. When a
+        replayed copy of the second reaches the base station first, its
+        reached mask at the relay differs: it gets a layer of its own,
+        without the base station, which keeps the adversary's copy alone."""
+        m = provision([2, 2])
+        w = make_world(m, {BS_ID: (30.0, 10.0), **{v: (10.0 * v + 10.0, 0.0) for v in range(5)}}, radius=12.0)
+        adv = inject_adversary(w, 1, "replay", positions=[(30.0, 20.0)])[0]
+        ct = Ciphertext(0, b"orphan", b"tag")
+        first, second = (Envelope(4, MessageKind.GD_ERR, ct, seq, 4) for seq in (1, 2))
+        for env in (first, second):  # in key order
+            w.reached[flood_key(env)] = sim_module._mask_of([2, 3, 4])
+            w.relayed[flood_key(env)] = (env._replace(transmitter=2), sim_module._mask_of([2]))
+        if replayed:
+            w.sends.append(second._replace(transmitter=adv))
+        check = DeliveryCheck()
+        inboxes = check(w)
+        assert check.fronts_shared == (0 if replayed else 1)
+        assert [(env.seq, env.transmitter) for env in inboxes[BS_ID]] == [(1, 2), (2, adv if replayed else 2)]
+        for env in (first, second):
+            assert radios(w.reached[flood_key(env)]) == [BS_ID, 1, 2, 3, 4]
+            assert radios(w.relayed[flood_key(env)][1]) == [1]
 
     @settings(max_examples=6, deadline=None)
     @given(seed=strategies.integers(0, 10**6), behavior=strategies.sampled_from(ADVERSARY_BEHAVIORS))
