@@ -14,6 +14,7 @@ and then zero fill in. Exit codes: 0 success, 1 usage, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -155,17 +156,21 @@ def _cmd_sim(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     status = sys.stderr if args.out is None else sys.stdout  # stdout holds the document alone
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            _write_trace(fh, world.events)
-        print(f"wrote {args.trace}", file=status)
+    # Every output is opened, the trace first, before any is written, so a
+    # bad path writes nothing.
+    with _opened(args.trace) as trace, _opened(args.out) as out:
+        (out or sys.stdout).write(text)
+        if out is not None:
+            print(f"wrote {args.out}")
+        if trace is not None:
+            _write_trace(trace, world.events)
+            print(f"wrote {args.trace}", file=status)
     return 0
+
+
+def _opened(path: str | None):
+    """``path`` opened for writing text, or a context holding None."""
+    return contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8", newline="")
 
 
 #: Events per ``json.dumps`` call in a trace: a batch encodes as fast as the

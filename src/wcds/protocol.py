@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .keys import (
     Ciphertext,
@@ -226,11 +226,11 @@ def os_step(
         state.phase = _AWAITING
         _note(events, round_no, state.id, "join_request")
 
-    handlers = HANDLERS[_OS]
+    readings = DELIVERY[_OS]
     for env in sorted(inbox, key=_inbox_key):
-        handler = handlers.get(env.kind)
-        if handler is not None:
-            handler(state, env, round_no, events)
+        reading = readings.get(env.kind)
+        if reading is not None:
+            reading.handler(state, env, round_no, events)
 
     if state.phase is _AWAITING and round_no >= state.join_round + APPROVAL_TIMEOUT:
         state.phase = _ORPHAN
@@ -315,11 +315,11 @@ def gd_step(
     replaced. Each keeps its place and sequence number.
     """
     out: list[Envelope] = []
-    handlers = HANDLERS[state.rank]
+    readings = DELIVERY[state.rank]
     for env in sorted(inbox, key=_inbox_key):
-        handler = handlers.get(env.kind)
-        if handler is not None:
-            handler(state, env, round_no, material, out, events)
+        reading = readings.get(env.kind)
+        if reading is not None:
+            reading.handler(state, env, round_no, material, out, events)
     key = state.ring.group
     return state, [
         env._replace(ciphertext=encrypt(key, env.kind, env.ciphertext))
@@ -422,11 +422,11 @@ def bs_step(
     terminates at it or starts from it.
     """
     out: list[Envelope] = []
-    handlers = HANDLERS[BS_ID]
+    readings = DELIVERY[BS_ID]
     for env in sorted(inbox, key=_inbox_key):
-        handler = handlers.get(env.kind)
-        if handler is not None:
-            handler(bs, env, round_no, material, events)
+        reading = readings.get(env.kind)
+        if reading is not None:
+            reading.handler(bs, env, round_no, material, events)
 
     for os_id in sorted(bs.orphans):
         rec = bs.orphans[os_id]
@@ -498,61 +498,49 @@ def _bs_orp_err(bs, env, round_no, material, events) -> None:
         rec.reports.add(env.sender)
 
 
-#: Each step's handlers, by the rank of the sensor stepped or ``BS_ID`` for
-#: the base station: the kinds a step acts on and what it does with each.
-#: The simulator puts in a radio's inbox only the copies its step can act
-#: on: copies of these kinds, less those ``HOP1_ONLY``, ``FIRST_PER_SENDER``
-#: and ``ADDRESSED`` rule out. Relaying floods is not a step's work: the
-#: simulator sends every sensor's relays.
-_DOMINATOR_HANDLERS = {
-    MessageKind.JOIN_REQ: _gd_join_req,
-    MessageKind.GD_ERR: _gd_orphan_heard,
-    MessageKind.ADOPT_CMD: _gd_adopt,
-    MessageKind.LEAVE: _gd_leave,
+class Audience(Enum):
+    """Which of a kind's readers in range a copy is for, by the key it is
+    sealed under: every one, the key's owner, or the owner only when the key
+    is an individual key."""
+
+    EVERYONE = "everyone"
+    OWNER = "owner"
+    INDIVIDUAL_OWNER = "individual owner"
+
+
+class Reading(NamedTuple):
+    """How one part's step reads one kind: its handler; ``hop1``, whether
+    the handler drops at once a copy not heard at one hop; ``first``, whether
+    it acts on at most the first hop-1 copy a sensor sends in a round; and
+    the copy's ``audience``."""
+
+    handler: Callable
+    hop1: bool = False
+    first: bool = False
+    audience: Audience = Audience.EVERYONE
+
+
+#: Who receives what: per part a radio plays (its rank, or ``BS_ID`` for the
+#: base station), each kind its step acts on and how (``Reading``). The radio
+#: layer gives a step nothing else, and relays floods itself. An approval is
+#: ``first``: a dominator seals all its approvals of one step under the group
+#: key it holds when the step ends (``gd_step``), so a sensor's approvals of
+#: one round reach a reader side by side, lowest seq first, under one key.
+#: If the first opens, the reader joins or could not change; if not, its
+#: sender is a neighbour dominator; either way the rest change nothing.
+_DOMINATOR_READS = {
+    _JOIN_REQ: Reading(_gd_join_req, hop1=True),
+    _GD_ERR: Reading(_gd_orphan_heard, hop1=True),
+    _ADOPT_CMD: Reading(_gd_adopt, audience=Audience.OWNER),
+    _LEAVE: Reading(_gd_leave, hop1=True),
 }
-HANDLERS = {
-    Rank.OS: {
-        MessageKind.REKEY: _os_rekey,
-        MessageKind.JOIN_APRV: _os_approval,
-        MessageKind.PROMOTE_CMD: _os_promote,
+DELIVERY = {
+    _OS: {
+        _REKEY: Reading(_os_rekey, audience=Audience.INDIVIDUAL_OWNER),
+        _JOIN_APRV: Reading(_os_approval, hop1=True, first=True),
+        _PROMOTE_CMD: Reading(_os_promote, audience=Audience.OWNER),
     },
-    Rank.GD: _DOMINATOR_HANDLERS,
-    Rank.GD_OS: _DOMINATOR_HANDLERS,
-    BS_ID: {MessageKind.GD_ERR: _bs_gd_err, MessageKind.ORP_ERR: _bs_orp_err},
-}
-
-#: The kinds each step acts on only when heard at one hop: their handlers
-#: return at once on a copy whose transmitter is not its sender, so the
-#: simulator gives such a copy to none of these readers.
-_DOMINATOR_HOP1 = frozenset({MessageKind.JOIN_REQ, MessageKind.GD_ERR, MessageKind.LEAVE})
-HOP1_ONLY = {
-    Rank.OS: frozenset({MessageKind.JOIN_APRV}),
-    Rank.GD: _DOMINATOR_HOP1,
-    Rank.GD_OS: _DOMINATOR_HOP1,
-    BS_ID: frozenset(),
-}
-
-#: The kinds of which a step acts on at most the first copy a sensor sends
-#: in one round, heard at one hop. A dominator approves all its waiting
-#: members in one step and seals every approval under the group key it holds
-#: when the step ends (``gd_step``), so a sensor's approvals of one round sit
-#: side by side in inbox order, lowest seq first, with one key id and one
-#: approver. If the first opens, the reader joins or could not change, and
-#: the rest find it joined or unchanged; if it does not open, its sender is
-#: now a neighbour dominator, and the rest note nothing. So the simulator
-#: gives each reader only the lowest-seq hop-1 copy each sensor sends per
-#: round. Copies claimed by adversaries (ids below ``BS_ID``), relays and
-#: replays are not covered.
-FIRST_PER_SENDER = frozenset({MessageKind.JOIN_APRV})
-
-#: The kinds sealed for one reader: only the node owning the key a copy is
-#: sealed under (``KeyMaterial.owners``; the key id rides in the clear) can
-#: act on it, so the simulator gives the copy to that node alone, if its step
-#: reads the kind. The flag says whether a group key addresses the kind too.
-#: A REKEY is addressed only under an individual key: under a group key it is
-#: for every member holding that key.
-ADDRESSED = {
-    MessageKind.PROMOTE_CMD: True,
-    MessageKind.ADOPT_CMD: True,
-    MessageKind.REKEY: False,
+    _GD: _DOMINATOR_READS,
+    _GD_OS: _DOMINATOR_READS,
+    BS_ID: {_GD_ERR: Reading(_bs_gd_err), _ORP_ERR: Reading(_bs_orp_err)},
 }

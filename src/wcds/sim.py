@@ -1,94 +1,26 @@
-"""Field simulation: placement, lockstep radio transport, adversaries.
+"""Field simulation: placement, the round loop, adversaries and churn.
 
-The world owns all state. Each round it delivers the transmissions of the
-previous round to the entities within radio range of their transmitters,
-steps the base station, the sensors and the adversaries in a fixed order,
-and collects their outboxes for the next round. With the same provisioning
-and seed, runs are byte-for-byte reproducible. Past transmissions are not
-kept, only counted by kind in ``World.counters``.
-
-Every set of protocol radios (sensors and the base station) in the radio
-layer is one ``int`` bitmask: radio ``v`` is bit ``v + 1``, so the base
-station (-1) is bit 0 and id order is bit order. Adversaries stay outside the
-masks, in ascending tuples. The radio index keeps, per radio, the mask of
-protocol radios in its range; the role index keeps, per part a radio plays
-(each rank, the base station, and None for departed sensors), the mask of
-the radios playing it.
-
-Every sensor relays each flood (GD_ERR, ORP_ERR, ADOPT_CMD, PROMOTE_CMD)
-once. The world keeps one record per flood, ``World.reached``: the mask of
-protocol radios it has reached, starting with its origin. Each round the
-copies of a flood in the air are walked by transmitter id, ties in
-transmission order, and each copy reaches the radios in its range that the
-flood has not reached yet. So the smallest transmitter wins: that is the
-copy a step working through its sorted inbox would act on, and every other
-copy is one it would drop as a duplicate. Departed sensors get nothing and
-are not recorded, so a sensor that comes back while a flood is passing still
-gets it.
-
-Relaying is the radio layer's work, not a step's. The air holds a round's
-transmissions in two parts. ``World.sends`` lists the copies that sensors,
-the base station and adversaries originate or replay, in the order sent.
-``World.relayed`` has one record per flood, in flood-key order: one copy of
-the flood and the mask of the sensors relaying it, whose bits the message
-count adds. A flood's next layer is the union of the relayers'
-neighbourhoods less the radios it has reached and the departed ones. A relay
-stays a bit until it reaches a radio whose step can act on it; only then
-does delivery build it an envelope, from the lowest relayer in that radio's
-range.
-
-An inbox gets only the copies its radio's step can act on: of a flood the
-winning copy, of any other kind every copy in range, as ``protocol``'s four
-declarations allow. ``HANDLERS`` (the kinds each part's step reads) and
-``HOP1_ONLY`` (the kinds it reads only from their sender) give, per kind and
-whether the copy is heard at one hop, the parts that read it (``_READERS``,
-built at import); each round ORs those parts' masks into one reader mask per
-pair. ``ADDRESSED`` cuts a copy's readers to the owner of the key it is
-sealed under (``_addressees``). ``FIRST_PER_SENDER`` keeps all but each
-sensor's first hop-1 copy of the round out of every inbox. The handlers
-drop every copy so withheld anyway, or act on none after the first, and
-keep all their checks; the rules only spare building and stepping them.
-Only ``replay`` adversaries read what they overhear: each gets every copy in
-its range in transmission order, floods included; the other adversaries get
-nothing.
-
-The transmission order is: the base station's sends; then, sensor by sensor
-in id order, its relays in flood-key order and then its own sends; then the
-adversaries' sends. ``World.inflight`` builds that list on demand for
-readers outside the round loop.
+The world owns all state. Each round ``step`` hands the air to the radio
+layer (``radio.deliver``), which empties it into inboxes; then it steps the
+base station, the sensors and the adversaries in a fixed order and collects
+their sends, and the relays delivery recorded, as the next round's air.
+With the same provisioning and seed, runs are byte-for-byte reproducible.
+Past transmissions are not kept, only counted by kind in ``World.counters``.
 
 Each round steps only the sensors that may have work: those with an inbox,
 and the ordinary sensors that have not announced, await an approval or have
 a leave pending, in id order. ``leave`` and ``late_join`` add a sensor to that
 set, and a step that leaves it with none of those drops it; one not yet due
 to announce, time out its approval wait or leave is passed over
-(``protocol.os_idle``). The relays of a sensor that is not stepped still go
-out. The role index is kept the same way: a sensor's bit changes part only
-where it leaves, is promoted or joins. The departed part is who delivery
-skips, and the ordinary and departed parts are whom a ``forge_join``
-adversary may impersonate. A run whose only open work is orphans that
-nothing can reach any more (nothing in flight, no adversary, nothing due) is
-not stepped at all: its remaining rounds are counted as spent, which leaves
-the world as stepping them would have.
+(``protocol.os_idle``). The role index, per part a radio plays the mask of
+the radios playing it, is kept the same way: a sensor's bit changes part
+only where it leaves, is promoted or joins. A run whose only
+open work is orphans that nothing can reach any more (nothing in flight, no
+adversary, nothing due) is not stepped at all: its remaining rounds are
+counted as spent, which leaves the world as stepping them would have.
 
-The radio graph is built once from a cell grid into each radio's neighbour
-mask and adversary tuple, and the masks are the field's only copy of it. A
-radio that comes onto the field or moves is spliced in: one distance pass
-finds its neighbours, by the same rule as the grid, and only their entries
-change. The union of neighbourhoods a flood's relayers span is kept under
-the whole relayer mask, since the floods from one origin cross the field in
-the same layers; a new mask's union is built a byte of the mask at a time,
-from per-byte unions kept too. Both live on the radio index, so a splice
-drops them. Within a round, floods on one front (equal relayer and reached
-masks) share one ``reach`` and one new layer.
-
-The envelope's ``transmitter`` field is the radio that emitted the copy.
-Each emitter sets it to its own id, on the copies it relays or replays too,
-and delivery reaches only the radios in range of it. So an adversary can
-forge every claimed field but not where a copy actually came from.
-
-The enum members that the per-sensor and per-message paths read are bound to
-module names once, and hoisted into locals in the whole-field loops: on
+The enum members that the per-sensor and per-message paths read are bound
+to module names once, and hoisted into locals in the whole-field loops: on
 Python 3.11 every read of an enum class's attribute takes a slow path.
 """
 
@@ -98,34 +30,15 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter, deque
-from itertools import chain
-from numbers import Real
 from operator import attrgetter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .graph import radius_for_expected_degree, unit_disk_graph
+from .graph import radius_for_expected_degree
 from .keys import Ciphertext, KeyMaterial, Rank, group_sizes_for, provision
-from .protocol import (
-    ADDRESSED,
-    BS_ID,
-    BSState,
-    ClusterOutcome,
-    Envelope,
-    FIRST_PER_SENDER,
-    HANDLERS,
-    HOP1_ONLY,
-    NodeState,
-    Phase,
-    bs_step,
-    flood_key,
-    gd_step,
-    os_idle,
-    os_step,
-)
-from .wire import FLOOD_KINDS, MessageKind
+from .protocol import BS_ID, BSState, ClusterOutcome, Envelope, NodeState, Phase, bs_step, gd_step, os_idle, os_step
+from .radio import RadioIndex, build_index, deliver, ids_of, kth_id, mask_of, splice, spot, transmissions
+from .wire import MessageKind
 
 PLACEMENT_MODES = ("uniform", "group_clustered")
 ADVERSARY_BEHAVIORS = ("forge_join", "forge_approve", "replay")
@@ -192,92 +105,9 @@ class Adversary:
     captured: deque = field(default_factory=lambda: deque(maxlen=512))
 
 
-#: The bit positions set in each byte value, ascending.
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-
-
-def _mask_of(ids: Iterable[int]) -> int:
-    """The radio mask of the protocol radios ``ids``: bit ``v + 1`` per id."""
-    mask = 0
-    for v in ids:
-        mask |= 1 << (v + 1)
-    return mask
-
-
-def _ids_of(mask: int) -> list[int]:
-    """The protocol radios of a radio mask, in ascending id order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 2)
-        mask ^= low
-    return out
-
-
-class RadioIndex(NamedTuple):
-    """The unit-disk graph over every radio on the field (sensors, the base
-    station and adversaries): per radio, the mask of protocol radios
-    (sensors and base station) and the ascending adversary ids in its range.
-    ``reaches`` keeps ``reach``'s answers by whole mask and ``unions`` its
-    per-byte unions, for this index only; a splice makes a new index with
-    neither."""
-
-    neighbors: dict[int, tuple[int, tuple[int, ...]]]
-    reaches: dict[int, int]
-    unions: dict[int, int]
-
-    def reach(self, mask: int) -> int:
-        """The protocol radios in range of any radio of ``mask``, kept under
-        the mask: the floods from one origin cross the field in the same
-        layers. ``_deliver`` asks once per front a round: floods on one front
-        share the answer. A new mask is built from its non-zero bytes: byte
-        ``b`` at byte ``i`` adds the union of its radios' neighbourhoods,
-        built on first use and kept under ``i << 8 | b``."""
-        out = self.reaches.get(mask)
-        if out is not None:
-            return out
-        neighbors, unions = self.neighbors, self.unions
-        out = 0
-        for i, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
-            if b:
-                key = i << 8 | b
-                union = unions.get(key)
-                if union is None:
-                    union = 0
-                    for j in _BYTE_BITS[b]:
-                        union |= neighbors[8 * i + j - 1][0]
-                    unions[key] = union
-                out |= union
-        self.reaches[mask] = out
-        return out
-
-
-def _kth_id(mask: int, k: int) -> int:
-    """``_ids_of(mask)[k]`` for ``0 <= k < mask.bit_count()``: the lowest
-    bit with ``k`` set bits below it, found by bisecting on bit counts."""
-    lo, hi = 0, mask.bit_length() - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mask & ((2 << mid) - 1)).bit_count() > k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo - 1
-
-
 #: The parts a radio plays: a rank, ``BS_ID`` for the base station, or None
 #: for a departed sensor.
 _PARTS = (*Rank, BS_ID, None)
-
-#: Per (kind, heard at one hop), the parts whose steps read it: those with a
-#: handler for the kind (``protocol.HANDLERS``), less, for a copy whose
-#: transmitter is not its sender, those that read it only at one hop
-#: (``protocol.HOP1_ONLY``).
-_READERS = {
-    (kind, hop1): tuple(p for p, on in HANDLERS.items() if kind in on and (hop1 or kind not in HOP1_ONLY[p]))
-    for kind in MessageKind
-    for hop1 in (True, False)
-}
 
 
 def _may_work(st: NodeState) -> bool:
@@ -299,7 +129,7 @@ class World:
     rng: random.Random
     adversaries: list[Adversary] = field(default_factory=list)
     round: int = 0
-    #: The air, until delivered (see the module docstring). ``sends``: the
+    #: The air, until delivered (see ``radio``). ``sends``: the
     #: copies originated or replayed this round, in the order sent.
     #: ``relayed``: per flood key, in key order, one copy of the flood and
     #: the mask of the sensors relaying it.
@@ -324,26 +154,7 @@ class World:
     def radio_index(self) -> RadioIndex:
         """The radio index of the field as it stands, built on first use."""
         if self._radio is None:
-            ids = sorted(self.positions)
-            src, dst = unit_disk_graph([self.positions[v] for v in ids], self.radius).pairs
-            # Adversary ids sort first: pairs whose dst is past them go into
-            # the masks, one little-endian row of bytes per radio, and the
-            # rest into the adversary tuples, in id order.
-            split = bisect_left(ids, BS_ID)
-            width = (ids[-1] + 9) // 8  # bytes up to the highest id's bit, v + 1
-            listens = dst >= split
-            bits = np.asarray(ids)[dst[listens]] + 1
-            rows = np.zeros((len(ids), width), np.uint8)
-            np.bitwise_or.at(rows, (src[listens], bits >> 3), np.left_shift(1, bits & 7).astype(np.uint8))
-            raw = memoryview(rows).cast("B")  # rows in place, a row copied at a time
-            advs: dict[int, list[int]] = {}
-            for i, a in zip(src[~listens].tolist(), dst[~listens].tolist()):
-                advs.setdefault(i, []).append(ids[a])
-            neighbors = {
-                v: (int.from_bytes(raw[i * width : (i + 1) * width], "little"), tuple(advs.get(i, ())))
-                for i, v in enumerate(ids)
-            }
-            self._radio = RadioIndex(neighbors, {}, {})
+            self._radio = build_index(self.positions, self.radius)
         return self._radio
 
     def _busy_sensors(self) -> set[int]:
@@ -356,9 +167,9 @@ class World:
         """Per part, the mask of the radios playing it, built on first use."""
         if self._roles is None:
             self._roles = dict.fromkeys(_PARTS, 0)
-            self._roles[BS_ID] = _mask_of((BS_ID,))
+            self._roles[BS_ID] = mask_of((BS_ID,))
             for v, st in self.states.items():
-                self._roles[None if st.phase is _LEFT else st.rank] |= _mask_of((v,))
+                self._roles[None if st.phase is _LEFT else st.rank] |= mask_of((v,))
         return self._roles
 
     def _recast(self, node: int, was: Rank | None) -> None:
@@ -367,84 +178,24 @@ class World:
         part its state gives it now."""
         roles = self._role_index()
         st = self.states[node]
-        bit = _mask_of((node,))
+        bit = mask_of((node,))
         roles[was] &= ~bit
         roles[None if st.phase is _LEFT else st.rank] |= bit
 
     @property
     def inflight(self) -> list[Envelope]:
         """The air as one list of transmissions, in transmission order."""
-        return _transmissions(self.sends, self.relayed)
+        return transmissions(self.sends, self.relayed)
 
     def _place(self, radio: int, position: tuple[float, float]) -> None:
         """Put a radio on the field, or move it, and splice it into the radio
         index if one is built. ``position`` must be exactly two finite
         numbers; it is stored as two floats. A refused position changes
         nothing."""
-        spot = _spot(position)
+        at = spot(position)
         if self._radio is not None:
-            self._radio = _splice(self._radio, self.positions, self.radius, radio, spot)
-        self.positions[radio] = spot
-
-
-def _spot(position) -> tuple[float, float]:
-    """``position`` as two floats; ValueError unless it is exactly two finite
-    numbers."""
-    try:
-        x, y = position
-    except (TypeError, ValueError):
-        x = y = None
-    if not (isinstance(x, Real) and isinstance(y, Real)):
-        raise ValueError(f"a position is two numbers, got {position!r}")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("positions must be finite")
-    return float(x), float(y)
-
-
-def _splice(
-    index: RadioIndex,
-    positions: dict[int, tuple[float, float]],
-    radius: float,
-    radio: int,
-    position: tuple[float, float],
-) -> RadioIndex:
-    """``index``, the radio index over ``positions``, with ``radio`` taken
-    off the field, if it is on it, and put at ``position``. Only the radio's
-    neighbours' entries change, in place. The new index starts with no kept
-    reaches or unions: any of the old ones may hold a changed neighbourhood.
-    The neighbours are found in one distance pass under
-    ``graph._disk_graph``'s rule, ``dx*dx + dy*dy <= r*r`` in float64, so the
-    result equals a rebuild. Every position is a pair (``deploy`` draws
-    them, ``World._place`` checks the rest), so the coordinates are read as
-    one flat run."""
-    x, y = position
-    neighbors = index.neighbors
-    bit = 0 if radio < BS_ID else _mask_of((radio,))
-    if radio in neighbors:  # a move: off the field first
-        listeners, adversaries = neighbors.pop(radio)
-        for u in (*adversaries, *_ids_of(listeners)):
-            near, advs = neighbors[u]
-            if radio < BS_ID:
-                neighbors[u] = (near, tuple(a for a in advs if a != radio))
-            else:
-                neighbors[u] = (near & ~bit, advs)
-    ids = list(positions)
-    xy = np.fromiter(chain.from_iterable(positions.values()), np.float64, 2 * len(positions)).reshape(-1, 2)
-    r = float(radius)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = xy[:, 0] - x
-        dy = xy[:, 1] - y
-        hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
-    near = sorted(ids[j] for j in hit.tolist() if ids[j] != radio)
-    split = bisect_left(near, BS_ID)
-    for u in near:
-        listeners, adversaries = neighbors[u]
-        if radio < BS_ID:
-            neighbors[u] = (listeners, tuple(sorted((*adversaries, radio))))
-        else:
-            neighbors[u] = (listeners | bit, adversaries)
-    neighbors[radio] = (_mask_of(near[split:]), tuple(near[:split]))
-    return RadioIndex(neighbors, {}, {})
+            self._radio = splice(self._radio, self.positions, self.radius, radio, at)
+        self.positions[radio] = at
 
 
 def _fresh_state(material: KeyMaterial, node: int) -> NodeState:
@@ -494,146 +245,6 @@ def deploy(
     )
 
 
-def _transmissions(
-    sends: list[Envelope],
-    relayed: dict[tuple, tuple[Envelope, int]],
-    near: tuple[int, tuple[int, ...]] | None = None,
-) -> list[Envelope]:
-    """The air as one list in transmission order (see the module docstring),
-    or only the copies whose transmitter is in ``near``, one radio's entry of
-    ``RadioIndex.neighbors``."""
-    owed: dict[int, list[Envelope]] = {}
-    for (sender, kind, ct, seq, _), relayers in relayed.values():
-        for r in _ids_of(relayers if near is None else relayers & near[0]):
-            owed.setdefault(r, []).append(Envelope(sender, kind, ct, seq, r))
-    queue = sorted(owed, reverse=True)
-    out: list[Envelope] = []
-    for env in sends:
-        t = env.transmitter
-        if near is not None and not (t in near[1] if t < BS_ID else near[0] >> (t + 1) & 1):
-            continue
-        # A sensor's relays go ahead of its own sends and of every later
-        # sender's; adversaries (ids below the base station's) send last.
-        while queue and (t < BS_ID or t >= queue[-1]):
-            out += owed[queue.pop()]
-        out.append(env)
-    for r in reversed(queue):
-        out += owed[r]
-    return out
-
-
-def _addressees(material: KeyMaterial, env: Envelope) -> int:
-    """The radios that ``env``'s key lets it go to (``protocol.ADDRESSED``):
-    the owner of the key it is sealed under, none when no node owns that
-    key, and every radio (-1, all bits set) when its kind and key name no
-    one reader."""
-    group_too = ADDRESSED.get(env.kind)
-    if group_too is None:
-        return -1
-    key_id = env.ciphertext.key_id
-    owner = material.owners.get(key_id)
-    if owner is None:
-        return 0
-    if not group_too:
-        own = material.individual_keys.get(owner)
-        if own is None or own.id != key_id:  # a group key, held by members no index keeps
-            return -1
-    return 1 << (owner + 1)
-
-
-def _deliver(world: World) -> dict[int, list[Envelope]]:
-    """Empty the air, by the rule in the module docstring, into the inboxes
-    of the radios whose steps can act on each copy, and into those of the
-    ``replay`` adversaries, and record in ``World.relayed`` the sensors that
-    relay each flood this round. Departed sensors receive nothing. Floods
-    whose relayer and reached masks agree share one ``reach`` and one new
-    layer; a relay's addressees are looked up only when its layer holds
-    readers."""
-    material = world.material
-    index = world.radio_index()
-    neighbors = index.neighbors
-    parts = world._role_index()
-    left = parts[None]
-    reads = {}
-    for key, readers in _READERS.items():
-        mask = 0
-        for part in readers:
-            mask |= parts[part]
-        reads[key] = mask
-    sends, relayed = world.sends, world.relayed
-    world.sends, world.relayed = [], {}
-    inboxes: dict[int, list[Envelope]] = {}
-    for adv in world.adversaries:
-        if adv.behavior == "replay":  # the only behaviour that reads what it overhears
-            inboxes[adv.id] = _transmissions(sends, relayed, neighbors[adv.id])
-    floods: dict[tuple, list[Envelope]] = {}
-    firsts: set[tuple[MessageKind, int]] = set()  # FIRST_PER_SENDER copies delivered
-    for env in sends:
-        kind = env.kind
-        if kind in FLOOD_KINDS:
-            floods.setdefault(flood_key(env), []).append(env)
-            continue
-        hop1 = env.transmitter == env.sender
-        if hop1 and kind in FIRST_PER_SENDER and env.sender >= 0:
-            # A sensor's sends are in seq order, so its first copy is its lowest.
-            if (kind, env.sender) in firsts:
-                continue
-            firsts.add((kind, env.sender))
-        readers = reads[kind, hop1] & _addressees(material, env)
-        for rcv in _ids_of(neighbors[env.transmitter][0] & readers):
-            inboxes.setdefault(rcv, []).append(env)
-    all_reached = world.reached
-    # Per relayer mask, the reached mask a flood last advanced from and its
-    # new layer: a flood on the same front this round shares both.
-    fronts: dict[int, tuple[int, int]] = {}
-    # With no copy sent as such, the relayed floods are all, in key order.
-    for key in sorted(floods.keys() | relayed.keys()) if floods else relayed:
-        copies = floods.get(key, [])
-        reached = all_reached.get(key)
-        if reached is None:  # the flood's first round in the air: only its origin sent it
-            # (an adversary sending under its own id has no bit to set)
-            reached = _mask_of(e.sender for e in copies if e.transmitter == e.sender >= BS_ID)
-        start = reached
-        kind = key[0]
-        # Copies sent as such (the origin's, replays) come from the origin or
-        # an adversary, whose ids sort ahead of every sensor relaying the flood.
-        copies.sort(key=_TRANSMITTER)
-        for env in copies:
-            fresh = neighbors[env.transmitter][0] & ~(reached | left)
-            reached |= fresh
-            readers = reads[kind, env.transmitter == env.sender] & _addressees(material, env)
-            for rcv in _ids_of(fresh & readers):
-                inboxes.setdefault(rcv, []).append(env)
-        if key in relayed:
-            copy, relayers = relayed[key]
-            front = fronts.get(relayers)
-            if front is not None and front[0] == reached:
-                fresh = front[1]
-            else:
-                fresh = index.reach(relayers) & ~(reached | left)
-                fronts[relayers] = (reached, fresh)
-            reached |= fresh
-            sender, kind, ct, seq, _ = copy
-            # A relayed copy is never heard at one hop: the flood reached its
-            # origin first, so the origin relays nothing.
-            readers = fresh & reads[kind, False]
-            if readers:
-                readers &= _addressees(material, copy)
-            # Of the copies a reader hears, the smallest relayer's wins: the
-            # lowest bit of the relayers in its range.
-            for rcv in _ids_of(readers):
-                heard = relayers & neighbors[rcv][0]
-                winner = (heard & -heard).bit_length() - 2
-                inboxes.setdefault(rcv, []).append(Envelope(sender, kind, ct, seq, winner))
-        else:
-            copy = copies[0]
-        all_reached[key] = reached
-        relaying = (reached ^ start) & ~1  # newly reached, less the base station's bit 0
-        if relaying:
-            world.relayed[key] = (copy, relaying)
-    return inboxes
-
-
 def _adversary_step(
     world: World, adv: Adversary, inbox: list[Envelope], victims: int
 ) -> list[Envelope]:
@@ -651,7 +262,7 @@ def _adversary_step(
             claimed = adv.id
             key_id = 10**6 - adv.id
         else:
-            claimed = _kth_id(victims, (world.round // 2) % victims.bit_count())
+            claimed = kth_id(victims, (world.round // 2) % victims.bit_count())
             key_id = world.material.individual_keys[claimed].id
         adv.seq += 1
         ct = Ciphertext(key_id, world.rng.randbytes(9), world.rng.randbytes(8))
@@ -674,8 +285,12 @@ def _adversary_step(
 
 def step(world: World) -> None:
     """Advance the whole field by one round."""
-    inboxes = _deliver(world)
     material = world.material
+    replayers = [adv.id for adv in world.adversaries if adv.behavior == "replay"]
+    inboxes, relays = deliver(
+        world.sends, world.relayed, world.reached, world.radio_index(), world._role_index(), material, replayers
+    )
+    world.sends, world.relayed = [], relays
     events = world.events
     round_no = world.round
 
@@ -796,7 +411,7 @@ def inject_adversary(
     if positions is not None:
         if len(positions) != count:
             raise ValueError("need one position per adversary")
-        positions = [_spot(pos) for pos in positions]
+        positions = [spot(pos) for pos in positions]
     ids = []
     for i in range(count):
         aid = -2 - len(world.adversaries)
@@ -913,16 +528,16 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     states = world.states
     neighbors = world.radio_index().neighbors
     left = _LEFT
-    on_field = _mask_of(v for v, st in states.items() if st.phase is not left)
-    chosen = _mask_of(v for v in outcome.dominator_set if v in states) & on_field
+    on_field = mask_of(v for v, st in states.items() if st.phase is not left)
+    chosen = mask_of(v for v in outcome.dominator_set if v in states) & on_field
     covered = chosen
-    for v in _ids_of(chosen):
+    for v in ids_of(chosen):
         covered |= neighbors[v][0]
     dominating = not on_field & ~covered
     seen = frontier = on_field & -on_field
     while frontier:
         near = 0
-        for v in _ids_of(frontier):
+        for v in ids_of(frontier):
             near |= neighbors[v][0]
         frontier = near & on_field & ~seen
         seen |= frontier

@@ -237,6 +237,13 @@ class TestSim:
         assert proc.stderr == "wrote t.jsonl\n"
         assert (tmp_path / "t.jsonl").read_text().count("\n") > 0
 
+    def test_bad_trace_path_writes_no_outcome(self, tmp_path):
+        cfg = write_config(tmp_path)
+        proc = run_cli("sim", "--config", str(cfg), "--out", "o.json", "--trace", "missing/t.jsonl", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert not (tmp_path / "o.json").exists()
+
     def test_seed_flag_beats_config(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = run_cli("sim", "--config", str(cfg), "--seed", "7", cwd=tmp_path)

@@ -9,6 +9,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies
 
+import wcds.radio as radio
 import wcds.sim as sim_module
 from conftest import (
     connected_within,
@@ -23,12 +24,9 @@ from test_golden import SIM_CASES as GOLDEN_CASES, churn_world, race_run
 from wcds.graph import radius_for_expected_degree, unit_disk_graph
 from wcds.keys import Ciphertext, Rank, encrypt, provision
 from wcds.protocol import (
-    ADDRESSED,
     APPROVAL_TIMEOUT,
     BS_ID,
-    FIRST_PER_SENDER,
-    HANDLERS,
-    HOP1_ONLY,
+    DELIVERY,
     Envelope,
     Phase,
     _hop1,
@@ -67,6 +65,11 @@ def rebuilt(world):
     twin = copy.copy(world)
     twin._radio = twin._busy = twin._roles = None
     return twin
+
+
+def fresh_index(world):
+    """The radio index of ``world``'s positions, built afresh."""
+    return radio.build_index(world.positions, world.radius)
 
 
 class TestPlacement:
@@ -263,10 +266,10 @@ class TestRunControl:
         assert assemble_outcome(a) == assemble_outcome(b)
 
 
-def radio_neighbors(world):
-    """Every radio in range of each radio, in id order, read off the world's
-    radio index: its adversaries, then the protocol radios of its mask."""
-    return {v: [*advs, *radios(near)] for v, (near, advs) in world.radio_index().neighbors.items()}
+def radio_neighbors(index):
+    """Every radio in range of each radio, in id order, read off a radio
+    index: its adversaries, then the protocol radios of its mask."""
+    return {v: [*advs, *radios(near)] for v, (near, advs) in index.neighbors.items()}
 
 
 class TestRadioIndex:
@@ -288,7 +291,7 @@ class TestRadioIndex:
     def check(self, world):
         # Both lists are in id order, so this checks each radio's adversary
         # tuple, its mask and the order of the tuple.
-        assert radio_neighbors(world) == self.pair_loop(world)
+        assert radio_neighbors(world.radio_index()) == self.pair_loop(world)
 
     def test_neighbors_match_pair_loop_through_churn(self):
         m = provision([9] * 6, reserve_fraction=0.3, seed=2)
@@ -352,8 +355,7 @@ class TestRadioIndex:
             else:  # any radio, the base station and adversaries included
                 radios = sorted(w.positions)
                 w._place(radios[pick % len(radios)], spot)
-            spliced, fresh = w.radio_index(), rebuilt(w).radio_index()
-            assert spliced.neighbors == fresh.neighbors
+            assert w.radio_index().neighbors == fresh_index(w).neighbors
         self.check(w)
 
     @staticmethod
@@ -407,7 +409,7 @@ class TestRadioIndex:
         with pytest.raises(ValueError, match="finite"):
             inject_adversary(w, 1, "replay", positions=[(0.0, math.nan)])
         assert 2 not in w.positions and 2 not in w.states and not w.adversaries
-        assert w.radio_index().neighbors == before == rebuilt(w).radio_index().neighbors
+        assert w.radio_index().neighbors == before == fresh_index(w).neighbors
 
     @pytest.mark.parametrize(
         "spot",
@@ -431,11 +433,11 @@ class TestRadioIndex:
             inject_adversary(w, 1, "replay", positions=[spot])
         assert w.positions == positions and 2 not in w.states and not w.adversaries
         assert w.states[1].phase is Phase.LEFT
-        assert w.radio_index().neighbors == before == rebuilt(w).radio_index().neighbors
+        assert w.radio_index().neighbors == before == fresh_index(w).neighbors
         # The next join is spliced against every position stored so far.
         late_join(w, 2, position=(15, 5))
         assert w.positions[2] == (15.0, 5.0) and all(type(c) is float for c in w.positions[2])
-        assert w.radio_index().neighbors == rebuilt(w).radio_index().neighbors
+        assert w.radio_index().neighbors == fresh_index(w).neighbors
 
 
 class TestRadioMasks:
@@ -450,17 +452,17 @@ class TestRadioMasks:
         ids=["empty", "base station", "byte boundary", "2000 ids"],
     )
     def test_ids_and_masks_round_trip(self, ids, mask):
-        assert sim_module._mask_of(ids) == mask
-        assert sim_module._ids_of(mask) == radios(mask) == ids
+        assert radio.mask_of(ids) == mask
+        assert radio.ids_of(mask) == radios(mask) == ids
 
     @settings(max_examples=200, deadline=None)
     @given(ids=strategies.sets(strategies.integers(BS_ID, 1200), min_size=1), pick=strategies.integers(0))
     def test_kth_id_is_the_kth_of_the_ids(self, ids, pick):
         """Over masks holding the base station's bit 0 or not, and ids past
         500, the k-th-bit search agrees with listing the ids."""
-        mask = sim_module._mask_of(ids)
+        mask = radio.mask_of(ids)
         k = pick % len(ids)
-        assert sim_module._kth_id(mask, k) == sim_module._ids_of(mask)[k] == sorted(ids)[k]
+        assert radio.kth_id(mask, k) == radio.ids_of(mask)[k] == sorted(ids)[k]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -478,7 +480,7 @@ class TestRadioMasks:
         # join, move and adversary drop, when any answer kept from an earlier
         # index may be stale.
         first = sorted(v for v in w.radio_index().neighbors if v >= BS_ID)
-        kept = [sim_module._mask_of(v for j, v in enumerate(first) if p >> j & 1) for p in picks]
+        kept = [radio.mask_of(v for j, v in enumerate(first) if p >> j & 1) for p in picks]
 
         def check():
             # Every radio alone, masks over the protocol radios on the field
@@ -486,8 +488,8 @@ class TestRadioMasks:
             # the start; each asked twice: the second answer is the kept one.
             index = w.radio_index()
             on = sorted(v for v in index.neighbors if v >= BS_ID)
-            masks = [sim_module._mask_of([v]) for v in on]
-            masks += [sim_module._mask_of(v for j, v in enumerate(on) if p >> j & 1) for p in picks]
+            masks = [radio.mask_of([v]) for v in on]
+            masks += [radio.mask_of(v for j, v in enumerate(on) if p >> j & 1) for p in picks]
             for mask in masks + kept:
                 union = 0
                 for v in radios(mask):
@@ -510,27 +512,56 @@ class TestRadioMasks:
             check()
 
 
-def fan_out(world):
-    """Reference delivery: every in-flight copy, in transmission order, to every
-    radio in range of its transmitter except departed sensors. Duplicate and
-    already-seen flood copies are left for the steps to drop."""
+#: The delivery rules, written out here rather than read from
+#: ``protocol.DELIVERY``, so that a wrong entry there fails a test instead of
+#: being copied into both sides. ``READS``: the kinds each part's step reads
+#: (README's table). ``HOP1``: those it reads only heard at one hop.
+#: ``ADDRESSED_TO``: the key-addressed kinds, each for the owner of the key
+#: it is sealed under, or for that owner only under an individual key.
+#: ``FIRST_ONLY``: the kinds of which a reader gets only the lowest-seq hop-1
+#: copy each sensor sends in a round.
+K = MessageKind
+DOMINATOR_READS = {K.ADOPT_CMD, K.JOIN_REQ, K.GD_ERR, K.LEAVE}
+READS = {
+    Rank.OS: {K.REKEY, K.JOIN_APRV, K.PROMOTE_CMD},
+    Rank.GD: DOMINATOR_READS,
+    Rank.GD_OS: DOMINATOR_READS,
+    BS_ID: {K.GD_ERR, K.ORP_ERR},
+}
+DOMINATOR_HOP1 = {K.JOIN_REQ, K.GD_ERR, K.LEAVE}
+HOP1 = {Rank.OS: {K.JOIN_APRV}, Rank.GD: DOMINATOR_HOP1, Rank.GD_OS: DOMINATOR_HOP1, BS_ID: set()}
+ADDRESSED_TO = {K.PROMOTE_CMD: "owner", K.ADOPT_CMD: "owner", K.REKEY: "individual owner"}
+FIRST_ONLY = {K.JOIN_APRV}
+
+
+def field_roles(material, sensors):
+    """The role masks of a field holding the base station and ``sensors``,
+    each playing its provisioned rank, none departed."""
+    roles = dict.fromkeys((*Rank, BS_ID, None), 0)
+    roles[BS_ID] = radio.mask_of([BS_ID])
+    for v in sensors:
+        roles[material.ranks[v]] |= radio.mask_of([v])
+    return roles
+
+
+def fan_out(sends, relayed, index, roles):
+    """Reference delivery: every copy in the air, in transmission order, to
+    every radio in range of its transmitter except departed sensors.
+    Duplicate and already-seen flood copies are left for the steps to drop."""
     inboxes = {}
-    neighbors = radio_neighbors(world)
-    for env in world.inflight:
+    neighbors = radio_neighbors(index)
+    departed = set(radios(roles[None]))
+    for env in radio.transmissions(sends, relayed):
         for rcv in neighbors[env.transmitter]:
-            st = world.states.get(rcv)
-            if st is not None and st.phase is Phase.LEFT:
-                continue
-            inboxes.setdefault(rcv, []).append(env)
+            if rcv not in departed:
+                inboxes.setdefault(rcv, []).append(env)
     return inboxes
 
 
-def fan_out_deliver(world):
-    """The reference fan-out in ``_deliver``'s shape, with no relays for the
-    radio layer to send: the reference step relays for itself."""
-    inboxes = fan_out(world)
-    world.sends, world.relayed = [], {}
-    return inboxes
+def fan_out_deliver(sends, relayed, reached, index, roles, keys, replayers):
+    """The reference fan-out in ``radio.deliver``'s shape, with no relays
+    for the radio layer to send: the reference step relays for itself."""
+    return fan_out(sends, relayed, index, roles), {}
 
 
 def relaying(step_fn, seen, sends_relays=True):
@@ -564,78 +595,78 @@ def payload(env):
 
 
 class DeliveryCheck:
-    """Stands in for sim._deliver: delivers for real, and asserts each round
-    that ``replay`` adversaries overhear exactly the reference fan-out's
-    copies and the other adversaries get nothing, that
-    every protocol radio's inbox holds only copies the fan-out gave it and of
+    """Stands in for ``radio.deliver``: delivers for real, and asserts each
+    round that ``replay`` adversaries overhear exactly the reference
+    fan-out's copies and the other adversaries get nothing, that every
+    protocol radio's inbox holds only copies the fan-out gave it and of
     kinds its step reads, of a flood the one with the smallest transmitter,
-    of a sensor's hop-1 approvals (``FIRST_PER_SENDER``) at most one, its
-    lowest-seq copy this round, and of an adversary's every one in range,
-    and that the relay records come in flood-key order, each naming in
-    ascending order sensors on the field that the fan-out gave that flood.
-    It counts the relayed floods that advanced without a ``reach`` call of
-    their own, on a front another flood of the round shared."""
+    of a sensor's hop-1 approvals (``FIRST_ONLY``) at most one, its lowest-seq
+    copy this round, and of an adversary's every one in range, and that the
+    relay records come in flood-key order, each naming in ascending order
+    sensors on the field that the fan-out gave that flood. It counts the
+    relayed floods that advanced without a ``reach`` call of their own, on a
+    front another flood of the round shared."""
 
-    deliver = staticmethod(sim_module._deliver)
+    deliver = staticmethod(radio.deliver)
 
     def __init__(self):
         self.rounds = self.skipped_copies = self.replayed_floods_kept = self.approvals_withheld = 0
         self.fronts_shared = 0
 
-    def __call__(self, world):
-        expected = fan_out(world)
-        replayed = [env for env in world.sends if env.kind in FLOOD_KINDS and env.transmitter < BS_ID]
-        before = {flood_key(env): set(radios(world.reached[flood_key(env)])) for env in replayed}
+    def __call__(self, sends, relayed, reached, index, roles, keys, replayers):
+        expected = fan_out(sends, relayed, index, roles)
+        replayed = [env for env in sends if env.kind in FLOOD_KINDS and env.transmitter < BS_ID]
+        before = {flood_key(env): set(radios(reached[flood_key(env)])) for env in replayed}
         lowest = {}  # per sensor sending hop-1 approvals this round, its lowest seq
-        for env in world.sends:
-            if env.kind in FIRST_PER_SENDER and env.transmitter == env.sender >= 0:
+        for env in sends:
+            if env.kind in FIRST_ONLY and env.transmitter == env.sender >= 0:
                 lowest[env.sender] = min(lowest.get(env.sender, env.seq), env.seq)
-        relayed, reach, calls = len(world.relayed), sim_module.RadioIndex.reach, []
+        reach, calls = radio.RadioIndex.reach, []
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(sim_module.RadioIndex, "reach", lambda index, mask: calls.append(mask) or reach(index, mask))
-            inboxes = self.deliver(world)
-        assert len(calls) <= relayed, world.round
-        self.fronts_shared += relayed - len(calls)
+            m.setattr(radio.RadioIndex, "reach", lambda index, mask: calls.append(mask) or reach(index, mask))
+            inboxes, relays = self.deliver(sends, relayed, reached, index, roles, keys, replayers)
+        rnd = self.rounds
+        assert len(calls) <= len(relayed), rnd
+        self.fronts_shared += len(relayed) - len(calls)
         self.rounds += 1
-        replays = {adv.id for adv in world.adversaries if adv.behavior == "replay"}
+        part_of = {v: part for part, mask in roles.items() for v in radios(mask)}
         for rcv in set(expected) | set(inboxes):
             want, have = expected.get(rcv, []), inboxes.get(rcv, [])
             if rcv < BS_ID:
-                assert have == (want if rcv in replays else []), (world.round, rcv)
-                assert rcv in replays or rcv not in inboxes, (world.round, rcv)
+                assert have == (want if rcv in replayers else []), (rnd, rcv)
+                assert rcv in replayers or rcv not in inboxes, (rnd, rcv)
                 continue
-            reads = HANDLERS[BS_ID if rcv == BS_ID else world.states[rcv].rank]
-            assert all(env in want and env.kind in reads for env in have), (world.round, rcv)
+            reads = READS[part_of[rcv]]
+            assert all(env in want and env.kind in reads for env in have), (rnd, rcv)
             for env in have:  # of a flood's copies in range, the smallest transmitter's
                 if env.kind in FLOOD_KINDS:
                     heard = [e.transmitter for e in want if flood_key(e) == flood_key(env)]
-                    assert env.transmitter == min(heard), (world.round, rcv)
+                    assert env.transmitter == min(heard), (rnd, rcv)
             # Hop-1 approvals: of each sensor sender in range its lowest-seq
             # copy alone; every copy an adversary sends under its own id.
-            sent = [env for env in want if env.kind in FIRST_PER_SENDER and env.kind in reads and _hop1(env)]
-            firsts = [env for env in have if env.kind in FIRST_PER_SENDER and _hop1(env)]
+            sent = [env for env in want if env.kind in FIRST_ONLY and env.kind in reads and _hop1(env)]
+            firsts = [env for env in have if env.kind in FIRST_ONLY and _hop1(env)]
             senders = [env.sender for env in firsts if env.sender >= 0]
-            assert sorted(senders) == sorted({env.sender for env in sent if env.sender >= 0}), (world.round, rcv)
-            assert all(env.seq == lowest[env.sender] for env in firsts if env.sender >= 0), (world.round, rcv)
-            assert all(env in have for env in sent if env.sender < BS_ID), (world.round, rcv)
+            assert sorted(senders) == sorted({env.sender for env in sent if env.sender >= 0}), (rnd, rcv)
+            assert all(env.seq == lowest[env.sender] for env in firsts if env.sender >= 0), (rnd, rcv)
+            assert all(env in have for env in sent if env.sender < BS_ID), (rnd, rcv)
             self.approvals_withheld += len(sent) - len(firsts)
             self.skipped_copies += len(want) - len(have)
-        assert list(world.relayed) == sorted(world.relayed), world.round
-        for key, (copy, relayers) in world.relayed.items():
+        assert list(relays) == sorted(relays), rnd
+        for key, (copy, relayers) in relays.items():
             ids = radios(relayers)
-            assert ids and ids == sorted(set(ids)), (world.round, key)
+            assert ids and ids == sorted(set(ids)), (rnd, key)
             assert flood_key(copy) == key and copy.kind in FLOOD_KINDS
             for relayer in ids:
-                assert world.states[relayer].phase is not Phase.LEFT
-                assert payload(copy) in map(payload, expected[relayer]), (world.round, key, relayer)
+                assert part_of[relayer] is not None, (rnd, key, relayer)  # not departed
+                assert payload(copy) in map(payload, expected[relayer]), (rnd, key, relayer)
         # A replayed copy sorts ahead of every legitimate one, so a radio in
         # its range that the flood reached this round was reached by a replay.
-        neighbors = world.radio_index().neighbors
         for env in replayed:
             key = flood_key(env)
-            if (set(radios(world.reached[key])) - before[key]) & set(radios(neighbors[env.transmitter][0])):
+            if (set(radios(reached[key])) - before[key]) & set(radios(index.neighbors[env.transmitter][0])):
                 self.replayed_floods_kept += 1
-        return inboxes
+        return inboxes, relays
 
 
 def pending_with_busy(pending, may_work):
@@ -661,12 +692,12 @@ def twin_runs(drive):
     transmissions and leave the same events and outcome."""
     check = DeliveryCheck()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(sim_module, "_deliver", check)
+        m.setattr(sim_module, "deliver", check)
         fast_sent = record_transmissions(m)
         fast = drive()
     with pytest.MonkeyPatch.context() as m:
         slow_sent = record_transmissions(m)
-        m.setattr(sim_module, "_deliver", fan_out_deliver)
+        m.setattr(sim_module, "deliver", fan_out_deliver)
         seen = {}  # shared: a promoted sensor moves from os_step to gd_step
         m.setattr(sim_module, "os_step", relaying(sim_module.os_step, seen))
         m.setattr(sim_module, "gd_step", relaying(sim_module.gd_step, seen))
@@ -831,22 +862,23 @@ class TestDelivery:
         reached mask at the relay differs: it gets a layer of its own,
         without the base station, which keeps the adversary's copy alone."""
         m = provision([2, 2])
-        w = make_world(m, {BS_ID: (30.0, 10.0), **{v: (10.0 * v + 10.0, 0.0) for v in range(5)}}, radius=12.0)
-        adv = inject_adversary(w, 1, "replay", positions=[(30.0, 20.0)])[0]
+        adv = -2
+        positions = {BS_ID: (30.0, 10.0), adv: (30.0, 20.0), **{v: (10.0 * v + 10.0, 0.0) for v in range(5)}}
+        index = radio.build_index(positions, 12.0)
         ct = Ciphertext(0, b"orphan", b"tag")
         first, second = (Envelope(4, MessageKind.GD_ERR, ct, seq, 4) for seq in (1, 2))
+        reached, relayed = {}, {}
         for env in (first, second):  # in key order
-            w.reached[flood_key(env)] = sim_module._mask_of([2, 3, 4])
-            w.relayed[flood_key(env)] = (env._replace(transmitter=2), sim_module._mask_of([2]))
-        if replayed:
-            w.sends.append(second._replace(transmitter=adv))
+            reached[flood_key(env)] = radio.mask_of([2, 3, 4])
+            relayed[flood_key(env)] = (env._replace(transmitter=2), radio.mask_of([2]))
+        sends = [second._replace(transmitter=adv)] if replayed else []
         check = DeliveryCheck()
-        inboxes = check(w)
+        inboxes, relays = check(sends, relayed, reached, index, field_roles(m, range(5)), m, [adv])
         assert check.fronts_shared == (0 if replayed else 1)
         assert [(env.seq, env.transmitter) for env in inboxes[BS_ID]] == [(1, 2), (2, adv if replayed else 2)]
         for env in (first, second):
-            assert radios(w.reached[flood_key(env)]) == [BS_ID, 1, 2, 3, 4]
-            assert radios(w.relayed[flood_key(env)][1]) == [1]
+            assert radios(reached[flood_key(env)]) == [BS_ID, 1, 2, 3, 4]
+            assert radios(relays[flood_key(env)][1]) == [1]
 
     @settings(max_examples=6, deadline=None)
     @given(seed=strategies.integers(0, 10**6), behavior=strategies.sampled_from(ADVERSARY_BEHAVIORS))
@@ -872,58 +904,59 @@ class TestFirstApprovalPerSender:
             for seq, m in enumerate(members, start=3)
         ]
 
+    @staticmethod
+    def delivered(material, spots, sends):
+        """The inboxes ``sends`` fill on a field of the base station at the
+        origin and the radios at ``spots``, at radius 12."""
+        index = radio.build_index({BS_ID: (0.0, 0.0), **spots}, 12.0)
+        roles = field_roles(material, [v for v in spots if v >= 0])
+        return radio.deliver(sends, {}, {}, index, roles, material, [])[0]
+
     def test_a_sensors_lowest_seq_copy_alone(self):
         m = provision([2])
-        w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (15.0, 5.0)})
         sent = self.approvals(0, m.group_keys[0], [1, 2, 1])
-        w.sends = list(sent)
-        inboxes = sim_module._deliver(w)
+        inboxes = self.delivered(m, {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (15.0, 5.0)}, sent)
         assert inboxes[1] == inboxes[2] == [sent[0]]
 
     def test_every_forged_approval_arrives(self):
         m = provision([1])
-        w = line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0)})
-        inject_adversary(w, 1, "forge_approve", positions=[(21.0, 0.0)])
         forged = self.approvals(-2, m.group_keys[0], [1, 1, 1])
-        w.sends = list(forged)
-        assert sim_module._deliver(w)[1] == forged
+        assert self.delivered(m, {0: (10.0, 0.0), 1: (20.0, 0.0), -2: (21.0, 0.0)}, forged)[1] == forged
 
 
 def withheld(material, part, node, env):
     """Whether the delivery rules keep ``env`` from the step of ``node``,
     which plays ``part`` (a rank, or ``BS_ID``): a copy not heard at one hop
-    of a kind the part reads only at one hop (``HOP1_ONLY``), or a
-    key-addressed copy (``ADDRESSED``) sealed under a key ``node`` does not
-    own."""
-    if env.transmitter != env.sender and env.kind in HOP1_ONLY[part]:
+    of a kind the part reads only at one hop (``HOP1``), or a key-addressed
+    copy (``ADDRESSED_TO``) sealed under a key ``node`` does not own."""
+    if env.transmitter != env.sender and env.kind in HOP1[part]:
         return True
-    group_too = ADDRESSED.get(env.kind)
-    if group_too is None:
+    to = ADDRESSED_TO.get(env.kind)
+    if to is None:
         return False
     key_id = env.ciphertext.key_id
     owner = material.owners.get(key_id)
     own = material.individual_keys.get(owner)
-    addressed = group_too or owner is None or (own is not None and own.id == key_id)
+    addressed = to == "owner" or owner is None or (own is not None and own.id == key_id)
     return addressed and owner != node
 
 
 def record_deliveries(m):
-    """Record, for each round ``_deliver`` runs under the MonkeyPatch ``m``,
-    the reference fan-out, the inboxes delivered and the part each protocol
-    radio on the field plays then (its rank, ``BS_ID`` for the base
+    """Record, for each round ``radio.deliver`` runs under the MonkeyPatch
+    ``m``, the reference fan-out, the inboxes delivered and the part each
+    protocol radio on the field plays then (its rank, ``BS_ID`` for the base
     station)."""
     rounds = []
-    real = sim_module._deliver
+    real = radio.deliver
 
-    def recorded(world):
-        want = fan_out(world)
-        parts = {v: st.rank for v, st in world.states.items() if st.phase is not Phase.LEFT}
-        parts[BS_ID] = BS_ID
-        have = real(world)
+    def recorded(sends, relayed, reached, index, roles, keys, replayers):
+        want = fan_out(sends, relayed, index, roles)
+        parts = {v: part for part, mask in roles.items() if part is not None for v in radios(mask)}
+        have, relays = real(sends, relayed, reached, index, roles, keys, replayers)
         rounds.append((want, have, parts))
-        return have
+        return have, relays
 
-    m.setattr(sim_module, "_deliver", recorded)
+    m.setattr(sim_module, "deliver", recorded)
     return rounds
 
 
@@ -960,6 +993,24 @@ class TestDeliveryRules:
                 for env in envs:
                     if env.kind is kind and rcv >= BS_ID:
                         yield env, rcv, want, parts
+
+    def test_reader_table(self):
+        """The parts ``radio`` derives, per kind and whether a copy is heard
+        at one hop, to read it: README's who-reads-what table, where a copy
+        relayed or replayed reaches none of a kind's hop-1 readers."""
+        os, bs, gds = {Rank.OS}, {BS_ID}, {Rank.GD, Rank.GD_OS}
+        table = {
+            K.ADOPT_CMD: (gds, gds),
+            K.PROMOTE_CMD: (os, os),
+            K.REKEY: (os, os),
+            K.JOIN_REQ: (gds, set()),
+            K.JOIN_APRV: (os, set()),
+            K.GD_ERR: (gds | bs, bs),
+            K.ORP_ERR: (bs, bs),
+            K.LEAVE: (gds, set()),
+        }
+        want = {(kind, hop1): parts for kind, pair in table.items() for hop1, parts in zip((True, False), pair)}
+        assert {key: set(parts) for key, parts in radio.READERS.items()} == want
 
     @pytest.mark.parametrize("name", ["churn", "forge"])
     @pytest.mark.parametrize(
@@ -1042,7 +1093,7 @@ class TestDeliveryRules:
                 part = parts[rcv]
                 delivered = have.get(rcv, [])
                 for env in envs:
-                    if env.kind in HANDLERS[part] and withheld(world.material, part, rcv, env):
+                    if env.kind in READS[part] and withheld(world.material, part, rcv, env):
                         assert env not in delivered, (rcv, env)
                         kept += 1
         assert kept > 100
@@ -1128,12 +1179,12 @@ class TestWithheldCopiesChangeNothing:
             st = world.states[node]
             part = st.rank
             for env in withheld_candidates(world, node, rng):
-                if env.kind not in HANDLERS[part] or not withheld(material, part, node, env):
+                if env.kind not in READS[part] or not withheld(material, part, node, env):
                     continue
                 trial = copy.deepcopy(st)
                 keys = (dict(material.group_keys), dict(material.owners))
                 events, out = [], []
-                handler = HANDLERS[part][env.kind]
+                handler = DELIVERY[part][env.kind].handler
                 if part is Rank.OS:
                     handler(trial, env, world.round, events)
                 else:
@@ -1150,8 +1201,8 @@ class TestWithheldCopiesChangeNothing:
         (one key, seq ascending), under the dominator's group key and under the
         reader's own group key, to sensors as they stand and as if awaiting
         approval: once the first is handled, each later one changes nothing
-        and notes nothing (``FIRST_PER_SENDER``)."""
-        handler = HANDLERS[Rank.OS][MessageKind.JOIN_APRV]
+        and notes nothing (``FIRST_ONLY``)."""
+        handler = DELIVERY[Rank.OS][MessageKind.JOIN_APRV].handler
         states = world.states
         sensors = sorted(v for v, st in states.items() if st.rank is Rank.OS and st.phase is not Phase.LEFT)
         dominators = sorted(v for v, st in states.items() if st.rank is not Rank.OS and st.phase is not Phase.LEFT)
@@ -1196,7 +1247,7 @@ RECORDED_RUNS = [*GOLDEN_CASES, "churn", "churn_run"]
 
 class TestRecorder:
     """The transmissions recorded through ``World.inflight`` are what the
-    world counts, in the transmission order the module docstring gives."""
+    world counts, in the transmission order ``radio``'s docstring gives."""
 
     @pytest.mark.parametrize("name", RECORDED_RUNS)
     def test_matches_counters(self, monkeypatch, name):
@@ -1580,7 +1631,7 @@ class TestStateIndices:
         for mask in parts.values():
             assert not union & mask, world.round
             union |= mask
-        assert union == sim_module._mask_of([BS_ID, *world.states]), world.round
+        assert union == radio.mask_of([BS_ID, *world.states]), world.round
 
     @staticmethod
     def lonely_spot(world):
@@ -1627,7 +1678,7 @@ class TestStateIndices:
             run(w)
         promoted = [v for v, st in w.states.items() if st.rank is Rank.GD_OS]
         parts = w._role_index()
-        assert len(promoted) >= 3 and set(promoted).isdisjoint(sim_module._ids_of(parts[Rank.OS] | parts[None]))
+        assert len(promoted) >= 3 and set(promoted).isdisjoint(radio.ids_of(parts[Rank.OS] | parts[None]))
         assert len(rounds) > 40 and not w._busy_sensors()
 
 
@@ -1656,7 +1707,7 @@ class TestAdversaries:
         with pytest.raises(ValueError):
             inject_adversary(w, 2, "replay", positions=[(1.0, 1.0), (1.0, 2.0, 3.0)])
         assert w.adversaries == adversaries and w.positions == positions
-        assert w.radio_index().neighbors == neighbors == rebuilt(w).radio_index().neighbors
+        assert w.radio_index().neighbors == neighbors == fresh_index(w).neighbors
         assert inject_adversary(w, 1, "replay") == [-3]
 
     def test_adversaries_never_enter_the_roster(self):
@@ -1838,7 +1889,7 @@ class TestVerify:
         index.unions.clear()
         on = sorted(v for v in index.neighbors if v >= BS_ID)
         for k in (1, 2, 3):
-            index.reach(sim_module._mask_of(on[::k]))
+            index.reach(radio.mask_of(on[::k]))
         reaches, unions = dict(index.reaches), dict(index.unions)
         outcome = assemble_outcome(world)
         for dominators in (outcome.dominator_set, outcome.dominator_set[1:], ()):
