@@ -157,14 +157,22 @@ def _cmd_sim(args) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     status = sys.stderr if args.out is None else sys.stdout  # stdout holds the document alone
     # Every output is opened, the trace first, before any is written, so a
-    # bad path writes nothing.
-    with _opened(args.trace) as trace, _opened(args.out) as out:
-        (out or sys.stdout).write(text)
-        if out is not None:
-            print(f"wrote {args.out}")
-        if trace is not None:
-            _write_trace(trace, world.events)
-            print(f"wrote {args.trace}", file=status)
+    # bad path writes nothing: a trace opened ahead of a bad --out is removed.
+    with _opened(args.trace) as trace:
+        try:
+            opened_out = _opened(args.out)
+        except OSError:
+            if trace is not None:
+                trace.close()
+                os.remove(args.trace)
+            raise
+        with opened_out as out:
+            (out or sys.stdout).write(text)
+            if out is not None:
+                print(f"wrote {args.out}")
+            if trace is not None:
+                _write_trace(trace, world.events)
+                print(f"wrote {args.trace}", file=status)
     return 0
 
 

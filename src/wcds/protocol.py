@@ -196,17 +196,6 @@ def _send(state, kind: MessageKind, ct: Ciphertext) -> Envelope:
 # ---------------------------------------------------------------- ordinary sensor
 
 
-def os_idle(state: NodeState, round_no: int) -> bool:
-    """True when ``os_step`` on an empty inbox would change nothing and send
-    nothing: the sensor has left, or it is not due to announce, to time out
-    an approval wait, or to leave."""
-    if state.phase is _LEFT:
-        return True
-    if state.join_round is None or state.pending_leave:
-        return False
-    return state.phase is not _AWAITING or round_no < state.join_round + APPROVAL_TIMEOUT
-
-
 def os_step(
     state: NodeState,
     inbox: Iterable[Envelope],

@@ -31,8 +31,7 @@ adversary can forge every claimed field but not where a copy came from.
   order, and each reaches the radios in its range the flood has not reached.
   So the smallest transmitter wins: the copy a step working through its
   sorted inbox would act on. The next layer, ``reach(relayers)`` less what
-  the flood has reached and the departed, relays next round. Floods whose
-  relayer and reached masks agree share one ``reach`` a round. A relay
+  the flood has reached and the departed, relays next round. A relay
   becomes an envelope only for a radio whose step reads it, sent by the
   lowest relayer in that radio's range.
 - *Departed sensors* receive nothing and are never marked reached, so a
@@ -325,9 +324,6 @@ def deliver(
         for rcv in ids_of(neighbors[env.transmitter][0] & readers):
             inboxes.setdefault(rcv, []).append(env)
     relays: dict[tuple, tuple[Envelope, int]] = {}
-    # Per relayer mask, the reached mask a flood last advanced from and its
-    # new layer: a flood on the same front this round shares both.
-    fronts: dict[int, tuple[int, int]] = {}
     # With no copy sent as such, the relayed floods are all, in key order.
     for key in sorted(floods.keys() | relayed.keys()) if floods else relayed:
         copies = floods.get(key, [])
@@ -348,12 +344,7 @@ def deliver(
                 inboxes.setdefault(rcv, []).append(env)
         if key in relayed:
             copy, relayers = relayed[key]
-            front = fronts.get(relayers)
-            if front is not None and front[0] == flood_reached:
-                fresh = front[1]
-            else:
-                fresh = index.reach(relayers) & ~(flood_reached | left)
-                fronts[relayers] = (flood_reached, fresh)
+            fresh = index.reach(relayers) & ~(flood_reached | left)
             flood_reached |= fresh
             sender, kind, ct, seq, _ = copy
             # A relayed copy is never heard at one hop: the flood reached its

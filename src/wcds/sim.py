@@ -7,21 +7,16 @@ their sends, and the relays delivery recorded, as the next round's air.
 With the same provisioning and seed, runs are byte-for-byte reproducible.
 Past transmissions are not kept, only counted by kind in ``World.counters``.
 
-Each round steps only the sensors that may have work: those with an inbox,
-and the ordinary sensors that have not announced, await an approval or have
-a leave pending, in id order. ``leave`` and ``late_join`` add a sensor to that
-set, and a step that leaves it with none of those drops it; one not yet due
-to announce, time out its approval wait or leave is passed over
-(``protocol.os_idle``). The role index, per part a radio plays the mask of
-the radios playing it, is kept the same way: a sensor's bit changes part
-only where it leaves, is promoted or joins. A run whose only
-open work is orphans that nothing can reach any more (nothing in flight, no
-adversary, nothing due) is not stepped at all: its remaining rounds are
-counted as spent, which leaves the world as stepping them would have.
-
-The enum members that the per-sensor and per-message paths read are bound
-to module names once, and hoisted into locals in the whole-field loops: on
-Python 3.11 every read of an enum class's attribute takes a slow path.
+Each round steps, in id order, the sensors with an inbox and the busy
+ones: the ordinary sensors that have not announced, await an approval or
+have a leave pending. ``leave`` and ``late_join`` add a sensor to the busy
+set, and a step that leaves it with none of those drops it. The role index,
+per part a radio plays the mask of the radios playing it, is kept the same
+way: a sensor's bit changes part only where it leaves, is promoted or joins.
+A run whose only open work is orphans that nothing can reach any more
+(nothing in flight, no adversary, nothing due) is not stepped at all: its
+remaining rounds are counted as spent, which leaves the world as stepping
+them would have.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import Sequence
 
 from .graph import radius_for_expected_degree
 from .keys import Ciphertext, KeyMaterial, Rank, group_sizes_for, provision
-from .protocol import BS_ID, BSState, ClusterOutcome, Envelope, NodeState, Phase, bs_step, gd_step, os_idle, os_step
+from .protocol import BS_ID, BSState, ClusterOutcome, Envelope, NodeState, Phase, bs_step, gd_step, os_step
 from .radio import RadioIndex, build_index, deliver, ids_of, kth_id, mask_of, splice, spot, transmissions
 from .wire import MessageKind
 
@@ -55,10 +50,9 @@ _KIND = attrgetter("kind")
 #: On Python 3.11 an enum class's attribute reads take ``EnumType``'s slow
 #: path: on 3.11.7 ``Phase.LEFT`` costs 180-200 ns against 14 ns for a module
 #: global, and ``x in (Phase.JOINED, Phase.LEFT)`` 403 ns against 47 ns for a
-#: prebuilt tuple. The whole-field loops hoist these into locals as well.
+#: prebuilt tuple.
 _OS = Rank.OS
 _IDLE, _AWAITING, _JOINED, _ORPHAN, _LEFT = Phase.IDLE, Phase.AWAITING, Phase.JOINED, Phase.ORPHAN, Phase.LEFT
-_SETTLED_PHASES = (_JOINED, _LEFT)
 _JOIN_REQ, _JOIN_APRV = MessageKind.JOIN_REQ, MessageKind.JOIN_APRV
 
 #: The nested config objects RunConfig.from_dict accepts, each mapping its
@@ -301,24 +295,21 @@ def step(world: World) -> None:
     states = world.states
     busy = world._busy_sensors()
     order = sorted(busy.union(inboxes))
-    os_rank, left = _OS, _LEFT
     for node in order[bisect_left(order, 0) :]:
         st = states[node]
         inbox = inboxes.get(node)
-        if st.rank is not os_rank:  # a dominator, here for its inbox
+        if st.rank is not _OS:  # a dominator, here for its inbox
             out = gd_step(st, inbox, round_no, material, events)[1]
-        elif inbox is None and os_idle(st, round_no):
-            continue  # nothing heard and nothing due: the step would be a no-op
         else:
             out = os_step(st, inbox or [], round_no, events)[1]
             if not _may_work(st):
                 busy.discard(node)
-            if st.rank is not os_rank or st.phase is left:  # promoted or departed
-                world._recast(node, os_rank)
+            if st.rank is not _OS or st.phase is _LEFT:  # promoted or departed
+                world._recast(node, _OS)
         world.sends += out
 
     parts = world._role_index()
-    victims = parts[os_rank] | parts[None] if round_no % 2 else 0
+    victims = parts[_OS] | parts[None] if round_no % 2 else 0
     for adv in sorted(world.adversaries, key=lambda a: -a.id):
         world.sends += _adversary_step(world, adv, inboxes.get(adv.id, []), victims)
 
@@ -346,34 +337,27 @@ def _pending(world: World) -> str:
     """Whether the legitimate side still has work, and whether it can progress.
 
     Legitimate work is a sensor's or the base station's envelope in flight,
-    a pending leave, an ordinary sensor not yet joined, or an undecided
-    base-station record. The field is quiet when the only such work is
-    ORPHAN sensors and nothing can move them: nothing is in flight, no
-    adversary is on the field, and nothing is due. Every later round would
-    then deliver nothing and step nobody.
+    a busy sensor (a pending leave, or an ordinary sensor not yet announced
+    or awaiting approval), an undecided base-station record, or an ORPHAN
+    ordinary sensor. The field is quiet when the only such work is ORPHAN
+    sensors and nothing can move them: nothing is in flight, no adversary is
+    on the field, and nothing is due. Every later round would then deliver
+    nothing and step nobody.
     """
-    stuck = False
     if world.relayed:  # sensors' relays
         return _BUSY
     for env in world.sends:
         if env.transmitter >= BS_ID:
             return _BUSY
-    if world._busy_sensors():  # sensors the scan below would find with work
+    if world._busy_sensors():
         return _BUSY
-    os_rank, settled, orphan = _OS, _SETTLED_PHASES, _ORPHAN
-    for st in world.states.values():
-        if st.pending_leave:
-            return _BUSY
-        if st.rank is os_rank and st.phase not in settled:
-            if st.phase is not orphan:  # unannounced or awaiting approval
-                return _BUSY
-            stuck = True
     for rec in world.bs.orphans.values():
         if rec.resolution is None:
             return _BUSY
-    if not stuck:
-        return _SETTLED
-    return _QUIET if not world.sends and not world.adversaries else _BUSY
+    for st in world.states.values():
+        if st.phase is _ORPHAN and st.rank is _OS:
+            return _QUIET if not world.sends and not world.adversaries else _BUSY
+    return _SETTLED
 
 
 def run(world: World, max_rounds: int = 64) -> World:
@@ -462,15 +446,14 @@ def assemble_outcome(world: World) -> ClusterOutcome:
     """Fold final node states and base-station records into one summary."""
     states = world.states
     dominators, membership, failures = [], [], []
-    os_rank, joined, left = _OS, _JOINED, _LEFT
     for n in sorted(states):
         st = states[n]
-        if st.rank is not os_rank:
+        if st.rank is not _OS:
             dominators.append(n)
-        elif st.phase is joined:
+        elif st.phase is _JOINED:
             if st.dominator is not None:
                 membership.append((n, st.dominator))
-        elif st.phase is not left:
+        elif st.phase is not _LEFT:
             failures.append(n)
     mediators = []
     for gd in dominators:
@@ -527,8 +510,7 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
         outcome = assemble_outcome(world)
     states = world.states
     neighbors = world.radio_index().neighbors
-    left = _LEFT
-    on_field = mask_of(v for v, st in states.items() if st.phase is not left)
+    on_field = mask_of(v for v, st in states.items() if st.phase is not _LEFT)
     chosen = mask_of(v for v in outcome.dominator_set if v in states) & on_field
     covered = chosen
     for v in ids_of(chosen):

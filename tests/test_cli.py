@@ -244,6 +244,13 @@ class TestSim:
         assert proc.stdout == ""
         assert not (tmp_path / "o.json").exists()
 
+    def test_bad_outcome_path_writes_no_trace(self, tmp_path):
+        cfg = write_config(tmp_path)
+        proc = run_cli("sim", "--config", str(cfg), "--out", "missing/o.json", "--trace", "t.jsonl", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_seed_flag_beats_config(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = run_cli("sim", "--config", str(cfg), "--seed", "7", cwd=tmp_path)

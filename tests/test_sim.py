@@ -603,15 +603,12 @@ class DeliveryCheck:
     of a sensor's hop-1 approvals (``FIRST_ONLY``) at most one, its lowest-seq
     copy this round, and of an adversary's every one in range, and that the
     relay records come in flood-key order, each naming in ascending order
-    sensors on the field that the fan-out gave that flood. It counts the
-    relayed floods that advanced without a ``reach`` call of their own, on a
-    front another flood of the round shared."""
+    sensors on the field that the fan-out gave that flood."""
 
     deliver = staticmethod(radio.deliver)
 
     def __init__(self):
         self.rounds = self.skipped_copies = self.replayed_floods_kept = self.approvals_withheld = 0
-        self.fronts_shared = 0
 
     def __call__(self, sends, relayed, reached, index, roles, keys, replayers):
         expected = fan_out(sends, relayed, index, roles)
@@ -621,13 +618,8 @@ class DeliveryCheck:
         for env in sends:
             if env.kind in FIRST_ONLY and env.transmitter == env.sender >= 0:
                 lowest[env.sender] = min(lowest.get(env.sender, env.seq), env.seq)
-        reach, calls = radio.RadioIndex.reach, []
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(radio.RadioIndex, "reach", lambda index, mask: calls.append(mask) or reach(index, mask))
-            inboxes, relays = self.deliver(sends, relayed, reached, index, roles, keys, replayers)
+        inboxes, relays = self.deliver(sends, relayed, reached, index, roles, keys, replayers)
         rnd = self.rounds
-        assert len(calls) <= len(relayed), rnd
-        self.fronts_shared += len(relayed) - len(calls)
         self.rounds += 1
         part_of = {v: part for part, mask in roles.items() for v in radios(mask)}
         for rcv in set(expected) | set(inboxes):
@@ -702,7 +694,6 @@ def twin_runs(drive):
         m.setattr(sim_module, "os_step", relaying(sim_module.os_step, seen))
         m.setattr(sim_module, "gd_step", relaying(sim_module.gd_step, seen))
         m.setattr(sim_module, "bs_step", relaying(sim_module.bs_step, seen, sends_relays=False))
-        m.setattr(sim_module, "os_idle", lambda state, round_no: False)
         m.setattr(sim_module, "_pending", pending_with_busy(sim_module._pending, sim_module._may_work))
         m.setattr(sim_module, "_may_work", lambda state: state.rank is Rank.OS)
         slow = drive()
@@ -814,7 +805,6 @@ class TestDelivery:
         config = RunConfig(**DELIVERY_FIELD, **extra)
         check = twin_runs(lambda: simulate(config)[0])
         assert check.rounds > 10 and check.skipped_copies > 1000 and check.approvals_withheld > 100
-        assert check.fronts_shared > 0  # some round advanced two floods with one reach
         if behavior == "replay":
             assert check.replayed_floods_kept > 0
 
@@ -853,14 +843,14 @@ class TestDelivery:
         assert check.skipped_copies > 0
 
     @pytest.mark.parametrize("replayed", [False, True])
-    def test_a_front_is_shared_only_at_equal_reached_masks(self, replayed):
+    def test_a_replay_ahead_of_a_relay_keeps_its_copy(self, replayed):
         """Two GD_ERR floods from sensor 4 stand at one front, relayed by
         sensor 2 and having reached 2-4, on a line whose base station hears
-        only sensor 2 and the replaying adversary. Alone, they share one
-        ``reach`` and the base station gets both from sensor 2. When a
-        replayed copy of the second reaches the base station first, its
-        reached mask at the relay differs: it gets a layer of its own,
-        without the base station, which keeps the adversary's copy alone."""
+        only sensor 2 and the replaying adversary. Alone, both advance to
+        sensor 1 and the base station, which gets both from sensor 2. When a
+        replayed copy of the second reaches the base station first, the base
+        station keeps the adversary's copy of it alone, and both floods still
+        end with the same reached mask and sensor 1 relaying."""
         m = provision([2, 2])
         adv = -2
         positions = {BS_ID: (30.0, 10.0), adv: (30.0, 20.0), **{v: (10.0 * v + 10.0, 0.0) for v in range(5)}}
@@ -874,7 +864,6 @@ class TestDelivery:
         sends = [second._replace(transmitter=adv)] if replayed else []
         check = DeliveryCheck()
         inboxes, relays = check(sends, relayed, reached, index, field_roles(m, range(5)), m, [adv])
-        assert check.fronts_shared == (0 if replayed else 1)
         assert [(env.seq, env.transmitter) for env in inboxes[BS_ID]] == [(1, 2), (2, adv if replayed else 2)]
         for env in (first, second):
             assert radios(reached[flood_key(env)]) == [BS_ID, 1, 2, 3, 4]
@@ -1315,7 +1304,8 @@ class TestGdRelay:
 
 
 class TestIdleSkip:
-    """Sensors with an empty inbox and nothing due are not stepped."""
+    """Sensors with an empty inbox are stepped only while busy: not yet
+    announced, awaiting an approval, or with a leave pending."""
 
     @staticmethod
     def count_steps(m):
@@ -1341,7 +1331,8 @@ class TestIdleSkip:
         assert st.join_round == 0 and st.phase is Phase.ORPHAN
         mine = [(e["round"], e["event"]) for e in w.events if e["node"] == 1]
         assert mine == [(0, "join_request"), (APPROVAL_TIMEOUT, "orphaned")]
-        assert [r for v, r in calls if v == 1] == [0, APPROVAL_TIMEOUT]
+        # Stepped while it awaits an approval, and no more once it orphans.
+        assert [r for v, r in calls if v == 1] == list(range(APPROVAL_TIMEOUT + 1))
 
     def test_pending_leave_leaves_that_round(self):
         w = line_world(provision([1]), {0: (10.0, 0.0), 1: (20.0, 0.0)})
@@ -1615,6 +1606,46 @@ class TestChurn:
             leave(w, 1)
 
 
+def pending_by_scan(world):
+    """A reference for ``sim._pending`` that, past the busy set, scans every
+    state for a pending leave and for an ordinary sensor neither joined nor
+    departed, as a settle test that does not trust the busy set must."""
+    stuck = False
+    if world.relayed:
+        return sim_module._BUSY
+    for env in world.sends:
+        if env.transmitter >= BS_ID:
+            return sim_module._BUSY
+    if world._busy_sensors():
+        return sim_module._BUSY
+    for st in world.states.values():
+        if st.pending_leave:
+            return sim_module._BUSY
+        if st.rank is Rank.OS and st.phase not in (Phase.JOINED, Phase.LEFT):
+            if st.phase is not Phase.ORPHAN:  # unannounced or awaiting approval
+                return sim_module._BUSY
+            stuck = True
+    for rec in world.bs.orphans.values():
+        if rec.resolution is None:
+            return sim_module._BUSY
+    if not stuck:
+        return sim_module._SETTLED
+    return sim_module._QUIET if not world.sends and not world.adversaries else sim_module._BUSY
+
+
+#: One churn operation: a leave or a late join of a drawn candidate (the
+#: join at a drawn spot), 1-6 steps, or a run.
+CHURN_OPS = strategies.one_of(
+    strategies.tuples(strategies.just("leave"), strategies.integers(0, 99)),
+    strategies.tuples(
+        strategies.just("late_join"), strategies.integers(0, 99),
+        strategies.floats(0.0, 40.0), strategies.floats(0.0, 40.0),
+    ),
+    strategies.tuples(strategies.just("step"), strategies.integers(1, 6)),
+    strategies.tuples(strategies.just("run")),
+)
+
+
 class TestStateIndices:
     """The sensors that may have work and the part each sensor plays are kept
     in place; after every change they equal indices rebuilt from the states."""
@@ -1680,6 +1711,39 @@ class TestStateIndices:
         parts = w._role_index()
         assert len(promoted) >= 3 and set(promoted).isdisjoint(radio.ids_of(parts[Rank.OS] | parts[None]))
         assert len(rounds) > 40 and not w._busy_sensors()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=strategies.integers(0, 10**6), ops=strategies.lists(CHURN_OPS, min_size=12, max_size=12))
+    def test_busy_set_is_every_sensor_that_may_work(self, seed, ops):
+        """After every step of a random churn schedule, the busy set is the
+        ordinary sensors ``_may_work`` picks, and ``_pending``, which trusts
+        it, answers as the reference that scans every state."""
+        def checked(world):
+            real(world)
+            assert world._busy == {v for v, st in world.states.items() if sim_module._may_work(st)}, world.round
+            assert sim_module._pending(world) == pending_by_scan(world), world.round
+
+        real = sim_module.step
+        m = provision([4, 4, 4], reserve_fraction=0.3, seed=seed)
+        w = deploy(m, PlacementModel("group_clustered", 40.0, 40.0, 15.0), seed=seed + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_module, "step", checked)
+            for op in ops:
+                if op[0] == "leave":
+                    here = sorted(v for v, st in w.states.items() if st.rank is Rank.OS and st.phase is not Phase.LEFT)
+                    if here:
+                        leave(w, here[op[1] % len(here)])
+                elif op[0] == "late_join":
+                    away = sorted(m.reserve - w.states.keys()) + sorted(
+                        v for v, st in w.states.items() if st.phase is Phase.LEFT
+                    )
+                    if away:
+                        late_join(w, away[op[1] % len(away)], position=(op[2], op[3]))
+                elif op[0] == "step":
+                    for _ in range(op[1]):
+                        sim_module.step(w)
+                else:
+                    run(w)
 
 
 class TestAdversaries:
