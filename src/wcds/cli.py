@@ -156,29 +156,42 @@ def _cmd_sim(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     status = sys.stderr if args.out is None else sys.stdout  # stdout holds the document alone
-    # Every output is opened, the trace first, before any is written, so a
-    # bad path writes nothing: a trace opened ahead of a bad --out is removed.
-    with _opened(args.trace) as trace:
-        try:
-            opened_out = _opened(args.out)
-        except OSError:
-            if trace is not None:
-                trace.close()
-                os.remove(args.trace)
-            raise
-        with opened_out as out:
-            (out or sys.stdout).write(text)
-            if out is not None:
-                print(f"wrote {args.out}")
-            if trace is not None:
-                _write_trace(trace, world.events)
-                print(f"wrote {args.trace}", file=status)
+    with _opened(args.out, args.trace) as (out, trace):
+        (out or sys.stdout).write(text)
+        if out is not None:
+            print(f"wrote {args.out}")
+        if trace is not None:
+            _write_trace(trace, world.events)
+            print(f"wrote {args.trace}", file=status)
     return 0
 
 
-def _opened(path: str | None):
-    """``path`` opened for writing text, or a context holding None."""
-    return contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _opened(*paths: str | None):
+    """Each path opened for writing text, or None for None. Every file is
+    opened without truncating it and emptied only once all are open, so a
+    path that cannot be opened leaves each file as it was, and removes the
+    ones this call created."""
+    files, created = [], []
+    with contextlib.ExitStack() as stack:
+        try:
+            for path in paths:
+                if path is None:
+                    files.append(None)
+                    continue
+                existed = os.path.exists(path)
+                files.append(stack.enter_context(open(path, "a", encoding="utf-8", newline="")))
+                if not existed:
+                    created.append(path)
+        except OSError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+        for fh in files:
+            if fh is not None and fh.seekable():
+                fh.truncate(0)
+        yield files
 
 
 #: Events per ``json.dumps`` call in a trace: a batch encodes as fast as the

@@ -6,11 +6,14 @@ bit 0 and id order is bit order. Adversaries stay outside the masks, in
 ascending tuples.
 
 The radio index keeps, per radio, the mask of protocol radios and the
-adversaries in its range. It is built once from the unit-disk pairs, and a
-radio that comes onto the field or moves is spliced in: one distance pass
-finds its neighbours, by the same rule, and only their entries change.
-``reach``, the union of a mask's neighbourhoods, is kept per whole mask and
-per mask byte on the index, so a splice starts with neither.
+adversaries in its range, and the coordinates it was built from. It is built
+once from the unit-disk pairs, and a radio that comes onto the field or
+moves is spliced in: one distance pass over the kept coordinates finds its
+neighbours, by the same rule, and only their entries change. ``reach``, the
+union of a mask's neighbourhoods, is kept per whole mask and per mask byte
+on the index. A splice of a protocol radio starts an empty whole-mask memo
+and drops the per-byte unions at the byte positions whose radios' masks it
+changed; an adversary's changes no mask and keeps both.
 
 The air holds a round's transmissions in two parts: ``sends``, the copies
 originated or replayed, in the order sent, and ``relayed``, one record per
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain
 from numbers import Real
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -110,19 +112,23 @@ def kth_id(mask: int, k: int) -> int:
 class RadioIndex(NamedTuple):
     """The unit-disk graph over every radio on the field: per radio, the
     mask of protocol radios and the ascending adversary ids in its range.
-    ``reaches`` keeps ``reach``'s answers by whole mask and ``unions`` its
-    per-byte unions, for this index only."""
+    ``ids`` and ``xy`` are the radios in row order and their coordinates,
+    one float64 row each. ``reaches`` keeps ``reach``'s answers by whole
+    mask, and ``unions``, per mask byte position, its per-byte unions by
+    byte value."""
 
     neighbors: dict[int, tuple[int, tuple[int, ...]]]
+    ids: list[int]
+    xy: np.ndarray
     reaches: dict[int, int]
-    unions: dict[int, int]
+    unions: list[dict[int, int]]
 
     def reach(self, mask: int) -> int:
         """The protocol radios in range of any radio of ``mask``, kept under
         the mask: the floods from one origin cross the field in the same
         layers. A new mask is built from its non-zero bytes: byte ``b`` at
         byte ``i`` adds the union of its radios' neighbourhoods, built on
-        first use and kept under ``i << 8 | b``."""
+        first use and kept under ``b`` in ``unions[i]``."""
         out = self.reaches.get(mask)
         if out is not None:
             return out
@@ -130,13 +136,13 @@ class RadioIndex(NamedTuple):
         out = 0
         for i, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
             if b:
-                key = i << 8 | b
-                union = unions.get(key)
+                kept = unions[i]
+                union = kept.get(b)
                 if union is None:
                     union = 0
                     for j in _BYTE_BITS[b]:
                         union |= neighbors[8 * i + j - 1][0]
-                    unions[key] = union
+                    kept[b] = union
                 out |= union
         self.reaches[mask] = out
         return out
@@ -145,7 +151,8 @@ class RadioIndex(NamedTuple):
 def build_index(positions: dict[int, tuple[float, float]], radius: float) -> RadioIndex:
     """The radio index of the radios at ``positions``."""
     ids = sorted(positions)
-    src, dst = unit_disk_graph([positions[v] for v in ids], radius).pairs
+    spots = [positions[v] for v in ids]
+    src, dst = unit_disk_graph(spots, radius).pairs
     # Adversary ids sort first: pairs whose dst is past them go into the
     # masks, one little-endian row of bytes per radio, and the rest into the
     # adversary tuples, in id order.
@@ -163,7 +170,8 @@ def build_index(positions: dict[int, tuple[float, float]], radius: float) -> Rad
         v: (int.from_bytes(raw[i * width : (i + 1) * width], "little"), tuple(advs.get(i, ())))
         for i, v in enumerate(ids)
     }
-    return RadioIndex(neighbors, {}, {})
+    xy = np.array(spots, np.float64).reshape(-1, 2)
+    return RadioIndex(neighbors, ids, xy, {}, [{} for _ in range(width)])
 
 
 def spot(position) -> tuple[float, float]:
@@ -180,40 +188,41 @@ def spot(position) -> tuple[float, float]:
     return float(x), float(y)
 
 
-def splice(
-    index: RadioIndex,
-    positions: dict[int, tuple[float, float]],
-    radius: float,
-    radio: int,
-    position: tuple[float, float],
-) -> RadioIndex:
-    """``index``, the radio index over ``positions``, with ``radio`` taken
-    off the field, if it is on it, and put at ``position``. Only the radio's
-    neighbours' entries change, in place. The new index starts with no kept
-    reaches or unions: any of the old ones may hold a changed neighbourhood.
-    The neighbours are found in one distance pass under
-    ``graph._disk_graph``'s rule, ``dx*dx + dy*dy <= r*r`` in float64, so the
-    result equals a rebuild. Every position is a pair, so the coordinates are
-    read as one flat run."""
+def splice(index: RadioIndex, radius: float, radio: int, position: tuple[float, float]) -> RadioIndex:
+    """``index`` with ``radio`` taken off the field, if it is on it, and put
+    at ``position``. Only the radio's row and its neighbours' entries
+    change, in place. The neighbours are found in one distance pass over the
+    kept coordinates under ``graph._disk_graph``'s rule,
+    ``dx*dx + dy*dy <= r*r`` in float64, so the result equals a rebuild. A
+    protocol radio's splice starts an empty whole-mask memo and drops the
+    per-byte unions at the byte positions of the radio and of its old and
+    new neighbours, the radios whose masks change; an adversary's keeps
+    both caches."""
     x, y = position
-    neighbors = index.neighbors
+    neighbors, ids, xy, unions = index.neighbors, index.ids, index.xy, index.unions
     bit = 0 if radio < BS_ID else mask_of((radio,))
+    changed = bit  # the protocol radios whose masks change
     if radio in neighbors:  # a move: off the field first
         listeners, adversaries = neighbors.pop(radio)
+        changed |= listeners
         for u in (*adversaries, *ids_of(listeners)):
             near, advs = neighbors[u]
             if radio < BS_ID:
                 neighbors[u] = (near, tuple(a for a in advs if a != radio))
             else:
                 neighbors[u] = (near & ~bit, advs)
-    ids = list(positions)
-    xy = np.fromiter(chain.from_iterable(positions.values()), np.float64, 2 * len(positions)).reshape(-1, 2)
+        row = ids.index(radio)
+        xy[row] = x, y
+    else:
+        row = len(ids)
+        ids.append(radio)
+        xy = np.append(xy, [[x, y]], axis=0)
     r = float(radius)
     with np.errstate(over="ignore", invalid="ignore"):
         dx = xy[:, 0] - x
         dy = xy[:, 1] - y
         hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
-    near = sorted(ids[j] for j in hit.tolist() if ids[j] != radio)
+    near = sorted(ids[j] for j in hit.tolist() if j != row)
     split = bisect_left(near, BS_ID)
     for u in near:
         listeners, adversaries = neighbors[u]
@@ -222,7 +231,13 @@ def splice(
         else:
             neighbors[u] = (listeners | bit, adversaries)
     neighbors[radio] = (mask_of(near[split:]), tuple(near[:split]))
-    return RadioIndex(neighbors, {}, {})
+    if not bit:
+        return index._replace(xy=xy)
+    changed |= neighbors[radio][0]
+    unions += [{} for _ in range(len(unions), (changed.bit_length() + 7) // 8)]  # a new top byte
+    for v in ids_of(changed):
+        unions[(v + 1) >> 3].clear()
+    return index._replace(xy=xy, reaches={})
 
 
 #: Per (kind, heard at one hop), the parts whose steps read it.

@@ -32,7 +32,7 @@ from typing import Sequence
 from .graph import radius_for_expected_degree
 from .keys import Ciphertext, KeyMaterial, Rank, group_sizes_for, provision
 from .protocol import BS_ID, BSState, ClusterOutcome, Envelope, NodeState, Phase, bs_step, gd_step, os_step
-from .radio import RadioIndex, build_index, deliver, ids_of, kth_id, mask_of, splice, spot, transmissions
+from .radio import RadioIndex, build_index, deliver, kth_id, mask_of, splice, spot, transmissions
 from .wire import MessageKind
 
 PLACEMENT_MODES = ("uniform", "group_clustered")
@@ -51,7 +51,7 @@ _KIND = attrgetter("kind")
 #: path: on 3.11.7 ``Phase.LEFT`` costs 180-200 ns against 14 ns for a module
 #: global, and ``x in (Phase.JOINED, Phase.LEFT)`` 403 ns against 47 ns for a
 #: prebuilt tuple.
-_OS = Rank.OS
+_OS, _GD, _GD_OS = Rank.OS, Rank.GD, Rank.GD_OS
 _IDLE, _AWAITING, _JOINED, _ORPHAN, _LEFT = Phase.IDLE, Phase.AWAITING, Phase.JOINED, Phase.ORPHAN, Phase.LEFT
 _JOIN_REQ, _JOIN_APRV = MessageKind.JOIN_REQ, MessageKind.JOIN_APRV
 
@@ -188,7 +188,7 @@ class World:
         nothing."""
         at = spot(position)
         if self._radio is not None:
-            self._radio = splice(self._radio, self.positions, self.radius, radio, at)
+            self._radio = splice(self._radio, self.radius, radio, at)
         self.positions[radio] = at
 
 
@@ -310,7 +310,7 @@ def step(world: World) -> None:
 
     parts = world._role_index()
     victims = parts[_OS] | parts[None] if round_no % 2 else 0
-    for adv in sorted(world.adversaries, key=lambda a: -a.id):
+    for adv in world.adversaries:
         world.sends += _adversary_step(world, adv, inboxes.get(adv.id, []), victims)
 
     # Everything in the air went up this round. Adversary ids are below the
@@ -384,7 +384,8 @@ def inject_adversary(
     behavior: str = "forge_join",
     positions: Sequence[tuple[float, float]] | None = None,
 ) -> list[int]:
-    """Drop hostile radios on the field; ids run -2, -3, ...
+    """Drop hostile radios on the field; ids run -2, -3, ... in the order
+    they are appended to ``world.adversaries``, which is the order they step.
 
     Positions are drawn uniformly unless given explicitly. Given ones are
     all checked before any adversary is placed, so a refused batch places
@@ -495,33 +496,27 @@ def verify_outcome(world: World, outcome: ClusterOutcome | None = None) -> Verif
     """Check the formed structure against the actual radio graph.
 
     The graph is the world's radio graph restricted to sensors still on the
-    field; the base station and adversaries are not part of the dominating
-    structure. Both answers are read off the radio index's neighbour masks,
-    each ANDed with the mask of the sensors on the field, so no other radio
+    field: the role index's ranked parts, departed sensors being its None
+    part. The base station and adversaries are not part of the dominating
+    structure. Both answers are read off the radio index's ``reach``, each
+    ANDed with the mask of the sensors on the field, so no other radio
     bridges two sensors. The dominators on the field dominate when their
     closed neighbourhoods cover that mask; the graph is connected when a
     walk of frontiers from its lowest sensor reaches all of it. A dominating
     set's closed neighbourhood is the whole graph, so its weak connectivity
-    (what ``graph.is_wcds`` checks) is the graph's connectivity. The walk
-    ORs the masks itself, so a check leaves ``RadioIndex.reach``'s memo as
-    it was.
+    (what ``graph.is_wcds`` checks) is the graph's connectivity.
     """
     if outcome is None:
         outcome = assemble_outcome(world)
     states = world.states
-    neighbors = world.radio_index().neighbors
-    on_field = mask_of(v for v, st in states.items() if st.phase is not _LEFT)
+    reach = world.radio_index().reach
+    roles = world._role_index()
+    on_field = roles[_GD] | roles[_OS] | roles[_GD_OS]
     chosen = mask_of(v for v in outcome.dominator_set if v in states) & on_field
-    covered = chosen
-    for v in ids_of(chosen):
-        covered |= neighbors[v][0]
-    dominating = not on_field & ~covered
+    dominating = not on_field & ~(chosen | reach(chosen))
     seen = frontier = on_field & -on_field
     while frontier:
-        near = 0
-        for v in ids_of(frontier):
-            near |= neighbors[v][0]
-        frontier = near & on_field & ~seen
+        frontier = reach(frontier) & on_field & ~seen
         seen |= frontier
     connected = seen == on_field
     return VerifyReport(

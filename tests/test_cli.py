@@ -251,6 +251,20 @@ class TestSim:
         assert proc.stdout == ""
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "kept, paths",
+        [("t.jsonl", ["missing/o.json", "t.jsonl"]), ("o.json", ["o.json", "missing/t.jsonl"])],
+        ids=["trace kept", "outcome kept"],
+    )
+    def test_bad_path_leaves_existing_outputs_as_they_were(self, tmp_path, kept, paths):
+        cfg = write_config(tmp_path)
+        (tmp_path / kept).write_bytes(b"an earlier run's bytes\n")
+        proc = run_cli("sim", "--config", str(cfg), "--out", paths[0], "--trace", paths[1], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert (tmp_path / kept).read_bytes() == b"an earlier run's bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([cfg.name, kept])
+
     def test_seed_flag_beats_config(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = run_cli("sim", "--config", str(cfg), "--seed", "7", cwd=tmp_path)

@@ -471,8 +471,11 @@ class TestRadioMasks:
         picks=strategies.lists(strategies.integers(0, 2**16 - 1), max_size=4),
     )
     def test_reach_is_the_union_of_neighbourhoods_through_splices(self, start, ops, picks):
-        """``reach`` keeps its answers per radio index, and a splice starts
-        the next index with none."""
+        """``reach`` keeps its answers per radio index. A protocol radio's
+        splice starts the next index with no whole-mask answers and keeps the
+        per-byte unions at every byte position that holds none of the radios
+        whose masks it changes: the radio and its old and new neighbours. An
+        adversary's splice keeps every answer."""
         m = provision([3, 3, 4], reserve_fraction=0.4)
         w = make_world(m, {BS_ID: (20.0, 20.0), **dict(zip(m.deployed_nodes(), start))}, radius=10.0)
         # Masks over the protocol radios on the field at the start. Radios
@@ -482,34 +485,65 @@ class TestRadioMasks:
         first = sorted(v for v in w.radio_index().neighbors if v >= BS_ID)
         kept = [radio.mask_of(v for j, v in enumerate(first) if p >> j & 1) for p in picks]
 
-        def check():
+        def check(touched):
             # Every radio alone, masks over the protocol radios on the field
-            # now, whose ids run past the first byte, then the masks kept from
-            # the start; each asked twice: the second answer is the kept one.
+            # now, whose ids run past the first byte, the masks kept from the
+            # start, and those masks with the splice's radios added and taken
+            # out, which span its byte positions and the others; each asked
+            # twice: the second answer is the kept one.
             index = w.radio_index()
             on = sorted(v for v in index.neighbors if v >= BS_ID)
             masks = [radio.mask_of([v]) for v in on]
             masks += [radio.mask_of(v for j, v in enumerate(on) if p >> j & 1) for p in picks]
-            for mask in masks + kept:
+            masks += kept + [k | touched for k in kept] + [k & ~touched for k in kept]
+            for mask in masks:
                 union = 0
                 for v in radios(mask):
                     union |= index.neighbors[v][0]
                 assert index.reach(mask) == union
                 assert index.reach(mask) == union
+            # Every union kept, asked here or before a splice, is its radios'
+            # neighbourhoods now.
+            for i, unions in enumerate(index.unions):
+                for b, union in unions.items():
+                    expected = 0
+                    for j in range(8):
+                        if b >> j & 1:
+                            expected |= index.neighbors[8 * i + j - 1][0]
+                    assert union == expected
 
-        check()
+        check(0)
         for op, pick, spot in ops:
+            before = w.radio_index()
             if op == "reserve":
                 spare = sorted(set(m.reserve) - set(w.states))
                 if not spare:
                     continue
-                late_join(w, spare[pick % len(spare)], position=spot)
+                moved = spare[pick % len(spare)]
             elif op == "adversary":
-                inject_adversary(w, 1, "forge_join", positions=[spot])
+                moved = BS_ID - 1 - len(w.adversaries)
             else:  # "rejoin" or "move": move any radio, adversaries included
                 radios_on = sorted(w.positions)
-                w._place(radios_on[pick % len(radios_on)], spot)
-            check()
+                moved = radios_on[pick % len(radios_on)]
+            was = before.neighbors.get(moved, (0, ()))[0]
+            reaches, unions = before.reaches, [dict(u) for u in before.unions]
+            if op == "reserve":
+                late_join(w, moved, position=spot)
+            elif op == "adversary":
+                assert inject_adversary(w, 1, "forge_join", positions=[spot]) == [moved]
+            else:
+                w._place(moved, spot)
+            index = w.radio_index()
+            if moved < BS_ID:
+                touched = 0
+                assert index.reaches is reaches and index.unions == unions
+            else:
+                touched = radio.mask_of([moved]) | was | index.neighbors[moved][0]
+                spans = {(v + 1) // 8 for v in radios(touched)}
+                assert index.reaches == {}
+                for i, u in enumerate(unions):
+                    assert index.unions[i] == ({} if i in spans else u)
+            check(touched)
 
 
 #: The delivery rules, written out here rather than read from
@@ -1663,6 +1697,7 @@ class TestStateIndices:
             assert not union & mask, world.round
             union |= mask
         assert union == radio.mask_of([BS_ID, *world.states]), world.round
+        assert verify_outcome(world) == verify_outcome(twin), world.round
 
     @staticmethod
     def lonely_spot(world):
@@ -1942,26 +1977,6 @@ class TestVerify:
         assert report == self.by_predicates(w, outcome)
         assert (report.node_count, report.dominator_count, report.dominating) == (1, 0, False)
 
-    def test_checks_leave_the_reach_memo_alone(self):
-        world = simulate(RunConfig(
-            groups=4, eta=6, mode="uniform", width=80.0, height=80.0, target_degree=5.0, seed=0,
-        ))[0]
-        index = world.radio_index()
-        # Formation's floods leave the layers of a walk from sensor 0 in the
-        # memo already, so it starts again from only the masks asked here.
-        index.reaches.clear()
-        index.unions.clear()
-        on = sorted(v for v in index.neighbors if v >= BS_ID)
-        for k in (1, 2, 3):
-            index.reach(radio.mask_of(on[::k]))
-        reaches, unions = dict(index.reaches), dict(index.unions)
-        outcome = assemble_outcome(world)
-        for dominators in (outcome.dominator_set, outcome.dominator_set[1:], ()):
-            verify_outcome(world, dataclasses.replace(outcome, dominator_set=dominators))
-        verify_outcome(world)
-        assert world.radio_index() is index
-        assert index.reaches == reaches and index.unions == unions
-
     def test_edge_fields(self):
         lone = line_world(provision([0]), {0: (5.0, 0.0)})
         empty = make_world(provision([0]), {BS_ID: (0.0, 0.0)}, radius=12.0)
@@ -1970,7 +1985,8 @@ class TestVerify:
                 outcome = dataclasses.replace(assemble_outcome(world), dominator_set=dominators)
                 assert verify_outcome(world, outcome) == self.by_predicates(world, outcome)
         assert verify_outcome(empty).node_count == 0 and verify_outcome(empty).ok
-        lone.states[0].phase = Phase.LEFT
+        lone.states[0].phase = Phase.LEFT  # by hand, past the indices kept in place
+        lone = rebuilt(lone)
         assert verify_outcome(lone) == VerifyReport(0, 0, True, True, True, True)
 
 
