@@ -143,6 +143,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sim(args) -> int:
+    out, trace = args.out, args.trace
+    if out is not None and trace is not None and (
+        os.path.realpath(out) == os.path.realpath(trace)
+        or os.path.exists(out) and os.path.exists(trace) and os.path.samefile(out, trace)
+    ):
+        raise ValueError(f"--out and --trace name the same file: {out}")
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     config = RunConfig.from_dict(raw)

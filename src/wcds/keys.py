@@ -2,8 +2,9 @@
 
 Every sensor is provisioned offline before deployment: each group gets one
 shared group key, each ordinary sensor an individual key, and the group
-dominator carries the individual keys of its whole group. The base station
-holds everything.
+dominator carries the individual keys of its whole group. Each key is kept
+once, in the ring of the node that stores it; the base station reads every
+ring.
 
 Encryption is modeled, not real cryptography: a keyed blake2b stream hides the
 body and an 8-byte keyed tag over (key id, payload) gates decryption. That
@@ -202,20 +203,20 @@ class KeyRing:
         out.extend(self.subordinate_keys[n] for n in sorted(self.subordinate_keys))
         return out
 
-    def bit_count(self, key_bits: int) -> int:
-        return len(self.keys()) * key_bits
-
 
 @dataclass
 class KeyMaterial:
     """Full provisioning output; the base station's view of the world.
 
-    ``group_keys`` tracks the live group key per dominator as rekeys happen.
-    Individual node rings update only when the owning node processes the
-    corresponding rekey message. ``owners`` maps every key id to the node the
-    key belongs to: a sensor for its individual key, a dominator for each
-    group key it has held. Key ids travel in the clear, so a copy sealed
-    under one of these keys names the one node that can open it.
+    ``rings`` holds each node's keys, and the sensors' states share these
+    ring objects: a dominator's ring takes each new group key as it rekeys,
+    and an ordinary sensor's only when it processes the rekey message. The
+    provisioned dominators' rings are the ones with no individual key.
+    ``group_key_history`` keeps every group key each dominator has held.
+    ``owners`` maps every key id to the node the key belongs to: a sensor
+    for its individual key, a dominator for each group key it has held. Key
+    ids travel in the clear, so a copy sealed under one of these keys names
+    the one node that can open it.
     """
 
     key_bits: int
@@ -223,8 +224,6 @@ class KeyMaterial:
     ranks: dict[int, Rank]
     groups: tuple[tuple[int, tuple[int, ...]], ...]
     reserve: frozenset[int]
-    individual_keys: dict[int, Key]
-    group_keys: dict[int, Key]
     fountain: KeyFountain
     group_key_history: dict[int, dict[int, Key]] = field(default_factory=dict)
     owners: dict[int, int] = field(default_factory=dict)
@@ -290,8 +289,6 @@ def provision(
     rings: dict[int, KeyRing] = {}
     ranks: dict[int, Rank] = {}
     groups: list[tuple[int, tuple[int, ...]]] = []
-    individual_keys: dict[int, Key] = {}
-    group_keys: dict[int, Key] = {}
     history: dict[int, dict[int, Key]] = {}
     owners: dict[int, int] = {}
     reserve: set[int] = set()
@@ -303,14 +300,12 @@ def provision(
         members = tuple(range(node, node + size))
         node += size
         gkey = fountain.next_key()
-        group_keys[gd] = gkey
         history[gd] = {gkey.id: gkey}
         owners[gkey.id] = gd
         ranks[gd] = _GD
         sub_keys: dict[int, Key] = {}
         for m in members:
             ikey = fountain.next_key()
-            individual_keys[m] = ikey
             owners[ikey.id] = m
             sub_keys[m] = ikey
             ranks[m] = _OS
@@ -330,8 +325,6 @@ def provision(
         ranks=ranks,
         groups=tuple(groups),
         reserve=frozenset(reserve),
-        individual_keys=individual_keys,
-        group_keys=group_keys,
         fountain=fountain,
         group_key_history=history,
         owners=owners,
@@ -343,14 +336,6 @@ class StorageReport:
     per_gd: tuple[int, ...]
     per_os: int
     total: int
-
-
-def storage_bits(material: KeyMaterial) -> StorageReport:
-    """Bits of key storage per dominator, per ordinary sensor, and in total."""
-    k = material.key_bits
-    per_gd = tuple(material.rings[gd].bit_count(k) for gd, _ in material.groups)
-    total = sum(ring.bit_count(k) for ring in material.rings.values())
-    return StorageReport(per_gd=per_gd, per_os=2 * k, total=total)
 
 
 def uniform_storage_bits(alpha: int, beta: int, eta: int, key_bits: int) -> StorageReport:
@@ -380,12 +365,11 @@ def rekey_group(
     key; the old group key is never used, so the departed node learns
     nothing.
     """
-    if gd not in material.group_keys:
+    if material.ranks.get(gd) is not _GD:
         raise ValueError(f"{gd} is not a dominator")
     new = material.fountain.next_key()
     body = pack_id_key(gd, new.id, new.bits)
     sealed = [encrypt(key, _REKEY, body) for key in recipients]
-    material.group_keys[gd] = new
     material.rings[gd].group = new
     material.group_key_history.setdefault(gd, {})[new.id] = new
     material.owners[new.id] = gd

@@ -422,12 +422,12 @@ def bs_step(
         if rec.resolution is not None or round_no < rec.received_round + MATCH_WINDOW:
             continue
         reporters = sorted(rec.reports)
-        ikey = material.individual_keys[os_id]
+        ikey = material.rings[os_id].individual
         if reporters:
             seen_by_orphan = [g for g in reporters if g in rec.observed]
             adopter = min(seen_by_orphan) if seen_by_orphan else min(reporters)
             body = pack_id_key(os_id, ikey.id, ikey.bits)
-            gkey = material.group_keys[adopter]
+            gkey = material.rings[adopter].group
             out.append(_send(bs, _ADOPT_CMD, encrypt(gkey, _ADOPT_CMD, body)))
             rec.resolution = ("adopted", adopter)
             _note(events, round_no, bs.id, "adopt_command", orphan=os_id, adopter=adopter)
@@ -455,7 +455,8 @@ def _read_report(key: Key, env: Envelope, kind: MessageKind, unpack):
 
 
 def _bs_gd_err(bs, env, round_no, material, events) -> None:
-    ikey = material.individual_keys.get(env.sender)
+    ring = material.rings.get(env.sender)
+    ikey = ring.individual if ring is not None else None
     if ikey is None or ikey.id != env.ciphertext.key_id:
         _audit(bs, env, round_no, "unknown_orphan_id", events)
         return

@@ -176,12 +176,12 @@ def build_index(positions: dict[int, tuple[float, float]], radius: float) -> Rad
 
 def spot(position) -> tuple[float, float]:
     """``position`` as two floats; ValueError unless it is exactly two finite
-    numbers."""
+    numbers, booleans not counting as numbers."""
     try:
         x, y = position
     except (TypeError, ValueError):
         x = y = None
-    if not (isinstance(x, Real) and isinstance(y, Real)):
+    if not all(isinstance(c, Real) and not isinstance(c, bool) for c in (x, y)):
         raise ValueError(f"a position is two numbers, got {position!r}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("positions must be finite")
@@ -264,8 +264,8 @@ def audience(env: Envelope, keys: KeyMaterial) -> int:
     owner = keys.owners.get(env.ciphertext.key_id)
     if owner is None:
         return 0
-    if kind_audience is _INDIVIDUAL_OWNER and owner not in keys.individual_keys:
-        return -1  # a group key (only dominators own one), held by members no index keeps
+    if kind_audience is _INDIVIDUAL_OWNER and keys.rings[owner].individual is None:
+        return -1  # a dominator's group key, held by members no index keeps
     return 1 << (owner + 1)
 
 

@@ -257,16 +257,17 @@ def _adversary_step(
             key_id = 10**6 - adv.id
         else:
             claimed = kth_id(victims, (world.round // 2) % victims.bit_count())
-            key_id = world.material.individual_keys[claimed].id
+            key_id = world.material.rings[claimed].individual.id
         adv.seq += 1
         ct = Ciphertext(key_id, world.rng.randbytes(9), world.rng.randbytes(8))
         out.append(Envelope(claimed, _JOIN_REQ, ct, adv.seq, adv.id))
     elif adv.behavior == "forge_approve":
         # Sender equals transmitter, so the one-hop test passes; the tag
         # cannot, since no group key is held.
-        gds = sorted(world.material.group_keys)
-        if gds:
-            key_id = world.material.group_keys[gds[world.round % len(gds)]].id
+        groups = world.material.groups
+        if groups:
+            gd, _ = groups[world.round % len(groups)]
+            key_id = world.material.rings[gd].group.id
             adv.seq += 1
             ct = Ciphertext(key_id, world.rng.randbytes(17), world.rng.randbytes(8))
             out.append(Envelope(adv.id, _JOIN_APRV, ct, adv.seq, adv.id))
@@ -393,6 +394,8 @@ def inject_adversary(
     """
     if behavior not in ADVERSARY_BEHAVIORS:
         raise ValueError(f"unknown adversary behavior {behavior!r}")
+    if count < 0:
+        raise ValueError(f"adversary count must not be negative, got {count}")
     if positions is not None:
         if len(positions) != count:
             raise ValueError("need one position per adversary")

@@ -1,14 +1,23 @@
-"""Shared test helpers: the environment for tests that start `python -m wcds`
-as a child process, a world built from explicit positions, a recorder of
-every transmission, the ids of a radio mask, a yes/no form of decryption,
-set walks over a graph's adjacency sets that serve as references for the
-edge-array predicates, a plain-loop reference for ``assemble_outcome``, and a
-counter of enum member reads."""
+"""Shared test helpers: bytecode caches kept out of the source tree, the
+environment for tests that start `python -m wcds` as a child process, a
+world built from explicit positions, a recorder of every transmission, the
+ids of a radio mask, a yes/no form of decryption, set walks over a graph's
+adjacency sets that serve as references for the edge-array predicates, a
+plain-loop reference for ``assemble_outcome``, and a counter of enum member
+reads."""
 
 import contextlib
 import os
 import random
+import sys
+import tempfile
 from collections import Counter
+
+# Bytecode goes under the temp dir, not next to the sources, so a test run
+# leaves no __pycache__ in src/ (a cache there changes how fast a fresh
+# interpreter imports the package). Set before the package is imported.
+PYCACHE_PREFIX = os.path.join(tempfile.gettempdir(), "wcds-pycache")
+sys.pycache_prefix = PYCACHE_PREFIX
 
 import wcds
 import wcds.sim
@@ -27,11 +36,13 @@ def child_env(extra=None):
 
     PACKAGE_ROOT goes first on PYTHONPATH and existing entries follow it; a
     relative entry such as `src` would resolve against the child's cwd.
-    WCDS_SEED is dropped so that tests set it only on purpose.
+    WCDS_SEED is dropped so that tests set it only on purpose, and the
+    child keeps its bytecode where this process does.
     """
     env = dict(os.environ)
     env.pop("WCDS_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    env["PYTHONPYCACHEPREFIX"] = PYCACHE_PREFIX
     if extra:
         env.update(extra)
     return env

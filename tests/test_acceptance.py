@@ -25,7 +25,7 @@ from wcds.graph import (
     is_cds,
     is_connected,
 )
-from wcds.keys import Rank, provision, storage_bits, uniform_storage_bits
+from wcds.keys import Rank, provision, uniform_storage_bits
 from wcds.sim import (
     RunConfig,
     assemble_outcome,
@@ -82,16 +82,16 @@ def test_criterion_2_dominator_count_matches_group_formula():
 def test_criterion_3_storage_figures():
     closed = uniform_storage_bits(5, 50, 10, 128)
     material = provision([10] * 5, key_bits=128)
-    direct = storage_bits(material)
-    ring_sum = sum(
-        sum(len(k.bits) * 8 for k in material.rings[v].keys())
-        for v in material.all_nodes()
-    )
+    bits = {v: sum(len(k.bits) * 8 for k in material.rings[v].keys()) for v in material.all_nodes()}
+    ring_gd = tuple(bits[gd] for gd, _ in material.groups)
+    ring_os = {bits[v] for _, members in material.groups for v in members}
+    ring_sum = sum(bits.values())
     ok = (
         set(closed.per_gd) == {1408}
         and closed.per_os == 256
         and closed.total == 19840
-        and direct == closed
+        and ring_gd == closed.per_gd
+        and ring_os == {closed.per_os}
         and ring_sum == closed.total
     )
     report(
@@ -186,7 +186,7 @@ def test_criterion_6_formation_soundness():
 
 def _group_key_ids(material, gd):
     ids = {k.id for k in material.group_key_history.get(gd, {}).values()}
-    ids.add(material.group_keys[gd].id)
+    ids.add(material.rings[gd].group.id)
     return ids
 
 

@@ -265,6 +265,25 @@ class TestSim:
         assert (tmp_path / kept).read_bytes() == b"an earlier run's bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([cfg.name, kept])
 
+    @pytest.mark.parametrize(
+        "earlier, trace",
+        [(None, "x.json"), (b"an earlier run's bytes\n", "x.json"), (b"an earlier run's bytes\n", "./sub/../x.json")],
+        ids=["new file", "existing file", "another spelling"],
+    )
+    def test_one_path_for_both_outputs_is_refused(self, tmp_path, earlier, trace):
+        cfg = write_config(tmp_path)
+        (tmp_path / "sub").mkdir()
+        if earlier is not None:
+            (tmp_path / "x.json").write_bytes(earlier)
+        proc = run_cli("sim", "--config", str(cfg), "--out", "x.json", "--trace", trace, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "same file" in proc.stderr
+        if earlier is None:
+            assert not (tmp_path / "x.json").exists()
+        else:
+            assert (tmp_path / "x.json").read_bytes() == earlier
+
     def test_seed_flag_beats_config(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = run_cli("sim", "--config", str(cfg), "--seed", "7", cwd=tmp_path)

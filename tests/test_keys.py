@@ -18,13 +18,13 @@ from wcds.keys import (
     KeyFountain,
     MalformedCiphertext,
     Rank,
+    StorageReport,
     decrypt,
     encrypt,
     group_sizes_for,
     open_as,
     provision,
     rekey_group,
-    storage_bits,
     uniform_storage_bits,
 )
 from wcds.sim import PlacementModel, assemble_outcome, deploy, late_join, leave, run, step
@@ -413,8 +413,8 @@ class TestProvision:
 
     def test_groups_do_not_share_keys(self):
         m = provision([2, 2])
-        assert m.group_keys[0] != m.group_keys[3]
-        ct = encrypt(m.group_keys[0], MessageKind.JOIN_APRV, b"in group 0")
+        assert m.rings[0].group != m.rings[3].group
+        ct = encrypt(m.rings[0].group, MessageKind.JOIN_APRV, b"in group 0")
         assert not can_decrypt(m.rings[4].group, ct)
         assert can_decrypt(m.rings[1].group, ct)
 
@@ -439,10 +439,9 @@ class TestProvision:
     def test_determinism(self):
         a = provision([3, 3], seed=5)
         b = provision([3, 3], seed=5)
-        assert a.individual_keys == b.individual_keys
-        assert a.group_keys == b.group_keys
+        assert a.rings == b.rings
         c = provision([3, 3], seed=6)
-        assert a.group_keys[0] != c.group_keys[0]
+        assert a.rings[0].group != c.rings[0].group
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -451,6 +450,14 @@ class TestProvision:
             provision([2], reserve_fraction=1.0)
         with pytest.raises(ValueError):
             provision([-1])
+
+
+def ring_storage(m):
+    """Bits of key storage per dominator, per ordinary sensor and in total,
+    counted from the provisioned rings."""
+    bits = {v: len(ring.keys()) * m.key_bits for v, ring in m.rings.items()}
+    (per_os,) = {bits[v] for _, members in m.groups for v in members}
+    return StorageReport(per_gd=tuple(bits[gd] for gd, _ in m.groups), per_os=per_os, total=sum(bits.values()))
 
 
 class TestStorage:
@@ -462,11 +469,11 @@ class TestStorage:
 
     def test_closed_form_matches_provisioned_rings(self):
         m = provision([10] * 5)
-        assert storage_bits(m) == uniform_storage_bits(5, 50, 10, 128)
+        assert ring_storage(m) == uniform_storage_bits(5, 50, 10, 128)
 
     def test_ragged_groups(self):
         m = provision([3, 1])
-        report = storage_bits(m)
+        report = ring_storage(m)
         assert report.per_gd == (4 * 128, 2 * 128)
         assert report.per_os == 256
         assert report.total == 4 * 128 + 2 * 128 + 4 * 2 * 128
@@ -481,35 +488,34 @@ class TestStorage:
 class TestRekey:
     def test_join_mode_reaches_old_holders_and_joiner(self):
         m = provision([2])
-        old = m.group_keys[0]
-        new, sealed = rekey_group(m, 0, [m.individual_keys[1], old])
+        old = m.rings[0].group
+        new, sealed = rekey_group(m, 0, [m.rings[1].individual, old])
         assert new.id == 3
-        assert [ct.key_id for ct in sealed] == [m.individual_keys[1].id, old.id]
+        assert [ct.key_id for ct in sealed] == [m.rings[1].individual.id, old.id]
 
-        kind, body = decrypt(m.individual_keys[1], sealed[0])
+        kind, body = decrypt(m.rings[1].individual, sealed[0])
         assert kind is MessageKind.REKEY
         assert unpack_id_key(body) == (0, new.id, new.bits)
         kind, body = decrypt(old, sealed[1])
         assert unpack_id_key(body) == (0, new.id, new.bits)
 
-        assert m.group_keys[0] == new
         assert m.rings[0].group == new
 
     def test_leave_mode_excludes_departed(self):
         m = provision([3])
-        old = m.group_keys[0]
-        new, sealed = rekey_group(m, 0, [m.individual_keys[1], m.individual_keys[3]])
-        assert [ct.key_id for ct in sealed] == [m.individual_keys[1].id, m.individual_keys[3].id]
+        old = m.rings[0].group
+        new, sealed = rekey_group(m, 0, [m.rings[1].individual, m.rings[3].individual])
+        assert [ct.key_id for ct in sealed] == [m.rings[1].individual.id, m.rings[3].individual.id]
         for ct in sealed:
             assert not can_decrypt(old, ct)
-            assert not can_decrypt(m.individual_keys[2], ct)
-        kind, body = decrypt(m.individual_keys[3], sealed[1])
+            assert not can_decrypt(m.rings[2].individual, ct)
+        kind, body = decrypt(m.rings[3].individual, sealed[1])
         assert unpack_id_key(body)[1] == new.id
 
     def test_history_keeps_superseded_keys(self):
         m = provision([2])
-        old = m.group_keys[0]
-        new, _ = rekey_group(m, 0, [m.individual_keys[1], old])
+        old = m.rings[0].group
+        new, _ = rekey_group(m, 0, [m.rings[1].individual, old])
         assert m.group_key_for(0, old.id) == old
         assert m.group_key_for(0, new.id) == new
         assert m.group_key_for(0, 999) is None
@@ -517,20 +523,20 @@ class TestRekey:
 
     def test_ids_keep_ascending_across_rotations(self):
         m = provision([2])
-        first, _ = rekey_group(m, 0, [m.individual_keys[1]])
-        second, _ = rekey_group(m, 0, [m.individual_keys[2]])
+        first, _ = rekey_group(m, 0, [m.rings[1].individual])
+        second, _ = rekey_group(m, 0, [m.rings[2].individual])
         assert first.id < second.id
 
     def test_invalid_targets(self):
         m = provision([2])
         with pytest.raises(ValueError):
-            rekey_group(m, 1, [m.individual_keys[2]])
+            rekey_group(m, 1, [m.rings[2].individual])
 
 
 def rebuilt_owners(m):
     """``KeyMaterial.owners`` rebuilt from the individual keys and every group
     key each dominator has held."""
-    owners = {key.id: node for node, key in m.individual_keys.items()}
+    owners = {ring.individual.id: node for node, ring in m.rings.items() if ring.individual is not None}
     for gd, history in m.group_key_history.items():
         owners.update((key_id, gd) for key_id in history)
     return owners
@@ -551,7 +557,7 @@ class TestOwners:
         gds = [gd for gd, _ in m.groups]
         for pick in picks:
             gd, members = m.groups[pick % len(gds)]
-            rekey_group(m, gd, [m.individual_keys[v] for v in members[: pick % 3]])
+            rekey_group(m, gd, [m.rings[v].individual for v in members[: pick % 3]])
             assert m.owners == rebuilt_owners(m)
         assert len(m.owners) == len(m.all_nodes()) + len(picks)
         back = pickle.loads(pickle.dumps(m))
@@ -566,11 +572,11 @@ class TestCompromiseScope:
         m = provision([2, 2])
         stolen = m.rings[1].keys()  # individual of node 1 plus group key of gd 0
         samples = {
-            "own_unicast": encrypt(m.individual_keys[1], MessageKind.JOIN_REQ, b"a"),
-            "own_group": encrypt(m.group_keys[0], MessageKind.JOIN_APRV, b"b"),
-            "peer_unicast": encrypt(m.individual_keys[2], MessageKind.JOIN_REQ, b"c"),
-            "other_group": encrypt(m.group_keys[3], MessageKind.JOIN_APRV, b"d"),
-            "other_unicast": encrypt(m.individual_keys[4], MessageKind.JOIN_REQ, b"e"),
+            "own_unicast": encrypt(m.rings[1].individual, MessageKind.JOIN_REQ, b"a"),
+            "own_group": encrypt(m.rings[0].group, MessageKind.JOIN_APRV, b"b"),
+            "peer_unicast": encrypt(m.rings[2].individual, MessageKind.JOIN_REQ, b"c"),
+            "other_group": encrypt(m.rings[3].group, MessageKind.JOIN_APRV, b"d"),
+            "other_unicast": encrypt(m.rings[4].individual, MessageKind.JOIN_REQ, b"e"),
         }
         opened = {
             name

@@ -44,7 +44,7 @@ class TestOsAnnounce:
         st, out = os_step(st, [], 0)
         assert [e.kind for e in out] == [MessageKind.JOIN_REQ]
         assert st.phase is Phase.AWAITING
-        assert can_decrypt(m.individual_keys[1], out[0].ciphertext)
+        assert can_decrypt(m.rings[1].individual, out[0].ciphertext)
         st, out = os_step(st, [], 1)
         assert out == []
 
@@ -56,7 +56,7 @@ class TestOsAnnounce:
         st, out = os_step(st, [], APPROVAL_TIMEOUT)
         assert st.phase is Phase.ORPHAN
         assert [e.kind for e in out] == [MessageKind.GD_ERR]
-        kind, body = decrypt(m.individual_keys[1], out[0].ciphertext)
+        kind, body = decrypt(m.rings[1].individual, out[0].ciphertext)
         assert kind is MessageKind.GD_ERR
         assert unpack_ids(body) == (7,)
 
@@ -71,7 +71,7 @@ class TestOsAnnounce:
 
 class TestOsApproval:
     def approve_ct(self, m, gd, member):
-        return encrypt(m.group_keys[gd], MessageKind.JOIN_APRV, pack_ids([gd, member]))
+        return encrypt(m.rings[gd].group, MessageKind.JOIN_APRV, pack_ids([gd, member]))
 
     def awaiting(self, m, node):
         st = os_state(m, node)
@@ -114,7 +114,7 @@ class TestOsApproval:
 
     def test_forged_approval_with_junk_tag_rejected(self):
         m = provision([1])
-        gkey = m.group_keys[0]
+        gkey = m.rings[0].group
         unopenable = [
             Ciphertext(gkey.id, b"\x00" * 17, b"\x00" * 8),  # junk tag
             encrypt(gkey, 200, pack_ids([0, 1])),  # no such kind
@@ -141,7 +141,7 @@ class TestOsRekey:
         m = provision([1])
         st = os_state(m, 1)
         body = pack_id_key(0, 9, b"\xaa" * 16)
-        ct = encrypt(m.individual_keys[1], MessageKind.REKEY, body)
+        ct = encrypt(m.rings[1].individual, MessageKind.REKEY, body)
         st, _ = os_step(st, [env(0, MessageKind.REKEY, ct)], 0)
         assert st.ring.group.id == 9
 
@@ -149,7 +149,7 @@ class TestOsRekey:
         m = provision([1])
         st = os_state(m, 1)
         body = pack_id_key(0, 9, b"\xaa" * 16)
-        ct = encrypt(m.group_keys[0], MessageKind.REKEY, body)
+        ct = encrypt(m.rings[0].group, MessageKind.REKEY, body)
         st, _ = os_step(st, [env(0, MessageKind.REKEY, ct)], 0)
         assert st.ring.group.id == 9
 
@@ -157,10 +157,10 @@ class TestOsRekey:
         m = provision([1])
         st = os_state(m, 1)
         newer = pack_id_key(0, 9, b"\xaa" * 16)
-        ct = encrypt(m.individual_keys[1], MessageKind.REKEY, newer)
+        ct = encrypt(m.rings[1].individual, MessageKind.REKEY, newer)
         st, _ = os_step(st, [env(0, MessageKind.REKEY, ct)], 0)
         stale = pack_id_key(0, 5, b"\xbb" * 16)
-        ct = encrypt(m.individual_keys[1], MessageKind.REKEY, stale)
+        ct = encrypt(m.rings[1].individual, MessageKind.REKEY, stale)
         st, _ = os_step(st, [env(0, MessageKind.REKEY, ct, seq=2)], 1)
         assert st.ring.group.id == 9
 
@@ -168,9 +168,9 @@ class TestOsRekey:
         m = provision([1, 1])
         st = os_state(m, 1)
         body = pack_id_key(2, 9, b"\xaa" * 16)
-        ct = encrypt(m.group_keys[2], MessageKind.REKEY, body)
+        ct = encrypt(m.rings[2].group, MessageKind.REKEY, body)
         st, _ = os_step(st, [env(2, MessageKind.REKEY, ct)], 0)
-        assert st.ring.group.id == m.group_keys[0].id
+        assert st.ring.group.id == m.rings[0].group.id
 
 
 class TestOsPromote:
@@ -187,33 +187,33 @@ class TestOsPromote:
             return decrypt(key, ct)
 
         monkeypatch.setattr(wcds.keys, "decrypt", counted)
-        foreign = encrypt(m.individual_keys[2], MessageKind.PROMOTE_CMD, b"")
+        foreign = encrypt(m.rings[2].individual, MessageKind.PROMOTE_CMD, b"")
         st, out = os_step(st, [env(BS_ID, MessageKind.PROMOTE_CMD, foreign)], APPROVAL_TIMEOUT + 1)
         assert out == []  # the simulator sends the relay (see test_sim.TestOsRelay)
         assert st.phase is Phase.ORPHAN and st.rank is Rank.OS
         assert calls == []
-        own = encrypt(m.individual_keys[1], MessageKind.PROMOTE_CMD, b"")
+        own = encrypt(m.rings[1].individual, MessageKind.PROMOTE_CMD, b"")
         st, _ = os_step(st, [env(BS_ID, MessageKind.PROMOTE_CMD, own, seq=2)], APPROVAL_TIMEOUT + 2)
         assert st.phase is Phase.PROMOTED and st.rank is Rank.GD_OS
-        assert calls == [m.individual_keys[1].id]
+        assert calls == [m.rings[1].individual.id]
 
 
 class TestGdJoin:
     def test_home_member_approved(self):
         m = provision([1])
         st = gd_state(m, 0)
-        ct = encrypt(m.individual_keys[1], MessageKind.JOIN_REQ, b"")
+        ct = encrypt(m.rings[1].individual, MessageKind.JOIN_REQ, b"")
         st, out = gd_step(st, [env(1, MessageKind.JOIN_REQ, ct)], 1, m)
         assert st.subordinates == {1}
         assert [e.kind for e in out] == [MessageKind.JOIN_APRV]
-        kind, body = decrypt(m.group_keys[0], out[0].ciphertext)
+        kind, body = decrypt(m.rings[0].group, out[0].ciphertext)
         assert kind is MessageKind.JOIN_APRV
         assert unpack_ids(body) == (0, 1)
 
     def test_foreign_sensor_becomes_mediator_entry(self):
         m = provision([1, 1])
         st = gd_state(m, 0)
-        ct = encrypt(m.individual_keys[3], MessageKind.JOIN_REQ, b"")
+        ct = encrypt(m.rings[3].individual, MessageKind.JOIN_REQ, b"")
         st, out = gd_step(st, [env(3, MessageKind.JOIN_REQ, ct)], 1, m)
         assert st.subordinates == set()
         assert st.mediators == {3}
@@ -222,7 +222,7 @@ class TestGdJoin:
     def test_forged_request_never_approved(self):
         m = provision([1])
         st = gd_state(m, 0)
-        ct = Ciphertext(m.individual_keys[1].id, b"\x00" * 9, b"\x00" * 8)
+        ct = Ciphertext(m.rings[1].individual.id, b"\x00" * 9, b"\x00" * 8)
         st, out = gd_step(st, [env(1, MessageKind.JOIN_REQ, ct)], 1, m)
         assert st.subordinates == set()
         assert out == []
@@ -231,7 +231,7 @@ class TestGdJoin:
     def test_replayed_request_not_approved(self):
         m = provision([1])
         st = gd_state(m, 0)
-        ct = encrypt(m.individual_keys[1], MessageKind.JOIN_REQ, b"")
+        ct = encrypt(m.rings[1].individual, MessageKind.JOIN_REQ, b"")
         st, out = gd_step(st, [env(1, MessageKind.JOIN_REQ, ct, transmitter=-2)], 1, m)
         assert st.subordinates == set()
         assert out == []
@@ -241,19 +241,19 @@ class TestGdJoin:
         m = provision([2])
         st = gd_state(m, 0)
         st.post_formation = True
-        old = m.group_keys[0]
-        ct = encrypt(m.individual_keys[1], MessageKind.JOIN_REQ, b"")
+        old = m.rings[0].group
+        ct = encrypt(m.rings[1].individual, MessageKind.JOIN_REQ, b"")
         st, out = gd_step(st, [env(1, MessageKind.JOIN_REQ, ct)], 1, m)
         kinds = [e.kind for e in out]
         assert kinds == [MessageKind.REKEY, MessageKind.REKEY, MessageKind.JOIN_APRV]
-        assert m.group_keys[0] != old
+        assert m.rings[0].group != old
         # the approval rides under the rotated key
-        assert out[2].ciphertext.key_id == m.group_keys[0].id
+        assert out[2].ciphertext.key_id == m.rings[0].group.id
 
 
 class TestGdOrphanRelay:
     def orphan_flood(self, m, sender, observed=()):
-        ct = encrypt(m.individual_keys[sender], MessageKind.GD_ERR, pack_ids(observed))
+        ct = encrypt(m.rings[sender].individual, MessageKind.GD_ERR, pack_ids(observed))
         return env(sender, MessageKind.GD_ERR, ct)
 
     def test_one_report_per_orphan(self):
@@ -271,7 +271,7 @@ class TestGdOrphanRelay:
         st = gd_state(m, 0)
         st, out = gd_step(st, [self.orphan_flood(m, 3)], 2, m)
         report = next(e for e in out if e.kind is MessageKind.ORP_ERR)
-        kind, body = decrypt(m.group_keys[0], report.ciphertext)
+        kind, body = decrypt(m.rings[0].group, report.ciphertext)
         assert pack_id(3) == body
 
     def test_own_subordinate_not_reported(self):
@@ -299,9 +299,9 @@ class TestGdOrphanRelay:
 
 class TestGdAdopt:
     def adopt_env(self, m, gd, orphan, seq=1):
-        ikey = m.individual_keys[orphan]
+        ikey = m.rings[orphan].individual
         body = pack_id_key(orphan, ikey.id, ikey.bits)
-        ct = encrypt(m.group_keys[gd], MessageKind.ADOPT_CMD, body)
+        ct = encrypt(m.rings[gd].group, MessageKind.ADOPT_CMD, body)
         return env(BS_ID, MessageKind.ADOPT_CMD, ct, seq=seq)
 
     def test_adopt_installs_key_and_rekeys(self):
@@ -309,7 +309,7 @@ class TestGdAdopt:
         st = gd_state(m, 0)
         st, out = gd_step(st, [self.adopt_env(m, 0, 3)], 5, m)
         assert st.subordinates == {3}
-        assert st.ring.subordinate_keys[3] == m.individual_keys[3]
+        assert st.ring.subordinate_keys[3] == m.rings[3].individual
         kinds = [e.kind.name for e in out]
         assert kinds == ["REKEY", "REKEY", "JOIN_APRV"]
 
@@ -332,17 +332,17 @@ class TestGdAdopt:
         m = provision([1, 1])
         stale = self.adopt_env(m, 0, 3)
         st = gd_state(m, 0)
-        ct = encrypt(m.individual_keys[1], MessageKind.JOIN_REQ, b"")
+        ct = encrypt(m.rings[1].individual, MessageKind.JOIN_REQ, b"")
         st.post_formation = True
         st, _ = gd_step(st, [env(1, MessageKind.JOIN_REQ, ct)], 4, m)
-        assert m.group_keys[0].id != stale.ciphertext.key_id
+        assert m.rings[0].group.id != stale.ciphertext.key_id
         st, out = gd_step(st, [stale], 5, m)
         assert 3 in st.subordinates
 
 
 class TestGdLeave:
     def leave_env(self, m, sender, transmitter=None):
-        ct = encrypt(m.individual_keys[sender], MessageKind.LEAVE, b"")
+        ct = encrypt(m.rings[sender].individual, MessageKind.LEAVE, b"")
         return env(sender, MessageKind.LEAVE, ct, transmitter=transmitter)
 
     def test_leave_rekeys_survivors_only(self):
@@ -353,26 +353,26 @@ class TestGdLeave:
         st, out = gd_step(st, [self.leave_env(m, 1)], 8, m)
         assert st.subordinates == {2}
         assert [e.kind for e in out] == [MessageKind.REKEY]
-        assert out[0].ciphertext.key_id == m.individual_keys[2].id
+        assert out[0].ciphertext.key_id == m.rings[2].individual.id
         # the departed sensor's stored keys open nothing sent afterwards
-        later = encrypt(m.group_keys[0], MessageKind.JOIN_APRV, b"after")
+        later = encrypt(m.rings[0].group, MessageKind.JOIN_APRV, b"after")
         assert not can_decrypt(old_ring_key, later)
-        assert not can_decrypt(m.individual_keys[1], later)
+        assert not can_decrypt(m.rings[1].individual, later)
 
     def test_join_and_leave_in_one_step_approve_under_the_final_key(self):
         m = provision([3])
         st = gd_state(m, 0)
         st.post_formation = True
         st.subordinates.update({1, 2})
-        join = env(3, MessageKind.JOIN_REQ, encrypt(m.individual_keys[3], MessageKind.JOIN_REQ, b""))
+        join = env(3, MessageKind.JOIN_REQ, encrypt(m.rings[3].individual, MessageKind.JOIN_REQ, b""))
         st, out = gd_step(st, [join, self.leave_env(m, 1)], 8, m)
         assert [e.kind.name for e in out] == ["REKEY", "REKEY", "JOIN_APRV", "REKEY", "REKEY"]
         assert [e.seq for e in out] == [1, 2, 3, 4, 5]
         # the approval rides under the key the leave rotated to, which the
         # joiner receives as a survivor
         approval = out[2].ciphertext
-        assert approval.key_id == m.group_keys[0].id
-        assert unpack_ids(decrypt(m.group_keys[0], approval)[1]) == (0, 3)
+        assert approval.key_id == m.rings[0].group.id
+        assert unpack_ids(decrypt(m.rings[0].group, approval)[1]) == (0, 3)
 
     def test_leave_from_stranger_ignored(self):
         m = provision([2, 1])
@@ -393,11 +393,11 @@ class TestGdLeave:
 
 class TestBaseStation:
     def gd_err(self, m, sender, observed=(), seq=1):
-        ct = encrypt(m.individual_keys[sender], MessageKind.GD_ERR, pack_ids(observed))
+        ct = encrypt(m.rings[sender].individual, MessageKind.GD_ERR, pack_ids(observed))
         return env(sender, MessageKind.GD_ERR, ct, seq=seq)
 
     def orp_err(self, m, gd, orphan, seq=1):
-        ct = encrypt(m.group_keys[gd], MessageKind.ORP_ERR, pack_id(orphan))
+        ct = encrypt(m.rings[gd].group, MessageKind.ORP_ERR, pack_id(orphan))
         return env(gd, MessageKind.ORP_ERR, ct, seq=seq)
 
     def test_records_then_promotes_when_nobody_reports(self):
@@ -410,7 +410,7 @@ class TestBaseStation:
         assert out == []
         bs, out = bs_step(bs, [], 3 + MATCH_WINDOW, m)
         assert [e.kind for e in out] == [MessageKind.PROMOTE_CMD]
-        assert out[0].ciphertext.key_id == m.individual_keys[1].id
+        assert out[0].ciphertext.key_id == m.rings[1].individual.id
         assert bs.orphans[1].resolution == ("promoted", None)
 
     def test_adopter_prefers_dominators_the_orphan_heard(self):
@@ -421,7 +421,7 @@ class TestBaseStation:
         assert bs.orphans[1].reports == {2, 4}
         bs, out = bs_step(bs, [], MATCH_WINDOW, m)
         assert [e.kind for e in out] == [MessageKind.ADOPT_CMD]
-        assert out[0].ciphertext.key_id == m.group_keys[4].id
+        assert out[0].ciphertext.key_id == m.rings[4].group.id
         assert bs.orphans[1].resolution == ("adopted", 4)
 
     def test_adopter_falls_back_to_smallest_reporter(self):
@@ -430,7 +430,7 @@ class TestBaseStation:
         inbox = [self.gd_err(m, 1), self.orp_err(m, 4, 1), self.orp_err(m, 2, 1)]
         bs, _ = bs_step(bs, inbox, 0, m)
         bs, out = bs_step(bs, [], MATCH_WINDOW, m)
-        assert out[0].ciphertext.key_id == m.group_keys[2].id
+        assert out[0].ciphertext.key_id == m.rings[2].group.id
         assert bs.orphans[1].resolution == ("adopted", 2)
 
     def test_late_report_after_decision_ignored(self):
@@ -485,7 +485,7 @@ class TestBaseStation:
 
     def test_audit_bad_orphan_report(self):
         m = provision([1])
-        ikey = m.individual_keys[1]
+        ikey = m.rings[1].individual
         unreadable = [
             Ciphertext(ikey.id, b"\x00" * 9, b"\x00" * 8),  # junk tag
             encrypt(ikey, MessageKind.ORP_ERR, pack_ids([])),  # another kind
@@ -506,7 +506,7 @@ class TestBaseStation:
 
     def test_audit_bad_report(self):
         m = provision([1])
-        gkey = m.group_keys[0]
+        gkey = m.rings[0].group
         unreadable = [
             Ciphertext(gkey.id, b"\x00" * 9, b"\x00" * 8),  # junk tag
             encrypt(gkey, MessageKind.GD_ERR, pack_id(1)),  # another kind
@@ -622,8 +622,8 @@ class TestAdoptionTimeline:
 
     def test_adoptee_follows_the_rotated_group_key(self):
         w = run(self.world())
-        assert w.states[1].ring.group.id == w.material.group_keys[2].id
-        assert w.states[3].ring.group.id == w.material.group_keys[2].id
+        assert w.states[1].ring.group.id == w.material.rings[2].group.id
+        assert w.states[3].ring.group.id == w.material.rings[2].group.id
 
     def test_rerun_is_byte_identical(self):
         runs = []

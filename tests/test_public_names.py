@@ -21,9 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "wcds")
 
 #: Names kept without a caller, each with its reason.
-ALLOWED = {
-    "keys.storage_bits": "the measured side of criterion 3's storage figures",
-}
+ALLOWED = {}
 
 
 def read(path):

@@ -413,8 +413,8 @@ class TestRadioIndex:
 
     @pytest.mark.parametrize(
         "spot",
-        [(10.0, 10.0, 99.0), (10.0,), (), 10.0, "ab", ("10", 10.0), (10.0, None)],
-        ids=["three", "one", "empty", "scalar", "string", "text coordinate", "none coordinate"],
+        [(10.0, 10.0, 99.0), (10.0,), (), 10.0, "ab", ("10", 10.0), (10.0, None), (True, 0)],
+        ids=["three", "one", "empty", "scalar", "string", "text coordinate", "none coordinate", "bool coordinate"],
     )
     def test_place_refuses_anything_but_two_finite_numbers(self, spot):
         m = provision([2, 1], reserve_fraction=0.5)
@@ -937,13 +937,13 @@ class TestFirstApprovalPerSender:
 
     def test_a_sensors_lowest_seq_copy_alone(self):
         m = provision([2])
-        sent = self.approvals(0, m.group_keys[0], [1, 2, 1])
+        sent = self.approvals(0, m.rings[0].group, [1, 2, 1])
         inboxes = self.delivered(m, {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (15.0, 5.0)}, sent)
         assert inboxes[1] == inboxes[2] == [sent[0]]
 
     def test_every_forged_approval_arrives(self):
         m = provision([1])
-        forged = self.approvals(-2, m.group_keys[0], [1, 1, 1])
+        forged = self.approvals(-2, m.rings[0].group, [1, 1, 1])
         assert self.delivered(m, {0: (10.0, 0.0), 1: (20.0, 0.0), -2: (21.0, 0.0)}, forged)[1] == forged
 
 
@@ -959,7 +959,7 @@ def withheld(material, part, node, env):
         return False
     key_id = env.ciphertext.key_id
     owner = material.owners.get(key_id)
-    own = material.individual_keys.get(owner)
+    own = material.rings[owner].individual if owner is not None else None
     addressed = to == "owner" or owner is None or (own is not None and own.id == key_id)
     return addressed and owner != node
 
@@ -1070,7 +1070,7 @@ class TestDeliveryRules:
             for env in {e for envs in want.values() for e in envs if e.kind is MessageKind.REKEY}:
                 in_range = {rcv for rcv, envs in want.items() if env in envs} & readers
                 owner = material.owners[env.ciphertext.key_id]
-                individual = owner in material.individual_keys
+                individual = material.rings[owner].individual is not None
                 expected = in_range & {owner} if individual else in_range
                 assert {rcv for rcv, envs in have.items() if rcv >= BS_ID and env in envs} == expected
                 seen[individual] += 1
@@ -1122,6 +1122,11 @@ class TestDeliveryRules:
         assert kept > 100
 
 
+def live_group_keys(material):
+    """Each provisioned dominator's live group key, read from its ring."""
+    return {gd: material.rings[gd].group for gd, _ in material.groups}
+
+
 def withheld_candidates(world, node, rng):
     """Copies of every kind ``node``'s step reads, built to open where a key
     allows: approvals, join requests, orphan errors and leaves as their
@@ -1136,12 +1141,12 @@ def withheld_candidates(world, node, rng):
     near = sorted(st.neighbor_dominators | ({st.dominator} if st.dominator is not None else set()))
     bodies = []
     for gd in sorted(set(near) | set(rng.sample(dominators, min(3, len(dominators))))):
-        for key in (material.group_keys.get(gd), st.ring.group):
+        for key in (material.rings[gd].group if material.ranks[gd] is Rank.GD else None, st.ring.group):
             if key is not None:
                 bodies.append((gd, MessageKind.JOIN_APRV, key, pack_ids([gd, node])))
     fresh = max(material.owners) + 1
     for v in picked:
-        ikey = material.individual_keys[v]
+        ikey = material.rings[v].individual
         bodies.append((v, MessageKind.JOIN_REQ, ikey, b""))
         bodies.append((v, MessageKind.GD_ERR, ikey, pack_ids(near)))
         bodies.append((v, MessageKind.LEAVE, ikey, b""))
@@ -1150,7 +1155,7 @@ def withheld_candidates(world, node, rng):
         home = next(gd for gd, members in material.groups if v in members)
         bodies.append((home, MessageKind.REKEY, ikey, pack_id_key(home, fresh, b"\x07" * 16)))
     orphan = picked[0]
-    ikey = material.individual_keys[orphan]
+    ikey = material.rings[orphan].individual
     for gd in dominators:
         for key in material.group_key_history.get(gd, {}).values():
             bodies.append((BS_ID, MessageKind.ADOPT_CMD, key, pack_id_key(orphan, ikey.id, ikey.bits)))
@@ -1205,7 +1210,7 @@ class TestWithheldCopiesChangeNothing:
                 if env.kind not in READS[part] or not withheld(material, part, node, env):
                     continue
                 trial = copy.deepcopy(st)
-                keys = (dict(material.group_keys), dict(material.owners))
+                keys = (live_group_keys(material), dict(material.owners))
                 events, out = [], []
                 handler = DELIVERY[part][env.kind].handler
                 if part is Rank.OS:
@@ -1214,7 +1219,7 @@ class TestWithheldCopiesChangeNothing:
                     handler(trial, env, world.round, material, out, events)
                 assert trial == st, (node, env)
                 assert not out and not events, (node, env)
-                assert (dict(material.group_keys), dict(material.owners)) == keys
+                assert (live_group_keys(material), dict(material.owners)) == keys
                 checked += 1
         return checked
 
@@ -1313,7 +1318,7 @@ class TestOsRelay:
         sent = record_transmissions(monkeypatch)
         run(w)
         assert assemble_outcome(w).orphan_log == ((1, "promoted"), (2, "promoted"))
-        own = m.individual_keys[2].id
+        own = m.rings[2].individual.id
         transmitters = [
             env.transmitter for _, env in sent
             if env.kind is MessageKind.PROMOTE_CMD and env.ciphertext.key_id == own
@@ -1498,6 +1503,21 @@ class TestQuietTail:
 
 
 class TestChurn:
+    def test_each_key_has_one_record_through_churn(self):
+        # A dominator's live group key is its ring's, the newest it has held,
+        # and every key id names the one node whose ring holds the key.
+        material = churn_run(8).material
+        history = material.group_key_history
+        assert sum(len(held) - 1 for held in history.values()) > 5
+        for gd, _ in material.groups:
+            live = material.rings[gd].group
+            assert history[gd][max(history[gd])] is live
+            assert material.owners[live.id] == gd
+        sensors = [v for v, rank in material.ranks.items() if rank is Rank.OS]
+        for m in sensors:
+            assert material.owners[material.rings[m].individual.id] == m
+        assert len(material.owners) == len(sensors) + sum(map(len, history.values()))
+
     def reserve_world(self):
         m = provision([4], reserve_fraction=0.5)
         return line_world(m, {0: (10.0, 0.0), 1: (20.0, 0.0), 2: (10.0, 10.0)})
@@ -1539,8 +1559,8 @@ class TestChurn:
         run(w)
         assert w.states[joiner].phase is Phase.LEFT
         assert w.states[gd].subordinates == {1, 2}
-        assert {w.states[v].ring.group.id for v in (1, 2)} == {m.group_keys[gd].id}
-        assert w.states[joiner].ring.group.id != m.group_keys[gd].id
+        assert {w.states[v].ring.group.id for v in (1, 2)} == {m.rings[gd].group.id}
+        assert w.states[joiner].ring.group.id != m.rings[gd].group.id
 
     def test_reserve_late_join_reaches_home_group(self):
         m = provision([2], reserve_fraction=0.5)
@@ -1553,7 +1573,7 @@ class TestChurn:
         assert st.phase is Phase.JOINED and st.dominator == 0
         # admission after formation rotates the group key
         assert w.counters.get("REKEY", 0) == 2
-        assert st.ring.group.id == w.material.group_keys[0].id
+        assert st.ring.group.id == w.material.rings[0].group.id
 
     def test_isolated_late_joins_promote_one_for_one(self):
         w = self.reserve_world()
@@ -1588,8 +1608,8 @@ class TestChurn:
         assert w.states[0].subordinates == {2}
         assert assemble_outcome(w).membership == ((2, 0),)
         # the survivor followed the rotation, the departed ring did not
-        assert w.states[2].ring.group.id == m.group_keys[0].id
-        assert w.states[1].ring.group.id != m.group_keys[0].id
+        assert w.states[2].ring.group.id == m.rings[0].group.id
+        assert w.states[1].ring.group.id != m.rings[0].group.id
 
     def test_departed_can_rejoin(self):
         m = provision([2])
@@ -1795,6 +1815,14 @@ class TestAdversaries:
             inject_adversary(w, 1, "jam")
         with pytest.raises(ValueError):
             inject_adversary(w, 2, "replay", positions=[(0.0, 0.0)])
+
+    def test_a_negative_count_is_refused(self):
+        w = self.joined_line()
+        state = w.rng.getstate()
+        with pytest.raises(ValueError, match="negative"):
+            inject_adversary(w, -1, "forge_join")
+        assert not w.adversaries and w.rng.getstate() == state
+        assert inject_adversary(w, 0, "forge_join") == []
 
     def test_a_refused_batch_places_no_adversary(self):
         """A batch whose later position is refused leaves the adversaries,
